@@ -313,8 +313,7 @@ def penalized_functional(u: ScalarField, eps: float, sigma: float,
     ``W_eps(u) + eps^(-sigma) (S_eps(u) - S_target)^2``."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    s, w = modica_mortola(u, eps), willmore_eps(u, eps)
-    return w + eps ** (-sigma) * (s - S_target) ** 2
+    return EnergyBreakdown.of(u, eps, sigma, S_target).F_eps_penalized
 
 
 @dataclass(frozen=True)
@@ -332,8 +331,9 @@ class EnergyBreakdown:
     @classmethod
     def of(cls, u: ScalarField, eps: float, sigma: float | None = None,
            S_target: float | None = None) -> "EnergyBreakdown":
-        s = modica_mortola(u, eps)
-        w = willmore_eps(u, eps)
+        mu, alpha = _densities(u, eps)
+        s = float(np.sum(mu)) * u.grid.cell_measure
+        w = float(np.sum(alpha)) * u.grid.cell_measure
         pen = None
         if sigma is not None and S_target is not None:
             pen = w + eps ** (-sigma) * (s - S_target) ** 2

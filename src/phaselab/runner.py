@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 
@@ -35,13 +36,7 @@ from .diagnostics import (
     level_set,
     lp_norm,
 )
-from .energy import (
-    ScalarField,
-    c0,
-    modica_mortola,
-    standard_potential,
-    willmore_eps,
-)
+from .energy import EnergyBreakdown, ScalarField, c0, standard_potential
 from .families import EpsilonSchedule, build_family, neumann_layer_field
 from .fieldio import save_field
 from .grid import make_half_space_grid
@@ -168,6 +163,48 @@ def expand_config(config: dict) -> dict:
     return out
 
 
+# params compared against numeric bounds in ``validate`` for some experiment
+_NUMERIC_PARAMS = ("S", "sigma", "gamma", "delta", "S_prime", "L",
+                   "unit_spacing", "window", "R")
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _type_errors(name: str, cfg: dict) -> list[str]:
+    """Values whose type differs from what the experiment expects: numbers
+    where the default is a number (or the value is range-checked), lists of
+    numbers where the default is a list, strings where it is a string."""
+    errors = []
+    if not all(_is_number(e) for e in cfg["eps_list"]):
+        errors.append("eps_list entries must be finite numbers")
+    sol = cfg["solver"]
+    if not _is_number(sol["residual_tol"]):
+        errors.append("solver.residual_tol must be a finite number, got "
+                      f"{sol['residual_tol']!r}")
+    if not (isinstance(sol["max_iterations"], int)
+            and not isinstance(sol["max_iterations"], bool)):
+        errors.append("solver.max_iterations must be an integer, got "
+                      f"{sol['max_iterations']!r}")
+    defaults = DEFAULTS[name]["params"]
+    for key, value in cfg["params"].items():
+        default = defaults.get(key)
+        if isinstance(default, str):
+            ok, kind = isinstance(value, str), "a string"
+        elif isinstance(default, list):
+            ok = isinstance(value, list) and all(_is_number(v) for v in value)
+            kind = "a list of finite numbers"
+        elif default is not None or key in _NUMERIC_PARAMS:
+            ok, kind = _is_number(value), "a finite number"
+        else:
+            continue
+        if not ok:
+            errors.append(f"params.{key} must be {kind}, got {value!r}")
+    return errors
+
+
 def validate(config: dict) -> list[str]:
     """Pure validation; returns a list of error messages (empty when ok)."""
     errors = []
@@ -179,17 +216,20 @@ def validate(config: dict) -> list[str]:
         cfg = expand_config(config)
     except (TypeError, ValueError) as exc:
         return [f"config malformed: {exc}"]
+    errors = _type_errors(name, cfg)
+    if errors:
+        return errors
     eps = cfg["eps_list"]
     if not eps:
         errors.append("eps_list must be non-empty")
-    if any(e <= 0 or not math.isfinite(e) for e in eps):
-        errors.append("eps values must be finite and positive")
+    if any(e <= 0 for e in eps):
+        errors.append("eps values must be positive")
     if len(eps) > 1 and not all(b < a for a, b in zip(eps, eps[1:])):
         errors.append("eps must be strictly decreasing")
     if cfg["n"] not in (1, 2, 3):
         errors.append(f"n must be 1, 2 or 3, got {cfg['n']}")
     sol = cfg["solver"]
-    if sol.get("residual_tol", 0) <= 0:
+    if sol["residual_tol"] <= 0:
         errors.append("solver.residual_tol must be positive")
     p = cfg["params"]
     if name == "oscillation_atom":
@@ -208,7 +248,7 @@ def validate(config: dict) -> list[str]:
     if name == "penalty_zero" and p.get("sigma", 1.0) < 0:
         errors.append("sigma must be >= 0")
     for key in ("L", "unit_spacing", "window", "R"):
-        if key in p and p[key] is not None and p[key] <= 0:
+        if key in p and p[key] <= 0:
             errors.append(f"params.{key} must be positive")
     return errors
 
@@ -268,10 +308,10 @@ def run_tanh_calibration(cfg):
     raw = ScalarField(gp, np.tanh((gp.axis_coords(0) - x0)
                                   / (math.sqrt(2.0) * eps)), res.field.roles)
     relaxed = ScalarField(gp, res.field.values, res.field.roles)
-    S_raw = modica_mortola(raw, eps)
-    W_raw = willmore_eps(raw, eps)
-    S_rel = modica_mortola(relaxed, eps)
-    W_rel = willmore_eps(relaxed, eps)
+    e_raw = EnergyBreakdown.of(raw, eps)
+    e_rel = EnergyBreakdown.of(relaxed, eps)
+    S_raw, W_raw = e_raw.S_eps, e_raw.W_eps
+    S_rel, W_rel = e_rel.S_eps, e_rel.W_eps
 
     assertions = [
         _check("calibration.s_eps_sampled",
@@ -583,9 +623,9 @@ def run_neumann_layer(cfg):
                                 amp_power=p["amp_power"])
         mass = boundary_layer_mass(u, eps, theta=1.0)
         masses.append(mass)
+        energy = EnergyBreakdown.of(u, eps)
         rows.append(_row("neumann_layer", n, eps,
-                         S_eps=modica_mortola(u, eps),
-                         W_eps=willmore_eps(u, eps),
+                         S_eps=energy.S_eps, W_eps=energy.W_eps,
                          boundary_layer_mass=mass,
                          sup_u=float(np.max(np.abs(u.values)))))
         if i == len(eps_list) - 1:

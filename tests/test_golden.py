@@ -1,0 +1,81 @@
+"""Golden sweep outputs of the eight shipped configs.
+
+``tests/golden/<experiment>.csv`` is the ``sweep.csv`` that
+``configs/<experiment>.json`` produced when both the semi-implicit and the
+Newton systems were solved through sparse LU factorizations.  The solver
+now solves them by fast diagonalization and preconditioned CG, so every
+quantity computed from a solved field must reproduce the recorded value to
+a relative 1e-8.  ``W_eps`` of a solved field and the solver residual sit
+at the round-off floor and are held to their certificates instead.
+"""
+
+import csv
+import json
+import math
+import os
+
+import pytest
+
+from phaselab.runner import run
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
+NAMES = sorted(f[:-5] for f in os.listdir(CONFIGS) if f.endswith(".json"))
+
+EXACT = ("experiment", "n", "eps")
+# held to certificates below; the iteration count of a solve may change
+# with the linear algebra and is not compared
+CERTIFIED = ("W_eps", "residual", "iterations")
+REL_TOL = 1e-8
+# threshold of the *.willmore_zero assertions of the family experiments
+# and of calibration.w_eps
+WILLMORE_TOL = {"tanh_calibration": 1e-4}
+WILLMORE_DEFAULT = 1e-6
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _unit_residual_tol(cfg, eps):
+    if cfg["experiment"] == "tanh_calibration":
+        # the calibration solve runs at 1e-10 for eps >= 0.05
+        return 1e-10 if eps >= 0.05 else 1e-9
+    return eps * cfg["params"]["residual_tol"]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_sweep_matches_golden(name, tmp_path):
+    with open(os.path.join(CONFIGS, name + ".json")) as fh:
+        cfg = json.load(fh)
+    summary = run({**cfg, "output_dir": str(tmp_path)})
+    assert summary.passed
+    got = _read(tmp_path / "sweep.csv")
+    want = _read(os.path.join(HERE, "golden", name + ".csv"))
+    assert len(got) == len(want)
+    assert list(got[0]) == list(want[0])
+    for g, w in zip(got, want):
+        solved = w["residual"] != ""
+        for col, ref in w.items():
+            val = g[col]
+            if col in EXACT or ref == "" or not _is_float(ref):
+                assert val == ref, (name, col)
+            elif solved and col in CERTIFIED:
+                continue
+            else:
+                assert math.isclose(float(val), float(ref), rel_tol=REL_TOL,
+                                    abs_tol=0.0), (name, col, val, ref)
+        if solved:
+            eps = float(w["eps"])
+            assert float(g["residual"]) <= _unit_residual_tol(cfg, eps)
+            assert float(g["W_eps"]) <= WILLMORE_TOL.get(name,
+                                                         WILLMORE_DEFAULT)

@@ -3,10 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab.cli import main as cli_main
 from phaselab.fieldio import load_field, save_field
-from phaselab.runner import CSV_COLUMNS, expand_config, run, validate
+from phaselab.runner import (CSV_COLUMNS, DEFAULTS, expand_config, run,
+                             validate)
 
 
 def test_validate_unknown_experiment():
@@ -73,6 +76,18 @@ def test_reproducibility_byte_identical(tmp_path):
     assert m1 == m2
 
 
+def test_family_run_byte_identical_across_workers_and_reruns(tmp_path):
+    # boundary_atom at a reduced size: half-width 0.5, unit spacing 1/8
+    cfg = {"experiment": "boundary_atom",
+           "params": {"L": 0.5, "unit_spacing": 1 / 8}}
+    outs = [tmp_path / f"run{i}" for i in range(3)]
+    for out, workers in zip(outs, (1, 2, 1)):
+        run({**cfg, "workers": workers, "output_dir": str(out)})
+    for name in ("sweep.csv", "manifest.json"):
+        first, *rest = [(out / name).read_bytes() for out in outs]
+        assert all(r == first for r in rest), name
+
+
 def test_csv_floats_round_trip(tmp_path):
     out = tmp_path / "cal"
     run({"experiment": "tanh_calibration", "output_dir": str(out)})
@@ -134,6 +149,37 @@ def test_run_exit_code_on_failed_assertion(tmp_path, capsys):
 def test_validate_malformed_config():
     errs = validate({"experiment": "boundary_atom", "workers": "three"})
     assert errs and "malformed" in errs[0]
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"eps_list": ["a"]}, "eps_list"),
+    ({"params": {"S": "x"}}, "params.S"),
+    ({"solver": {"residual_tol": "1e-9"}}, "solver.residual_tol"),
+])
+def test_validate_reports_mistyped_values(config, key):
+    errs = validate({"experiment": "boundary_atom", **config})
+    assert errs and any(key in e for e in errs)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(experiment=st.sampled_from(sorted(DEFAULTS)),
+       eps_list=_json_values,
+       solver=st.dictionaries(st.sampled_from(["residual_tol",
+                                               "max_iterations"]),
+                              _json_values),
+       params=st.dictionaries(st.sampled_from(sorted(
+           {k for d in DEFAULTS.values() for k in d["params"]})),
+           _json_values))
+def test_validate_never_raises(experiment, eps_list, solver, params):
+    errs = validate({"experiment": experiment, "eps_list": eps_list,
+                     "solver": solver, "params": params})
+    assert isinstance(errs, list)
+    assert all(isinstance(e, str) for e in errs)
 
 
 def test_load_field_rejects_unknown_format(tmp_path):

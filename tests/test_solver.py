@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from phaselab.energy import (
     ScalarField,
@@ -10,6 +12,8 @@ from phaselab.energy import (
 )
 from phaselab.grid import make_half_space_grid
 from phaselab.solver import (
+    _DirichletProblem,
+    _half_space_roles,
     InvalidBoundaryError,
     NonConvergenceError,
     SolveConfig,
@@ -205,3 +209,54 @@ def test_truncation_stability():
     change = abs(energies[12.0] - energies[6.0])
     allowance = tail_bound(1, 6.0, theta) + 0.01 * energies[6.0]
     assert change <= allowance
+
+
+def _problem(n, R, spacing):
+    g, _ = make_half_space_grid(n, R, spacing, 1.0)
+    roles = _half_space_roles(g, np.ones(g.shape[:-1]), 1.0)
+    return _DirichletProblem(g, roles, P)
+
+
+# 1D, a non-square 2D interior (31 x 15) and a 3D interior (15 x 15 x 7)
+INTERIORS = [(1, 4.0, 0.125), (2, 4.0, 0.25), (3, 2.0, 0.25)]
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS)
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+def test_shifted_solve_matches_sparse_direct(n, R, spacing, shift):
+    prob = _problem(n, R, spacing)
+    rhs = np.random.default_rng(n).standard_normal(prob.n_int)
+    op = (prob.A + shift * sp.identity(prob.n_int)).tocsc()
+    exact = splu(op).solve(rhs)
+    x = prob.shifted_solve(shift, rhs)
+    assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS)
+def test_newton_cg_matches_sparse_direct(n, R, spacing):
+    prob = _problem(n, R, spacing)
+    rng = np.random.default_rng(10 + n)
+    rhs = rng.standard_normal(prob.n_int)
+    # W'' of the standard well ranges over [-1, 66] for u in [-1, 5]
+    w2 = rng.uniform(-1.0, 66.0, prob.n_int)
+    H = (prob.A + sp.diags(np.maximum(w2, 0.0))).tocsc()
+    exact = splu(H).solve(rhs)
+    rtol = SolveConfig().linear_rtol
+    x = prob.newton_solve(w2, rhs, rtol)
+    assert np.linalg.norm(H @ x - rhs) <= rtol * np.linalg.norm(rhs)
+    # the error is at most cond(H) times the relative residual; cond(H) is
+    # below 1e3 on these interiors
+    assert np.linalg.norm(x - exact) <= 1e3 * rtol * np.linalg.norm(exact)
+
+
+def test_newton_falls_back_to_direct_solve_when_cg_fails(monkeypatch):
+    import phaselab.solver as solver_mod
+    prob = _problem(2, 4.0, 0.25)
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal(prob.n_int)
+    w2 = rng.uniform(-1.0, 66.0, prob.n_int)
+    monkeypatch.setattr(solver_mod, "cg",
+                        lambda *args, **kwargs: (np.zeros(prob.n_int), 1))
+    x = prob.newton_solve(w2, rhs, 1e-10)
+    H = (prob.A + sp.diags(np.maximum(w2, 0.0))).tocsc()
+    assert np.array_equal(x, splu(H).solve(rhs))

@@ -1,5 +1,6 @@
-"""Three-dimensional smoke coverage: the modules advertise n in {1, 2, 3};
-these exercise the 3D code paths at small sizes."""
+"""Three-dimensional coverage: the modules advertise n in {1, 2, 3}; these
+exercise the 3D code paths at small sizes, plus one half-space solve at
+acceptance size."""
 
 import numpy as np
 import pytest
@@ -24,8 +25,7 @@ from phaselab.grid import Ball, HalfBall, make_half_space_grid, region_cells
 from phaselab.solver import SolveConfig, solve_half_space
 
 
-def test_3d_half_space_solve_envelope():
-    g, _ = make_half_space_grid(3, 3.0, 0.25, 1.0)
+def _check_3d_half_space_solve(g):
     base = bump(g, 2.0, shape="exp_decay", amplitude=0.5, width=2.5)
     res = solve_half_space(base.samples, 1.0, standard_potential(), g,
                            SolveConfig(residual_tol=1e-8))
@@ -34,6 +34,18 @@ def test_3d_half_space_solve_envelope():
     assert u.min() >= 1.0 - 1e-8
     envelope = 1.0 + np.exp(-g.node_radii()) + 2 * g.spacing
     assert np.max(u - envelope) <= 0.0
+
+
+def test_3d_half_space_solve_envelope():
+    g, _ = make_half_space_grid(3, 3.0, 0.25, 1.0)
+    _check_3d_half_space_solve(g)
+
+
+def test_3d_half_space_solve_acceptance_size():
+    # about 127k unknowns
+    g, _ = make_half_space_grid(3, 8.0, 0.25, 1.0)
+    assert g.shape == (65, 65, 33)
+    _check_3d_half_space_solve(g)
 
 
 def test_3d_energy_scaling_identity():
