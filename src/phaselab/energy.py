@@ -20,25 +20,37 @@ zero on Dirichlet-constrained face layers, where no equation is imposed
 (the continuum density there sits on a node layer of measure O(h), which
 the cell-sum quadrature is free to drop at its accuracy order).
 
-Summation is plain row-major ``np.sum``, so energies are bit-reproducible
-for fixed inputs on a given platform.
+The densities are evaluated in slabs of at most ``SLAB_NODES`` nodes,
+each a run of axis-0 layers that reads one neighbouring layer on either
+side; only the grid's own first and last layers get the one-sided face
+stencils.  Every node sees the same arithmetic whatever the slab size, so
+the densities are bit-identical to a one-slab evaluation, and the two
+density arrays are the only full-size allocations.  ``W'(s)`` enters the
+curvature density as ``s (s^2 - 1)``, which multiplies instead of taking a
+generic power.
+
+Summation is plain row-major ``np.sum`` over the full density arrays, so
+energies are bit-reproducible for fixed inputs on a given platform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .grid import (
     LOW,
     HIGH,
+    DirichletConstant,
+    DirichletData,
     Grid,
     NeumannZero,
     check_roles,
     default_roles,
-    dirichlet_mask,
+    face_slice,
 )
 
 __all__ = [
@@ -168,29 +180,42 @@ class ScalarField:
 # discrete operators
 # --------------------------------------------------------------------------
 
-def _axis_gradient(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _at(ndim: int, axis: int, index) -> tuple:
+    idx = [slice(None)] * ndim
+    idx[axis] = index
+    return tuple(idx)
+
+
+def _layer_block(values: np.ndarray, axis: int, lo: int, hi: int | None):
+    """Number of layers along axis, the end hi, and an empty output for the
+    layers lo <= i < hi."""
+    m = values.shape[axis]
+    hi = m if hi is None else hi
+    shape = list(values.shape)
+    shape[axis] = hi - lo
+    return m, hi, np.empty(shape)
+
+
+def _axis_gradient(values: np.ndarray, axis: int, h: float,
+                   lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Centered differences in the interior, one-sided second order at the
-    two face layers."""
-    g = np.empty_like(values)
-    mid = [slice(None)] * values.ndim
-    plus = [slice(None)] * values.ndim
-    minus = [slice(None)] * values.ndim
-    mid[axis], plus[axis], minus[axis] = slice(1, -1), slice(2, None), slice(None, -2)
-    g[tuple(mid)] = (values[tuple(plus)] - values[tuple(minus)]) / (2.0 * h)
+    two face layers, on the layers lo <= i < hi along axis (default: all).
 
-    def face(i0, i1, i2, sign):
-        idx = [slice(None)] * values.ndim
-        idx[axis] = i0
-        out = list(idx)
-        a = values[tuple(out)]
-        idx[axis] = i1
-        b = values[tuple(idx)]
-        idx[axis] = i2
-        c = values[tuple(idx)]
-        g[tuple(out)] = sign * (-3.0 * a + 4.0 * b - c) / (2.0 * h)
-
-    face(0, 1, 2, +1.0)
-    face(-1, -2, -3, -1.0)
+    Only the grid's own first and last layers get the face stencil; a
+    block's edge layers read their neighbours from ``values``.
+    """
+    at = partial(_at, values.ndim, axis)
+    m, hi, g = _layer_block(values, axis, lo, hi)
+    a, b = max(lo, 1), min(hi, m - 1)
+    if a < b:
+        mid = g[at(slice(a - lo, b - lo))]
+        np.subtract(values[at(slice(a + 1, b + 1))],
+                    values[at(slice(a - 1, b - 1))], out=mid)
+        mid /= 2.0 * h
+    for face, step, sign in ((0, 1, +1.0), (m - 1, -1, -1.0)):
+        if lo <= face < hi:
+            u0, u1, u2 = (values[at(face + k * step)] for k in range(3))
+            g[at(face - lo)] = sign * (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * h)
     return g
 
 
@@ -206,53 +231,48 @@ def grad_squared(u: ScalarField) -> np.ndarray:
     return out
 
 
-def _axis_second(values: np.ndarray, axis: int, h: float, role_low, role_high):
-    """Second differences along one axis with role-dependent face closure.
+def _axis_second(values: np.ndarray, axis: int, h: float, role_low,
+                 role_high, lo: int = 0, hi: int | None = None):
+    """Second differences along one axis with role-dependent face closure,
+    on the layers lo <= i < hi along axis (default: all).
 
     Interior nodes use the standard centered stencil on the stored values
     (prescribed boundary values enter automatically through the face
     layers).  At a NeumannZero face the missing neighbor is the mirror
     ghost; at Dirichlet and Free faces a one-sided second-order stencil
-    (exact on cubics) is used.
+    (exact on cubics) is used.  As in ``_axis_gradient``, only the grid's
+    own faces get a face closure.
     """
-    d = np.empty_like(values)
-    mid = [slice(None)] * values.ndim
-    plus = [slice(None)] * values.ndim
-    minus = [slice(None)] * values.ndim
-    mid[axis], plus[axis], minus[axis] = slice(1, -1), slice(2, None), slice(None, -2)
+    at = partial(_at, values.ndim, axis)
+    m, hi, d = _layer_block(values, axis, lo, hi)
     h2 = h * h
-    d[tuple(mid)] = (values[tuple(plus)] - 2.0 * values[tuple(mid)]
-                     + values[tuple(minus)]) / h2
-
-    def take(i):
-        idx = [slice(None)] * values.ndim
-        idx[axis] = i
-        return values[tuple(idx)]
-
-    def put(i, arr):
-        idx = [slice(None)] * values.ndim
-        idx[axis] = i
-        d[tuple(idx)] = arr
-
-    for side, role in ((LOW, role_low), (HIGH, role_high)):
-        if side == LOW:
-            u0, u1, u2, u3 = take(0), take(1), take(2), take(3)
-            tgt = 0
-        else:
-            u0, u1, u2, u3 = take(-1), take(-2), take(-3), take(-4)
-            tgt = -1
-        if isinstance(role, NeumannZero):
-            put(tgt, (2.0 * u1 - 2.0 * u0) / h2)
-        else:
-            put(tgt, (2.0 * u0 - 5.0 * u1 + 4.0 * u2 - u3) / h2)
+    a, b = max(lo, 1), min(hi, m - 1)
+    if a < b:
+        # (u[i+1] - 2 u[i] + u[i-1]) / h^2, written in place
+        mid = d[at(slice(a - lo, b - lo))]
+        np.multiply(values[at(slice(a, b))], 2.0, out=mid)
+        np.subtract(values[at(slice(a + 1, b + 1))], mid, out=mid)
+        mid += values[at(slice(a - 1, b - 1))]
+        mid /= h2
+    for face, step, role in ((0, 1, role_low), (m - 1, -1, role_high)):
+        if lo <= face < hi:
+            u0, u1, u2, u3 = (values[at(face + k * step)] for k in range(4))
+            if isinstance(role, NeumannZero):
+                d[at(face - lo)] = (2.0 * u1 - 2.0 * u0) / h2
+            else:
+                d[at(face - lo)] = (2.0 * u0 - 5.0 * u1 + 4.0 * u2 - u3) / h2
     return d
+
+
+def _check_face_stencils(grid: Grid) -> None:
+    if any(m < 4 for m in grid.shape):
+        raise ValueError("laplacian needs at least 4 nodes per axis for the "
+                         "one-sided face stencils")
 
 
 def laplacian(u: ScalarField) -> ScalarField:
     """Five/seven-point Laplacian with role-aware face closures."""
-    if any(m < 4 for m in u.grid.shape):
-        raise ValueError("laplacian needs at least 4 nodes per axis for the "
-                         "one-sided face stencils")
+    _check_face_stencils(u.grid)
     out = np.zeros(u.grid.shape)
     for a in range(u.grid.n):
         out += _axis_second(u.values, a, u.grid.spacing,
@@ -264,16 +284,51 @@ def laplacian(u: ScalarField) -> ScalarField:
 # energies and densities
 # --------------------------------------------------------------------------
 
+#: Nodes per slab of ``_densities``.  The slab-sized temporaries of the
+#: stencils stay small next to the field and mostly in cache.
+SLAB_NODES = 1 << 15
+
+
 def _densities(u: ScalarField, eps: float):
+    """(mu, alpha) arrays of ``density_fields``, evaluated slab by slab."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    c = c0()
-    w = STANDARD.value(u.values)
-    mu = ((eps / 2.0) * grad_squared(u) + w / eps) / c
-    defect = eps * laplacian(u).values - STANDARD.derivative(u.values) / eps
-    alpha = defect * defect / (c * eps)
-    constrained = dirichlet_mask(u.grid, u.roles)
-    alpha[constrained] = 0.0
+    g, v, roles = u.grid, u.values, u.roles
+    _check_face_stencils(g)
+    h, c, m = g.spacing, c0(), g.shape[0]
+    mu = np.empty(g.shape)
+    alpha = np.empty(g.shape)
+    step = max(1, SLAB_NODES // (v.size // m))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        s = v[lo:hi]
+        gsq = _axis_gradient(v, 0, h, lo, hi)
+        gsq *= gsq
+        for a in range(1, g.n):
+            ga = _axis_gradient(s, a, h)
+            gsq += ga * ga
+        # in-place steps, each rounding as in the formulas beside them
+        t = s * s
+        t -= 1.0
+        w = t * t                      # W(s) = t^2 / 4
+        w /= 4.0
+        w /= eps
+        gsq *= eps / 2.0
+        gsq += w                       # (eps/2) |grad u|^2 + W(s)/eps
+        np.divide(gsq, c, out=mu[lo:hi])
+        del gsq, w
+        lap = _axis_second(v, 0, h, roles[(0, LOW)], roles[(0, HIGH)], lo, hi)
+        for a in range(1, g.n):
+            lap += _axis_second(s, a, h, roles[(a, LOW)], roles[(a, HIGH)])
+        t *= s                         # W'(s) = s t
+        t /= eps
+        lap *= eps
+        lap -= t                       # eps lap(u) - W'(s)/eps
+        lap *= lap
+        np.divide(lap, c * eps, out=alpha[lo:hi])
+    for (axis, side), role in roles.items():
+        if isinstance(role, (DirichletData, DirichletConstant)):
+            alpha[face_slice(g, axis, side)] = 0.0
     return mu, alpha
 
 
@@ -331,9 +386,17 @@ class EnergyBreakdown:
     @classmethod
     def of(cls, u: ScalarField, eps: float, sigma: float | None = None,
            S_target: float | None = None) -> "EnergyBreakdown":
-        mu, alpha = _densities(u, eps)
-        s = float(np.sum(mu)) * u.grid.cell_measure
-        w = float(np.sum(alpha)) * u.grid.cell_measure
+        return cls.from_densities(u.grid, *_densities(u, eps), eps, sigma,
+                                  S_target)
+
+    @classmethod
+    def from_densities(cls, grid: Grid, mu: np.ndarray, alpha: np.ndarray,
+                       eps: float, sigma: float | None = None,
+                       S_target: float | None = None) -> "EnergyBreakdown":
+        """The record of a field on grid whose ``density_fields`` at eps
+        hold the values mu and alpha."""
+        s = float(np.sum(mu)) * grid.cell_measure
+        w = float(np.sum(alpha)) * grid.cell_measure
         pen = None
         if sigma is not None and S_target is not None:
             pen = w + eps ** (-sigma) * (s - S_target) ** 2

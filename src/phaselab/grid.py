@@ -185,15 +185,6 @@ def face_slice(grid: Grid, axis: int, side: str) -> tuple:
     return tuple(idx)
 
 
-def dirichlet_mask(grid: Grid, roles: dict) -> np.ndarray:
-    """Boolean node mask of all Dirichlet-constrained faces."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    for (axis, side), role in roles.items():
-        if isinstance(role, (DirichletData, DirichletConstant)):
-            mask[face_slice(grid, axis, side)] = True
-    return mask
-
-
 def apply_dirichlet(values: np.ndarray, grid: Grid, roles: dict) -> np.ndarray:
     """Overwrite Dirichlet face layers with their prescribed values."""
     out = values.copy()
@@ -271,8 +262,11 @@ def region_cells(grid: Grid, region: Region) -> np.ndarray:
     if isinstance(region, SuperLevel):
         if region.grid != grid:
             raise GridMismatchError("SuperLevel region references a different grid")
-        vals = np.abs(region.values) if region.absolute else region.values
-        return vals >= region.threshold
+        t, vals = region.threshold, region.values
+        if region.absolute:
+            # |v| >= t, without a full-size float temporary for |v|
+            return (vals >= t) | (vals <= -t)
+        return vals >= t
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 

@@ -36,7 +36,8 @@ from .diagnostics import (
     level_set,
     lp_norm,
 )
-from .energy import EnergyBreakdown, ScalarField, c0, standard_potential
+from .energy import (EnergyBreakdown, ScalarField, c0, density_fields,
+                     standard_potential)
 from .families import EpsilonSchedule, build_family, neumann_layer_field
 from .fieldio import save_field
 from .grid import make_half_space_grid
@@ -163,6 +164,11 @@ def expand_config(config: dict) -> dict:
     return out
 
 
+# experiments whose assertions compare consecutive members or fit a slope
+# over the sweep, which takes at least two eps values
+_SWEEP_EXPERIMENTS = ("unbounded", "boundary_atom", "hausdorff_levelset",
+                      "hoelder_blowup", "neumann_layer", "penalty_zero")
+
 # params compared against numeric bounds in ``validate`` for some experiment
 _NUMERIC_PARAMS = ("S", "sigma", "gamma", "delta", "S_prime", "L",
                    "unit_spacing", "window", "R")
@@ -224,10 +230,13 @@ def validate(config: dict) -> list[str]:
         errors.append("eps_list must be non-empty")
     if any(e <= 0 for e in eps):
         errors.append("eps values must be positive")
+    if len(eps) == 1 and name in _SWEEP_EXPERIMENTS:
+        errors.append(f"{name} needs at least 2 eps values: its assertions "
+                      "compare the members along the sweep")
     if len(eps) > 1 and not all(b < a for a, b in zip(eps, eps[1:])):
         errors.append("eps must be strictly decreasing")
     if cfg["n"] not in (1, 2, 3):
-        errors.append(f"n must be 1, 2 or 3, got {cfg['n']}")
+        errors.append(f"n must be 1, 2 or 3, got {cfg['n']!r}")
     sol = cfg["solver"]
     if sol["residual_tol"] <= 0:
         errors.append("solver.residual_tol must be positive")
@@ -621,9 +630,12 @@ def run_neumann_layer(cfg):
                                 interfaces=tuple(p["interfaces"]),
                                 bump_amp=p["bump_amp"],
                                 amp_power=p["amp_power"])
-        mass = boundary_layer_mass(u, eps, theta=1.0)
+        mu, alpha = density_fields(u, eps)
+        mass = boundary_layer_mass(u, eps, theta=1.0, mu=mu)
         masses.append(mass)
-        energy = EnergyBreakdown.of(u, eps)
+        energy = EnergyBreakdown.from_densities(u.grid, mu.values,
+                                                alpha.values, eps)
+        del mu, alpha    # freed before the next, finer member is built
         rows.append(_row("neumann_layer", n, eps,
                          S_eps=energy.S_eps, W_eps=energy.W_eps,
                          boundary_layer_mass=mass,

@@ -94,6 +94,14 @@ def test_boundary_layer_mass_counts_overshoot():
     assert boundary_layer_mass(u, 0.1, theta=1.0) > 0.0
 
 
+def test_boundary_layer_mass_reuses_a_given_density():
+    from phaselab.families import neumann_layer_field
+    u = neumann_layer_field(0.064)
+    mu, _ = density_fields(u, 0.064)
+    assert (boundary_layer_mass(u, 0.064, mu=mu)
+            == boundary_layer_mass(u, 0.064) > 0.0)
+
+
 # --------------------------------------------------------------------------
 # level sets and hausdorff distance
 # --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from phaselab import energy as energy_module
 from phaselab.energy import (
     EnergyBreakdown,
     ScalarField,
@@ -24,6 +26,7 @@ from phaselab.energy import (
 )
 from phaselab.grid import (
     DirichletConstant,
+    Free,
     Grid,
     NeumannZero,
     WholeDomain,
@@ -194,6 +197,15 @@ def test_density_fields_reproduce_energies():
     assert alpha.values.min() >= 0.0
 
 
+def test_breakdown_from_densities_matches_of():
+    u = tanh_profile_field(0.1)
+    mu, alpha = density_fields(u, 0.1)
+    got = EnergyBreakdown.from_densities(u.grid, mu.values, alpha.values,
+                                         0.1, 1.0, 0.5)
+    assert got == EnergyBreakdown.of(u, 0.1, 1.0, 0.5)
+    assert got.F_eps_penalized is not None
+
+
 def test_density_zero_for_constant():
     g, _ = make_half_space_grid(1, 5.0, 0.25, 1.0)
     mu, alpha = density_fields(field_on(g, np.ones(g.shape)), 0.1)
@@ -322,3 +334,75 @@ def test_gradient_bound_diagnostic():
 def test_half_space_energy_constant_is_zero():
     g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
     assert half_space_energy(field_on(g, np.ones(g.shape))) == 0.0
+
+
+# --------------------------------------------------------------------------
+# slab-blocked densities
+# --------------------------------------------------------------------------
+
+_ROLE_SETS = {
+    "dirichlet": lambda a, s: DirichletConstant(1.0),
+    "neumann": lambda a, s: NeumannZero(),
+    "free": lambda a, s: Free(),
+    "mixed": lambda a, s: (DirichletConstant(-1.0), NeumannZero(),
+                           Free())[(2 * a + (s == "high")) % 3],
+}
+
+
+def _random_field(shape, roles, seed=0):
+    g = Grid(shape, 0.1, (0.0,) * len(shape))
+    rng = np.random.default_rng(seed)
+    return ScalarField(g, rng.uniform(-1.5, 1.5, shape),
+                       {(a, s): roles(a, s) for a in range(len(shape))
+                        for s in ("low", "high")})
+
+
+@pytest.mark.parametrize("roles", sorted(_ROLE_SETS))
+@pytest.mark.parametrize("shape", [(37,), (13, 9), (11, 6, 5)])
+def test_slab_densities_bitwise_equal_one_slab(monkeypatch, shape, roles):
+    u = _random_field(shape, _ROLE_SETS[roles])
+    mu1, alpha1 = energy_module._densities(u, 0.3)
+    layer = u.values.size // shape[0]
+    # 1 layer per slab, then slab sizes leaving 1-, 2- and 3-layer
+    # remainders on the high face
+    for step in (1, *(k for k in range(2, shape[0])
+                      if shape[0] % k in (1, 2, 3))):
+        monkeypatch.setattr(energy_module, "SLAB_NODES", step * layer)
+        mu, alpha = energy_module._densities(u, 0.3)
+        assert mu.tobytes() == mu1.tobytes(), step
+        assert alpha.tobytes() == alpha1.tobytes(), step
+
+
+@pytest.mark.parametrize("roles", sorted(_ROLE_SETS))
+def test_slab_densities_match_whole_grid_operators(monkeypatch, roles):
+    monkeypatch.setattr(energy_module, "SLAB_NODES", 3 * 9)
+    u = _random_field((14, 9), _ROLE_SETS[roles], seed=1)
+    eps = 0.3
+    mu, alpha = energy_module._densities(u, eps)
+    p = standard_potential()
+    want_mu = ((eps / 2.0) * grad_squared(u) + p.value(u.values) / eps) / c0()
+    assert mu.tobytes() == want_mu.tobytes()
+    defect = eps * laplacian(u).values - p.derivative(u.values) / eps
+    want_alpha = defect * defect / (c0() * eps)
+    for (axis, side), role in u.roles.items():
+        if isinstance(role, DirichletConstant):
+            idx = [slice(None)] * 2
+            idx[axis] = 0 if side == "low" else -1
+            want_alpha[tuple(idx)] = 0.0
+    # W'(s) = s (s^2 - 1) rounds differently from s^3 - s
+    np.testing.assert_allclose(alpha, want_alpha, rtol=1e-12,
+                               atol=1e-12 * want_alpha.max())
+
+
+def test_density_peak_memory_stays_near_the_two_outputs():
+    g = Grid((1001, 1001), 0.01, (0.0, 0.0))
+    x, y = g.meshgrid()
+    u = field_on(g, np.tanh((x - 5.0) / 0.2) + 0.1 * np.sin(y))
+    del x, y
+    tracemalloc.start()
+    try:
+        energy_module._densities(u, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * u.values.nbytes

@@ -324,6 +324,47 @@ def test_neumann_layer_field_roles_and_overshoot():
     assert np.array_equal(u.values[0, :], u.values[1, :])
 
 
+def _reference_neumann_layer_values(eps, L=2.4, interfaces=(0.7, 1.7),
+                                    bump_amp=0.5, amp_power=1.5,
+                                    spacing=None):
+    """Full-grid formula of the stripe profile plus plateau bumps."""
+    z1, z2 = interfaces
+    h = spacing if spacing is not None else eps / 8.0
+    m = round(L / h)
+    g = Grid((m + 1, m + 1), L / m, (0.0, 0.0))
+    X, Z = g.meshgrid()
+    s2 = math.sqrt(2.0)
+    prof = (np.tanh((Z - z1) / (s2 * eps)) - np.tanh((Z - z2) / (s2 * eps))
+            - 1.0)
+
+    def plateau_bump(cx, cz, w):
+        r2 = ((X - cx) ** 2 + (Z - cz) ** 2) / w ** 2
+        out = np.zeros_like(X)
+        ins = r2 < 1.0
+        out[ins] = np.exp(1.0 - 1.0 / (1.0 - r2[ins]))
+        return out
+
+    zc = 0.5 * (z1 + z2)
+    amp = bump_amp * eps ** amp_power
+    pert = amp * (plateau_bump(L / 3.0, zc, 0.3)
+                  + 0.7 * plateau_bump(2.0 * L / 3.0, zc, 0.35))
+    return prof + pert
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps": 0.064},
+    {"eps": 0.016},
+    {"eps": 0.03, "L": 1.5},                         # the two discs overlap
+    {"eps": 0.05, "L": 0.9, "interfaces": (0.2, 0.7)},  # discs leave the grid
+    {"eps": 0.02, "L": 3.0, "spacing": 0.013, "bump_amp": 2.0},
+    {"eps": 0.1, "L": 0.5, "interfaces": (0.1, 0.2)},
+    {"eps": 0.05, "interfaces": (5.0, 6.0)},            # no disc on the grid
+])
+def test_neumann_layer_field_bitwise_equals_full_grid_formula(kwargs):
+    got = neumann_layer_field(**kwargs).values
+    assert got.tobytes() == _reference_neumann_layer_values(**kwargs).tobytes()
+
+
 def test_oscillation_truncation_stability():
     # no decay rate is available for oscillatory data, so the doubling
     # check is empirical: growing the solve domain around the same trace

@@ -7,6 +7,10 @@ now solves them by fast diagonalization and preconditioned CG, so every
 quantity computed from a solved field must reproduce the recorded value to
 a relative 1e-8.  ``W_eps`` of a solved field and the solver residual sit
 at the round-off floor and are held to their certificates instead.
+
+A config that expands to its experiment's defaults, up to the output
+directory and the worker count, is not run again: its sweep is the one the
+session's ``acceptance_runs`` fixture wrote.
 """
 
 import csv
@@ -16,7 +20,7 @@ import os
 
 import pytest
 
-from phaselab.runner import run
+from phaselab.runner import expand_config, run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
@@ -53,13 +57,25 @@ def _unit_residual_tol(cfg, eps):
     return eps * cfg["params"]["residual_tol"]
 
 
+def _settings(cfg):
+    """The expanded config without the keys that change no output byte:
+    where the run writes, and its thread count (runs are byte-identical
+    across worker counts, see tests/test_runner.py)."""
+    out = expand_config(cfg)
+    del out["output_dir"], out["workers"]
+    return out
+
+
 @pytest.mark.parametrize("name", NAMES)
-def test_sweep_matches_golden(name, tmp_path):
+def test_sweep_matches_golden(name, tmp_path, acceptance_runs):
     with open(os.path.join(CONFIGS, name + ".json")) as fh:
         cfg = json.load(fh)
-    summary = run({**cfg, "output_dir": str(tmp_path)})
+    if _settings(cfg) == _settings({"experiment": name}):
+        summary, outdir = acceptance_runs[name]
+    else:
+        summary, outdir = run({**cfg, "output_dir": str(tmp_path)}), tmp_path
     assert summary.passed
-    got = _read(tmp_path / "sweep.csv")
+    got = _read(outdir / "sweep.csv")
     want = _read(os.path.join(HERE, "golden", name + ".csv"))
     assert len(got) == len(want)
     assert list(got[0]) == list(want[0])

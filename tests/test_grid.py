@@ -76,6 +76,16 @@ def test_region_basics():
         region_cells(g, SuperLevel(0.5, ones, other))
 
 
+@pytest.mark.parametrize("threshold", [-0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+def test_absolute_superlevel_matches_abs(threshold):
+    g = Grid((4, 5), 0.1, (0.0, 0.0))
+    vals = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0,
+                     -np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+                     *np.linspace(-1.5, 1.5, 10)]).reshape(g.shape)
+    got = region_cells(g, SuperLevel(threshold, vals, g, absolute=True))
+    assert np.array_equal(got, np.abs(vals) >= threshold)
+
+
 def test_partition_and_double_complement():
     g, _ = make_half_space_grid(2, 4.0, 0.5, 1.0)
     rng = np.random.default_rng(7)

@@ -161,6 +161,29 @@ def test_validate_reports_mistyped_values(config, key):
     assert errs and any(key in e for e in errs)
 
 
+@pytest.mark.parametrize("experiment", ["unbounded", "boundary_atom",
+                                        "hausdorff_levelset",
+                                        "hoelder_blowup", "neumann_layer",
+                                        "penalty_zero"])
+def test_single_member_sweep_is_rejected(experiment, tmp_path):
+    cfg = {"experiment": experiment, "eps_list": [0.1]}
+    errs = validate(cfg)
+    assert any("at least 2 eps values" in e for e in errs)
+    with pytest.raises(ValueError, match="at least 2 eps values"):
+        run({**cfg, "output_dir": str(tmp_path)})
+
+
+@pytest.mark.parametrize("experiment", ["tanh_calibration",
+                                        "oscillation_atom"])
+def test_single_member_sweep_allowed_without_sweep_assertions(experiment):
+    assert validate({"experiment": experiment, "eps_list": [0.1]}) == []
+
+
+def test_validate_shows_string_dimension_as_string():
+    errs = validate({"experiment": "boundary_atom", "n": "2"})
+    assert any("got '2'" in e for e in errs)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3), max_leaves=6)
