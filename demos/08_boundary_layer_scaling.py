@@ -8,14 +8,15 @@ scaling, and a log-log fit over the sweep recovers the exponent.
 
 import numpy as np
 
-from phaselab import boundary_layer_mass, neumann_layer_field
+from phaselab import boundary_layer_mass, density_fields, neumann_layer_field
 
 eps_list = [0.064, 0.032, 0.016, 0.008]
 masses = []
 print("  eps      mass of {|u| >= 1}")
 for eps in eps_list:
     u = neumann_layer_field(eps)
-    mass = boundary_layer_mass(u, eps, theta=1.0)
+    mu, _ = density_fields(u, eps)
+    mass = boundary_layer_mass(u, mu, theta=1.0)
     masses.append(mass)
     print(f"  {eps:<7}  {mass:.3e}")
 

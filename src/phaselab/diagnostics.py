@@ -46,17 +46,15 @@ def region_mass(density: ScalarField, region: Region) -> float:
     return float(np.sum(density.values[mask])) * density.grid.cell_measure
 
 
-def boundary_layer_mass(u: ScalarField, eps: float, theta: float = 1.0,
-                        mu: ScalarField | None = None) -> float:
+def boundary_layer_mass(u: ScalarField, mu: ScalarField,
+                        theta: float = 1.0) -> float:
     """Diffuse mass of the excess set ``{|u| >= theta}``, theta >= 1.
 
-    ``mu`` is the mass density of ``density_fields(u, eps)`` when the
-    caller already has it; otherwise it is evaluated here.
+    ``mu`` is the mass density of ``u``, the first array of
+    ``density_fields(u, eps)``.
     """
     if theta < 1.0:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    if mu is None:
-        mu, _ = density_fields(u, eps)
     region = SuperLevel(theta, u.values, u.grid, absolute=True)
     return region_mass(mu, region)
 

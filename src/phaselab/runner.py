@@ -631,7 +631,7 @@ def run_neumann_layer(cfg):
                                 bump_amp=p["bump_amp"],
                                 amp_power=p["amp_power"])
         mu, alpha = density_fields(u, eps)
-        mass = boundary_layer_mass(u, eps, theta=1.0, mu=mu)
+        mass = boundary_layer_mass(u, mu, theta=1.0)
         masses.append(mass)
         energy = EnergyBreakdown.from_densities(u.grid, mu.values,
                                                 alpha.values, eps)

@@ -80,10 +80,11 @@ def test_boundary_layer_mass_trivials():
     # short domain keeps the discrete samples strictly inside (-1, 1)
     u = tanh_field_1d(length=4.0, x0=2.0)
     assert np.abs(u.values).max() < 1.0
-    assert boundary_layer_mass(u, 0.1, theta=1.0) == 0.0
-    assert boundary_layer_mass(u, 0.1, theta=1.5) == 0.0
+    mu, _ = density_fields(u, 0.1)
+    assert boundary_layer_mass(u, mu, theta=1.0) == 0.0
+    assert boundary_layer_mass(u, mu, theta=1.5) == 0.0
     with pytest.raises(ValueError):
-        boundary_layer_mass(u, 0.1, theta=0.5)
+        boundary_layer_mass(u, mu, theta=0.5)
 
 
 def test_boundary_layer_mass_counts_overshoot():
@@ -91,15 +92,17 @@ def test_boundary_layer_mass_counts_overshoot():
     vals = np.ones(21)
     vals[5:8] = 1.2
     u = ScalarField.from_values(g, vals)
-    assert boundary_layer_mass(u, 0.1, theta=1.0) > 0.0
+    mu, _ = density_fields(u, 0.1)
+    assert boundary_layer_mass(u, mu, theta=1.0) > 0.0
 
 
-def test_boundary_layer_mass_reuses_a_given_density():
+def test_boundary_layer_mass_is_the_density_on_the_excess_set():
     from phaselab.families import neumann_layer_field
     u = neumann_layer_field(0.064)
     mu, _ = density_fields(u, 0.064)
-    assert (boundary_layer_mass(u, 0.064, mu=mu)
-            == boundary_layer_mass(u, 0.064) > 0.0)
+    excess = np.abs(u.values) >= 1.0
+    want = float(np.sum(mu.values[excess])) * u.grid.cell_measure
+    assert boundary_layer_mass(u, mu) == want > 0.0
 
 
 # --------------------------------------------------------------------------

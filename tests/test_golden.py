@@ -8,9 +8,9 @@ quantity computed from a solved field must reproduce the recorded value to
 a relative 1e-8.  ``W_eps`` of a solved field and the solver residual sit
 at the round-off floor and are held to their certificates instead.
 
-A config that expands to its experiment's defaults, up to the output
-directory and the worker count, is not run again: its sweep is the one the
-session's ``acceptance_runs`` fixture wrote.
+A config that expands to its experiment's defaults at two workers, up to
+the output directory, is not run again: its sweep is the one the session's
+``acceptance_runs`` fixture wrote with the same settings.
 """
 
 import csv
@@ -58,11 +58,9 @@ def _unit_residual_tol(cfg, eps):
 
 
 def _settings(cfg):
-    """The expanded config without the keys that change no output byte:
-    where the run writes, and its thread count (runs are byte-identical
-    across worker counts, see tests/test_runner.py)."""
+    """The expanded config without where the run writes."""
     out = expand_config(cfg)
-    del out["output_dir"], out["workers"]
+    del out["output_dir"]
     return out
 
 
@@ -70,7 +68,7 @@ def _settings(cfg):
 def test_sweep_matches_golden(name, tmp_path, acceptance_runs):
     with open(os.path.join(CONFIGS, name + ".json")) as fh:
         cfg = json.load(fh)
-    if _settings(cfg) == _settings({"experiment": name}):
+    if _settings(cfg) == _settings({"experiment": name, "workers": 2}):
         summary, outdir = acceptance_runs[name]
     else:
         summary, outdir = run({**cfg, "output_dir": str(tmp_path)}), tmp_path
