@@ -231,6 +231,35 @@ def grad_squared(u: ScalarField) -> np.ndarray:
     return out
 
 
+def second_difference(values: np.ndarray, axis: int, h: float, lo: int,
+                      hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The centred second difference ``(u[i+1] - 2 u[i] + u[i-1]) / h^2``
+    along axis at the layers lo <= i < hi (1 <= lo, hi <= m - 1), written
+    in place into out (allocated when None)."""
+    at = partial(_at, values.ndim, axis)
+    out = np.multiply(values[at(slice(lo, hi))], 2.0, out=out)
+    np.subtract(values[at(slice(lo + 1, hi + 1))], out, out=out)
+    out += values[at(slice(lo - 1, hi - 1))]
+    out /= h * h
+    return out
+
+
+def interior_laplacian(values: np.ndarray, h: float,
+                       work: np.ndarray | None = None) -> np.ndarray:
+    """Centred Laplacian at the interior nodes (1..m-2 on every axis), with
+    the face layers entering only as neighbours; ``work`` is an optional
+    interior-shaped buffer for the per-axis terms."""
+    inner = tuple(slice(1, m - 1) for m in values.shape)
+    out = None
+    for a, m in enumerate(values.shape):
+        view = values[inner[:a] + (slice(None),) + inner[a + 1:]]
+        if out is None:
+            out = second_difference(view, a, h, 1, m - 1)
+        else:
+            out += second_difference(view, a, h, 1, m - 1, work)
+    return out
+
+
 def _axis_second(values: np.ndarray, axis: int, h: float, role_low,
                  role_high, lo: int = 0, hi: int | None = None):
     """Second differences along one axis with role-dependent face closure,
@@ -248,12 +277,8 @@ def _axis_second(values: np.ndarray, axis: int, h: float, role_low,
     h2 = h * h
     a, b = max(lo, 1), min(hi, m - 1)
     if a < b:
-        # (u[i+1] - 2 u[i] + u[i-1]) / h^2, written in place
-        mid = d[at(slice(a - lo, b - lo))]
-        np.multiply(values[at(slice(a, b))], 2.0, out=mid)
-        np.subtract(values[at(slice(a + 1, b + 1))], mid, out=mid)
-        mid += values[at(slice(a - 1, b - 1))]
-        mid /= h2
+        second_difference(values, axis, h, a, b,
+                          out=d[at(slice(a - lo, b - lo))])
     for face, step, role in ((0, 1, role_low), (m - 1, -1, role_high)):
         if lo <= face < hi:
             u0, u1, u2, u3 = (values[at(face + k * step)] for k in range(4))

@@ -35,7 +35,6 @@ Family kinds
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -231,31 +230,27 @@ def bump(grid: Grid, theta: float, shape: str = "exp_decay",
 # --------------------------------------------------------------------------
 
 class FThetaCache:
-    """Insert-only cache of (theta, energy, solve) triples, safe to share
-    across concurrent family builds."""
+    """Insert-only cache of (theta, energy, solve) triples.  Each family
+    member or mass search owns its cache, so it is never shared across
+    threads."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._entries: dict[float, tuple[float, SolveResult]] = {}
 
     def get(self, theta: float):
-        with self._lock:
-            return self._entries.get(theta)
+        return self._entries.get(theta)
 
     def insert(self, theta: float, energy: float, result: SolveResult):
-        with self._lock:
-            self._entries.setdefault(theta, (energy, result))
+        self._entries.setdefault(theta, (energy, result))
 
     def nearest(self, theta: float):
-        with self._lock:
-            if not self._entries:
-                return None
-            key = min(self._entries, key=lambda t: abs(t - theta))
-            return self._entries[key][1]
+        if not self._entries:
+            return None
+        key = min(self._entries, key=lambda t: abs(t - theta))
+        return self._entries[key][1]
 
     def pairs(self) -> list[tuple[float, float]]:
-        with self._lock:
-            return sorted((t, e) for t, (e, _) in self._entries.items())
+        return sorted((t, e) for t, (e, _) in self._entries.items())
 
 
 def f_of_theta(theta: float, base: BoundaryData, potential: Potential,
@@ -418,9 +413,6 @@ class CounterexampleFamily:
     kind: str
     members: tuple[FamilyMember, ...]
     params: dict
-
-    def eps_values(self):
-        return [m.eps for m in self.members]
 
 
 def rescale_field(unit_field: ScalarField, eps: float,

@@ -169,9 +169,10 @@ def expand_config(config: dict) -> dict:
 _SWEEP_EXPERIMENTS = ("unbounded", "boundary_atom", "hausdorff_levelset",
                       "hoelder_blowup", "neumann_layer", "penalty_zero")
 
-# params compared against numeric bounds in ``validate`` for some experiment
-_NUMERIC_PARAMS = ("S", "sigma", "gamma", "delta", "S_prime", "L",
-                   "unit_spacing", "window", "R")
+# the keys a config and its solver block may set (params: those of DEFAULTS)
+_CONFIG_KEYS = ("experiment", "n", "eps_list", "solver", "params",
+                "output_dir", "seed", "workers")
+_SOLVER_KEYS = ("residual_tol", "max_iterations")
 
 
 def _is_number(v) -> bool:
@@ -179,10 +180,21 @@ def _is_number(v) -> bool:
             and math.isfinite(v))
 
 
+def _unknown_keys(name: str, config: dict) -> list[str]:
+    """Keys of the config, its solver and its params that the experiment
+    does not read; a block that is not a mapping is reported as malformed."""
+    allowed = ((config, _CONFIG_KEYS, ""),
+               (config.get("solver"), _SOLVER_KEYS, "solver."),
+               (config.get("params"), DEFAULTS[name]["params"], "params."))
+    return [f"unknown key {prefix}{key}; expected one of {sorted(keys)}"
+            for section, keys, prefix in allowed if isinstance(section, dict)
+            for key in section if key not in keys]
+
+
 def _type_errors(name: str, cfg: dict) -> list[str]:
     """Values whose type differs from what the experiment expects: numbers
-    where the default is a number (or the value is range-checked), lists of
-    numbers where the default is a list, strings where it is a string."""
+    where the default is a number, lists of numbers where the default is a
+    list, strings where it is a string."""
     errors = []
     if not all(_is_number(e) for e in cfg["eps_list"]):
         errors.append("eps_list entries must be finite numbers")
@@ -194,18 +206,15 @@ def _type_errors(name: str, cfg: dict) -> list[str]:
             and not isinstance(sol["max_iterations"], bool)):
         errors.append("solver.max_iterations must be an integer, got "
                       f"{sol['max_iterations']!r}")
-    defaults = DEFAULTS[name]["params"]
-    for key, value in cfg["params"].items():
-        default = defaults.get(key)
+    for key, default in DEFAULTS[name]["params"].items():
+        value = cfg["params"][key]
         if isinstance(default, str):
             ok, kind = isinstance(value, str), "a string"
         elif isinstance(default, list):
             ok = isinstance(value, list) and all(_is_number(v) for v in value)
             kind = "a list of finite numbers"
-        elif default is not None or key in _NUMERIC_PARAMS:
-            ok, kind = _is_number(value), "a finite number"
         else:
-            continue
+            ok, kind = _is_number(value), "a finite number"
         if not ok:
             errors.append(f"params.{key} must be {kind}, got {value!r}")
     return errors
@@ -218,11 +227,12 @@ def validate(config: dict) -> list[str]:
     if name not in EXPERIMENTS:
         errors.append(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
         return errors
+    unknown = _unknown_keys(name, config)
     try:
         cfg = expand_config(config)
     except (TypeError, ValueError) as exc:
-        return [f"config malformed: {exc}"]
-    errors = _type_errors(name, cfg)
+        return [f"config malformed: {exc}"] + unknown
+    errors = unknown + _type_errors(name, cfg)
     if errors:
         return errors
     eps = cfg["eps_list"]
@@ -250,11 +260,11 @@ def validate(config: dict) -> list[str]:
                 f"{p['delta']}")
         if p["S_prime"] <= 0:
             errors.append("oscillation_atom S_prime must be positive")
-    if name == "hoelder_blowup" and not (0.0 < p.get("gamma", 0.5) <= 1.0):
+    if name == "hoelder_blowup" and not (0.0 < p["gamma"] <= 1.0):
         errors.append("gamma must lie in (0, 1]")
-    if name in ("boundary_atom", "penalty_zero") and p.get("S", 1.0) <= 0:
+    if name in ("boundary_atom", "penalty_zero") and p["S"] <= 0:
         errors.append("S must be positive")
-    if name == "penalty_zero" and p.get("sigma", 1.0) < 0:
+    if name == "penalty_zero" and p["sigma"] < 0:
         errors.append("sigma must be >= 0")
     for key in ("L", "unit_spacing", "window", "R"):
         if key in p and p[key] <= 0:

@@ -21,17 +21,19 @@ The descent scheme combines two ingredients:
   the energy does not increase, to drive the sup-norm residual of
   ``-lap_h(u) + W'(u)`` to solver-certificate levels.
 
-The interior operator ``-lap_h`` with eliminated Dirichlet layers is the
-Kronecker sum of 1D second differences on a tensor box, which the
-orthonormal type-I discrete sine transform diagonalizes exactly (fast
-diagonalization, Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).
-The semi-implicit system ``(s I + A) x = r`` is therefore solved exactly in
-O(N log N) by one forward and one inverse DST-I.  Newton systems
-``(A + diag(max(W'', 0))) d = -r`` are solved by conjugate gradients at
-relative tolerance ``linear_rtol``, preconditioned by the DST solve of
-``A + mean(diag) I``; should CG fail to converge, a sparse direct
-factorization takes over.  The stopping rule is the sup-norm residual on
-interior nodes.
+The interior operator ``A = -lap_h`` (zero Dirichlet border) is applied
+matrix-free by the centred stencil of ``energy`` on a zero-bordered
+buffer; the residual ``r`` at interior nodes is that stencil on the full
+array, so the Dirichlet data enter through the face layers.  The
+orthonormal type-I discrete sine transform diagonalizes ``A`` exactly
+(fast diagonalization, Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson
+1970), so the semi-implicit step, in correction form
+``u+ = u - (s I + A)^{-1} r``, costs one forward and one inverse DST-I.
+Newton systems ``(A + diag(max(W'', 0))) d = -r`` are solved by conjugate
+gradients at relative tolerance ``linear_rtol``, preconditioned by the
+DST solve of ``A + mean(diag) I``; only should CG fail is ``A`` assembled
+as a sparse matrix, for a direct factorization.  The stopping rule is the
+sup-norm residual on interior nodes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import scipy.sparse as sp
 from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .energy import Potential, ScalarField, half_space_energy, STANDARD
+from .energy import (Potential, ScalarField, STANDARD, half_space_energy,
+                     interior_laplacian)
 from .grid import (
     LOW,
     HIGH,
@@ -68,9 +71,6 @@ __all__ = [
     "ComparisonReport",
     "boundary_extension",
 ]
-
-SCHEME_ID = "stabilized_semi_implicit+safeguarded_newton"
-
 
 class InvalidBoundaryError(ValueError):
     """Boundary samples are not finite."""
@@ -108,7 +108,6 @@ class SolveConfig:
     user_field: ScalarField | None = None
     linear_rtol: float = 1e-10
     newton_burn_in: int = 2
-    scheme: str = SCHEME_ID
 
     def __post_init__(self):
         if self.residual_tol <= 0:
@@ -127,16 +126,20 @@ class SolveResult:
     iterations: int
     energy_trace: tuple[float, ...]
     converged: bool
-    scheme: str = SCHEME_ID
-    linear_rtol: float = 1e-10
 
 
 # --------------------------------------------------------------------------
-# discrete operator assembly
+# the interior operator
 # --------------------------------------------------------------------------
+
+def _defect(values: np.ndarray, h: float, potential: Potential) -> np.ndarray:
+    """``-lap_h(u) + W'(u)`` at the interior nodes, interior-shaped."""
+    u = values[tuple(slice(1, -1) for _ in values.shape)]
+    return potential.derivative(u) - interior_laplacian(values, h)
+
 
 class _DirichletProblem:
-    """Interior-node view of -lap_h with eliminated Dirichlet layers."""
+    """Interior-node view of A = -lap_h with eliminated Dirichlet layers."""
 
     def __init__(self, grid: Grid, roles: dict, potential: Potential):
         check_roles(grid, roles)
@@ -150,24 +153,27 @@ class _DirichletProblem:
         self.potential = potential
         self.h = grid.spacing
         self.int_shape = tuple(m - 2 for m in grid.shape)
+        self.inner = tuple(slice(1, -1) for _ in grid.shape)
         self.n_int = int(np.prod(self.int_shape))
-        self.A = self._assemble()
         self.eigenvalues = self._eigenvalues()
+        # zero-bordered buffer that matvec writes the interior vector into
+        self._buf = np.zeros(grid.shape)
+        self._work = np.empty(self.int_shape)
 
-    def _assemble(self) -> sp.csr_matrix:
-        h2 = self.h * self.h
-        mats = []
-        for a, m in enumerate(self.grid.shape):
-            k = m - 2
-            main = np.full(k, 2.0 / h2)
-            off = np.full(k - 1, -1.0 / h2)
-            mats.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
-        A = mats[0]
-        for a in range(1, len(mats)):
-            size_a = mats[a].shape[0]
-            A = sp.kron(A, sp.identity(size_a, format="csr"), format="csr") \
-                + sp.kron(sp.identity(A.shape[0], format="csr"), mats[a],
-                          format="csr")
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v, matrix-free."""
+        self._buf[self.inner] = v.reshape(self.int_shape)
+        lap = interior_laplacian(self._buf, self.h, work=self._work)
+        return np.negative(lap, out=lap).ravel()
+
+    def sparse_matrix(self) -> sp.csr_matrix:
+        """A as the sparse Kronecker sum of 1D second differences, for the
+        direct-solve fallback."""
+        A = None
+        for k in self.int_shape:
+            T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k)) \
+                / (self.h * self.h)
+            A = T if A is None else sp.kronsum(T, A)
         return A.tocsr()
 
     def _eigenvalues(self) -> np.ndarray:
@@ -183,36 +189,16 @@ class _DirichletProblem:
                          ).reshape(shape)
         return lam
 
-    def boundary_term(self, full_values: np.ndarray) -> np.ndarray:
-        """rhs vector c with (-lap u)|int = A u_int - c for pinned layers."""
-        h2 = self.h * self.h
-        c = np.zeros(self.int_shape)
-        nd = self.grid.n
-        for a in range(nd):
-            src_lo = [slice(1, -1)] * nd
-            src_lo[a] = 0
-            dst_lo = [slice(None)] * nd
-            dst_lo[a] = 0
-            c[tuple(dst_lo)] += full_values[tuple(src_lo)] / h2
-            src_hi = [slice(1, -1)] * nd
-            src_hi[a] = self.grid.shape[a] - 1
-            dst_hi = [slice(None)] * nd
-            dst_hi[a] = self.int_shape[a] - 1
-            c[tuple(dst_hi)] += full_values[tuple(src_hi)] / h2
-        return c.ravel()
-
     def interior(self, full_values: np.ndarray) -> np.ndarray:
-        return full_values[tuple(slice(1, -1) for _ in self.grid.shape)].ravel()
+        return full_values[self.inner].ravel()
 
     def embed(self, interior_vec: np.ndarray, full_values: np.ndarray) -> np.ndarray:
         out = full_values.copy()
-        out[tuple(slice(1, -1) for _ in self.grid.shape)] = \
-            interior_vec.reshape(self.int_shape)
+        out[self.inner] = interior_vec.reshape(self.int_shape)
         return out
 
-    def residual(self, full_values: np.ndarray, c: np.ndarray) -> np.ndarray:
-        u = self.interior(full_values)
-        return self.A @ u - c + self.potential.derivative(u)
+    def residual(self, full_values: np.ndarray) -> np.ndarray:
+        return _defect(full_values, self.h, self.potential).ravel()
 
     def link_energy(self, full_values: np.ndarray) -> float:
         h = self.h
@@ -235,13 +221,13 @@ class _DirichletProblem:
         sparse direct solve takes over if CG does not converge."""
         d = np.maximum(w2, 0.0)
         op = LinearOperator((self.n_int, self.n_int),
-                            matvec=lambda v: self.A @ v + d * v)
+                            matvec=lambda v: self.matvec(v) + d * v)
         shift = float(np.mean(d))
         M = LinearOperator((self.n_int, self.n_int),
                            matvec=lambda v: self.shifted_solve(shift, v))
         x, info = cg(op, rhs, rtol=rtol, atol=0.0, M=M)
         if info != 0:
-            x = splu((self.A + sp.diags(d)).tocsc()).solve(rhs)
+            x = splu((self.sparse_matrix() + sp.diags(d)).tocsc()).solve(rhs)
         return x
 
 
@@ -270,17 +256,16 @@ def solve_dirichlet_problem(grid: Grid, roles: dict, potential: Potential,
     """Minimize the discrete energy with all faces Dirichlet-pinned."""
     prob = _DirichletProblem(grid, roles, potential)
     u_full = apply_dirichlet(np.asarray(initial, dtype=float), grid, roles)
-    c = prob.boundary_term(u_full)
 
-    def sup_res(full):
-        r = prob.residual(full, c)
+    def sup(r):
         return float(np.max(np.abs(r))) if r.size else 0.0
 
     energy = prob.link_energy(u_full)
     trace_vals = [energy]
-    res = sup_res(u_full)
+    r = prob.residual(u_full)
+    res = sup(r)
     if res <= cfg.residual_tol:
-        return _finish(prob, u_full, trace_vals, res, 0, True, cfg)
+        return _finish(prob, u_full, trace_vals, res, 0, True)
 
     def shift_for(full):
         lo, hi = float(full.min()), float(full.max())
@@ -288,7 +273,7 @@ def solve_dirichlet_problem(grid: Grid, roles: dict, potential: Potential,
         return w2 + 1.0
 
     s = shift_for(u_full)
-    best = (res, u_full.copy(), energy, 0)
+    best = (res, u_full.copy())
     iterations = 0
     shift_retries = 0
     slack = lambda e: 10.0 * np.finfo(float).eps * max(1.0, abs(e))
@@ -300,7 +285,6 @@ def solve_dirichlet_problem(grid: Grid, roles: dict, potential: Potential,
 
         if iterations >= cfg.newton_burn_in:
             tried_newton = True
-            r = prob.A @ u_int - c + potential.derivative(u_int)
             delta = prob.newton_solve(potential.second_derivative(u_int), -r,
                                       cfg.linear_rtol)
             t = 1.0
@@ -313,9 +297,7 @@ def solve_dirichlet_problem(grid: Grid, roles: dict, potential: Potential,
                 t *= 0.5
 
         if not accepted:
-            rhs = s * u_int - potential.derivative(u_int) + c
-            x = prob.shifted_solve(s, rhs)
-            cand = prob.embed(x, u_full)
+            cand = prob.embed(u_int - prob.shifted_solve(s, r), u_full)
             e_cand = prob.link_energy(cand)
             if e_cand > energy + slack(energy):
                 # shift too small for this range; enlarge and retry, but
@@ -330,11 +312,12 @@ def solve_dirichlet_problem(grid: Grid, roles: dict, potential: Potential,
 
         iterations += 1
         trace_vals.append(energy)
-        res = sup_res(u_full)
+        r = prob.residual(u_full)
+        res = sup(r)
         if res < best[0]:
-            best = (res, u_full.copy(), energy, iterations)
+            best = (res, u_full.copy())
         if res <= cfg.residual_tol:
-            return _finish(prob, u_full, trace_vals, res, iterations, True, cfg)
+            return _finish(prob, u_full, trace_vals, res, iterations, True)
         s_needed = shift_for(u_full)
         if s_needed > s:
             s = s_needed
@@ -343,14 +326,14 @@ def solve_dirichlet_problem(grid: Grid, roles: dict, potential: Potential,
             # accept the best iterate if it already meets the tolerance.
             break
 
-    res_b, u_b, e_b, it_b = best
-    result = _finish(prob, u_b, trace_vals, res_b, iterations, False, cfg)
+    res_b, u_b = best
+    result = _finish(prob, u_b, trace_vals, res_b, iterations, False)
     if res_b <= cfg.residual_tol:
         return replace(result, converged=True)
     raise NonConvergenceError(result)
 
 
-def _finish(prob, u_full, trace_vals, res, iterations, converged, cfg):
+def _finish(prob, u_full, trace_vals, res, iterations, converged):
     fld = ScalarField(prob.grid, u_full, prob.roles)
     return SolveResult(
         field=fld,
@@ -359,8 +342,6 @@ def _finish(prob, u_full, trace_vals, res, iterations, converged, cfg):
         iterations=iterations,
         energy_trace=tuple(trace_vals),
         converged=converged,
-        scheme=cfg.scheme,
-        linear_rtol=cfg.linear_rtol,
     )
 
 
@@ -403,19 +384,9 @@ def solve_half_space(h_samples, far_value: float, potential: Potential,
 
 def residual_field(u: ScalarField, potential: Potential | None = None) -> ScalarField:
     """``-lap(u) + W'(u)`` at interior nodes, zero on all face layers."""
-    potential = potential or STANDARD
-    h2 = u.grid.spacing ** 2
-    vals = u.values
     out = np.zeros(u.grid.shape)
-    inner = tuple(slice(1, -1) for _ in u.grid.shape)
-    lap = np.zeros(tuple(m - 2 for m in u.grid.shape))
-    for a in range(u.grid.n):
-        lo = [slice(1, -1)] * u.grid.n
-        hi = [slice(1, -1)] * u.grid.n
-        lo[a] = slice(0, -2)
-        hi[a] = slice(2, None)
-        lap += (vals[tuple(hi)] - 2.0 * vals[inner] + vals[tuple(lo)]) / h2
-    out[inner] = -lap + potential.derivative(vals[inner])
+    out[tuple(slice(1, -1) for _ in u.grid.shape)] = \
+        _defect(u.values, u.grid.spacing, potential or STANDARD)
     return u.with_values(out)
 
 

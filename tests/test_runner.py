@@ -179,6 +179,17 @@ def test_single_member_sweep_allowed_without_sweep_assertions(experiment):
     assert validate({"experiment": experiment, "eps_list": [0.1]}) == []
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"params": {"unit_spacng": 0.1}}, "params.unit_spacng"),
+    ({"solvr": {"residual_tol": 1e-9}}, "solvr"),
+    ({"solver": {"residual_tolerance": 1e-9}}, "solver.residual_tolerance"),
+    ({"params": {"sigma": 1.0}}, "params.sigma"),
+])
+def test_validate_rejects_unknown_keys(config, key):
+    errs = validate({"experiment": "boundary_atom", **config})
+    assert any(f"unknown key {key};" in e for e in errs)
+
+
 def test_validate_shows_string_dimension_as_string():
     errs = validate({"experiment": "boundary_atom", "n": "2"})
     assert any("got '2'" in e for e in errs)
@@ -193,16 +204,24 @@ _json_values = st.recursive(
 @given(experiment=st.sampled_from(sorted(DEFAULTS)),
        eps_list=_json_values,
        solver=st.dictionaries(st.sampled_from(["residual_tol",
-                                               "max_iterations"]),
+                                               "max_iterations", "tol"]),
                               _json_values),
        params=st.dictionaries(st.sampled_from(sorted(
-           {k for d in DEFAULTS.values() for k in d["params"]})),
-           _json_values))
-def test_validate_never_raises(experiment, eps_list, solver, params):
+           {k for d in DEFAULTS.values() for k in d["params"]}
+           | {"unit_spacng"})), _json_values),
+       extra=st.dictionaries(st.sampled_from(["seed", "solvr"]),
+                             st.integers()))
+def test_validate_never_raises(experiment, eps_list, solver, params, extra):
     errs = validate({"experiment": experiment, "eps_list": eps_list,
-                     "solver": solver, "params": params})
+                     "solver": solver, "params": params, **extra})
     assert isinstance(errs, list)
     assert all(isinstance(e, str) for e in errs)
+    unknown = ({f"solver.{k}" for k in solver if k == "tol"}
+               | {f"params.{k}" for k in params
+                  if k not in DEFAULTS[experiment]["params"]}
+               | {k for k in extra if k == "solvr"})
+    for key in unknown:
+        assert any(f"unknown key {key};" in e for e in errs)
 
 
 def test_load_field_rejects_unknown_format(tmp_path):

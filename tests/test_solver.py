@@ -222,11 +222,31 @@ INTERIORS = [(1, 4.0, 0.125), (2, 4.0, 0.25), (3, 2.0, 0.25)]
 
 
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
+def test_matrix_free_operator_matches_sparse_matrix(n, R, spacing):
+    prob = _problem(n, R, spacing)
+    v = np.random.default_rng(20 + n).standard_normal(prob.n_int)
+    exact = prob.sparse_matrix() @ v
+    assert np.max(np.abs(prob.matvec(v) - exact)) \
+        <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS)
+def test_solver_residual_is_residual_field(n, R, spacing):
+    prob = _problem(n, R, spacing)
+    g = prob.grid
+    vals = 1.0 + np.random.default_rng(30 + n).uniform(-0.5, 0.5, g.shape)
+    u = ScalarField(g, vals, prob.roles)
+    inner = tuple(slice(1, -1) for _ in g.shape)
+    assert np.array_equal(prob.residual(vals),
+                          residual_field(u, P).values[inner].ravel())
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS)
 @pytest.mark.parametrize("shift", [0.0, 3.0])
 def test_shifted_solve_matches_sparse_direct(n, R, spacing, shift):
     prob = _problem(n, R, spacing)
     rhs = np.random.default_rng(n).standard_normal(prob.n_int)
-    op = (prob.A + shift * sp.identity(prob.n_int)).tocsc()
+    op = (prob.sparse_matrix() + shift * sp.identity(prob.n_int)).tocsc()
     exact = splu(op).solve(rhs)
     x = prob.shifted_solve(shift, rhs)
     assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
@@ -239,7 +259,7 @@ def test_newton_cg_matches_sparse_direct(n, R, spacing):
     rhs = rng.standard_normal(prob.n_int)
     # W'' of the standard well ranges over [-1, 66] for u in [-1, 5]
     w2 = rng.uniform(-1.0, 66.0, prob.n_int)
-    H = (prob.A + sp.diags(np.maximum(w2, 0.0))).tocsc()
+    H = (prob.sparse_matrix() + sp.diags(np.maximum(w2, 0.0))).tocsc()
     exact = splu(H).solve(rhs)
     rtol = SolveConfig().linear_rtol
     x = prob.newton_solve(w2, rhs, rtol)
@@ -258,5 +278,15 @@ def test_newton_falls_back_to_direct_solve_when_cg_fails(monkeypatch):
     monkeypatch.setattr(solver_mod, "cg",
                         lambda *args, **kwargs: (np.zeros(prob.n_int), 1))
     x = prob.newton_solve(w2, rhs, 1e-10)
-    H = (prob.A + sp.diags(np.maximum(w2, 0.0))).tocsc()
+    H = (prob.sparse_matrix() + sp.diags(np.maximum(w2, 0.0))).tocsc()
     assert np.array_equal(x, splu(H).solve(rhs))
+
+
+def test_solve_builds_no_sparse_matrix_when_cg_converges(monkeypatch):
+    def refuse(self):
+        raise AssertionError("sparse matrix built outside the CG fallback")
+    monkeypatch.setattr(_DirichletProblem, "sparse_matrix", refuse)
+    g, _ = make_half_space_grid(2, 6.0, 0.125, 1.0)
+    res = solve_half_space(2.0 * exp_base(g.axis_coords(0)), 1.0, P, g,
+                           SolveConfig(residual_tol=1e-9))
+    assert res.converged
