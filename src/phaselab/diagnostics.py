@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .energy import ScalarField, density_fields
 from .grid import Ball, Complement, Grid, Region, SuperLevel, region_cells
@@ -170,12 +169,24 @@ def hausdorff_distance(A, B, chunk: int = 4096) -> float:
     pa, pb = _as_points(A), _as_points(B)
     if pa.size == 0 or pb.size == 0:
         raise EmptySetError("hausdorff_distance needs non-empty sets")
+    if pa.shape[1] != pb.shape[1]:
+        raise ValueError(f"point dimensions differ: {pa.shape[1]} and "
+                         f"{pb.shape[1]}")
 
     def directed(p, q):
+        # squared distances summed axis by axis in place, as the Euclidean
+        # metric sums them; sqrt is monotone and correctly rounded, so
+        # taking it of the row minima alone gives the same bits
         worst = 0.0
         for start in range(0, len(p), chunk):
-            d = cdist(p[start:start + chunk], q)
-            worst = max(worst, float(d.min(axis=1).max()))
+            block = p[start:start + chunk]
+            d2 = np.subtract.outer(block[:, 0], q[:, 0])
+            d2 *= d2
+            for k in range(1, p.shape[1]):
+                diff = np.subtract.outer(block[:, k], q[:, k])
+                diff *= diff
+                d2 += diff
+            worst = max(worst, float(np.sqrt(d2.min(axis=1)).max()))
         return worst
 
     return max(directed(pa, pb), directed(pb, pa))

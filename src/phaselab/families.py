@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .energy import (
     EnergyBreakdown,
@@ -435,6 +434,8 @@ def rescale_field(unit_field: ScalarField, eps: float,
     if matched:
         return ScalarField(physical_grid, unit_field.values.copy(), roles)
 
+    # deferred: every family member takes the matched branch above
+    from scipy.interpolate import RegularGridInterpolator
     axes = [ug.axis_coords(a) for a in range(ug.n)]
     interp = RegularGridInterpolator(axes, unit_field.values, method="linear",
                                      bounds_error=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Grid",
@@ -362,6 +361,7 @@ def truncation_radius(n: int, theta: float = 1.0, tol: float = 1e-6,
             raise RuntimeError("truncation radius search failed to bracket")
     if f(lo) <= 0:
         return lo
+    from scipy.optimize import brentq  # deferred: no experiment calls this
     return float(brentq(f, lo, hi, xtol=1e-10))
 
 

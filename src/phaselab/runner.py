@@ -250,6 +250,8 @@ def validate(config: dict) -> list[str]:
     sol = cfg["solver"]
     if sol["residual_tol"] <= 0:
         errors.append("solver.residual_tol must be positive")
+    if sol["max_iterations"] < 0:
+        errors.append("solver.max_iterations must be non-negative")
     p = cfg["params"]
     if name == "oscillation_atom":
         from .energy import MAX_FLOOR_DELTA

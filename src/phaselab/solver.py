@@ -29,11 +29,12 @@ orthonormal type-I discrete sine transform diagonalizes ``A`` exactly
 (fast diagonalization, Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson
 1970), so the semi-implicit step, in correction form
 ``u+ = u - (s I + A)^{-1} r``, costs one forward and one inverse DST-I.
-Newton systems ``(A + diag(max(W'', 0))) d = -r`` are solved by conjugate
-gradients at relative tolerance ``linear_rtol``, preconditioned by the
-DST solve of ``A + mean(diag) I``; only should CG fail is ``A`` assembled
-as a sparse matrix, for a direct factorization.  The stopping rule is the
-sup-norm residual on interior nodes.
+Newton systems ``(A + diag(max(W'', 0))) d = -r`` are solved by ``cg``,
+phaselab's own preconditioned conjugate-gradient loop (SciPy's recurrence,
+bit for bit, on plain callables), at relative tolerance ``linear_rtol``,
+preconditioned by the DST solve of ``A + mean(diag) I``; only should CG
+fail is ``A`` assembled as a sparse matrix, for a direct factorization.
+The stopping rule is the sup-norm residual on interior nodes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dstn, idstn
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 from .energy import (Potential, ScalarField, STANDARD, half_space_energy,
                      interior_laplacian)
@@ -112,6 +113,13 @@ class SolveConfig:
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
+        if not 0.0 < self.linear_rtol < 1.0:
+            raise ValueError(
+                f"linear_rtol must lie in (0, 1), got {self.linear_rtol!r}")
+        for key in ("max_iterations", "newton_burn_in"):
+            if getattr(self, key) < 0:
+                raise ValueError(
+                    f"{key} must be non-negative, got {getattr(self, key)!r}")
         if self.initial_guess not in ("boundary_extension", "constant_one", "user"):
             raise ValueError(f"unknown initial guess policy {self.initial_guess!r}")
         if self.initial_guess == "user" and self.user_field is None:
@@ -156,6 +164,9 @@ class _DirichletProblem:
         self.inner = tuple(slice(1, -1) for _ in grid.shape)
         self.n_int = int(np.prod(self.int_shape))
         self.eigenvalues = self._eigenvalues()
+        # s + eigenvalues of the last shift s that shifted_solve was given
+        self._shift = None
+        self._shifted = None
         # zero-bordered buffer that matvec writes the interior vector into
         self._buf = np.zeros(grid.shape)
         self._work = np.empty(self.int_shape)
@@ -210,8 +221,11 @@ class _DirichletProblem:
 
     def shifted_solve(self, s: float, rhs: np.ndarray) -> np.ndarray:
         """Exact solve of (s I + A) x = rhs by fast diagonalization."""
+        if s != self._shift:
+            self._shift, self._shifted = s, s + self.eigenvalues
         r = dstn(rhs.reshape(self.int_shape), type=1, norm="ortho")
-        x = idstn(r / (s + self.eigenvalues), type=1, norm="ortho")
+        r /= self._shifted
+        x = idstn(r, type=1, norm="ortho", overwrite_x=True)
         return x.ravel()
 
     def newton_solve(self, w2: np.ndarray, rhs: np.ndarray,
@@ -220,15 +234,54 @@ class _DirichletProblem:
         ``rtol``, preconditioned by the DST solve of A + mean(diag) I; a
         sparse direct solve takes over if CG does not converge."""
         d = np.maximum(w2, 0.0)
-        op = LinearOperator((self.n_int, self.n_int),
-                            matvec=lambda v: self.matvec(v) + d * v)
+
+        def matvec(v):
+            q = self.matvec(v)
+            q += d * v
+            return q
+
         shift = float(np.mean(d))
-        M = LinearOperator((self.n_int, self.n_int),
-                           matvec=lambda v: self.shifted_solve(shift, v))
-        x, info = cg(op, rhs, rtol=rtol, atol=0.0, M=M)
+        x, info = cg(matvec, rhs, rtol,
+                     lambda v: self.shifted_solve(shift, v))
         if info != 0:
             x = splu((self.sparse_matrix() + sp.diags(d)).tocsc()).solve(rhs)
         return x
+
+
+def cg(matvec, b: np.ndarray, rtol: float, psolve):
+    """Preconditioned conjugate gradients for ``A x = b`` from ``x = 0``,
+    with ``matvec(v) = A v`` and ``psolve(r) = M^{-1} r`` for symmetric
+    positive definite ``A`` and ``M``.
+
+    Stops once ``||b - A x|| < rtol ||b||`` and returns ``(x, 0)``, or
+    ``(x, 10 len(b))`` after that many iterations without.  The recurrence
+    and its order of operations are those of ``scipy.sparse.linalg.cg`` at
+    ``atol=0``, so the iterates are the same to the bit; unlike a
+    ``LinearOperator``, the two callables are not probed on a zero vector.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b.copy(), 0
+    atol = float(rtol) * float(bnrm2)
+    x = np.zeros_like(b)
+    r = b.copy()
+    maxiter = 10 * len(b)
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = psolve(r)
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            p *= rho_cur / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+    return x, maxiter
 
 
 def boundary_extension(grid: Grid, trace: np.ndarray, far_value: float) -> np.ndarray:

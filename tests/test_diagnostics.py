@@ -149,6 +149,30 @@ def test_hausdorff_identity_and_pythagoras():
                               np.array([[3.0, 4.0]])) == 5.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hausdorff_matches_cdist_bitwise(n):
+    from scipy.spatial.distance import cdist
+
+    def reference(p, q, chunk):
+        return max(float(cdist(p[s:s + chunk], q).min(axis=1).max())
+                   for s in range(0, len(p), chunk))
+
+    rng = np.random.default_rng(40 + n)
+    for _ in range(50):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        A = scale * rng.standard_normal((int(rng.integers(8, 120)), n))
+        B = scale * (rng.standard_normal((int(rng.integers(8, 120)), n))
+                     + rng.uniform(-1, 1, n))
+        chunk = int(rng.integers(1, len(A) // 2))
+        expected = max(reference(A, B, chunk), reference(B, A, chunk))
+        assert hausdorff_distance(A, B, chunk=chunk) == expected
+
+
+def test_hausdorff_rejects_mixed_dimensions():
+    with pytest.raises(ValueError):
+        hausdorff_distance(np.zeros((3, 2)), np.zeros((3, 3)))
+
+
 def test_hausdorff_symmetry_triangle():
     rng = np.random.default_rng(3)
     A, B, C = (rng.uniform(-1, 1, size=(8, 2)) for _ in range(3))

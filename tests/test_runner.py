@@ -190,6 +190,28 @@ def test_validate_rejects_unknown_keys(config, key):
     assert any(f"unknown key {key};" in e for e in errs)
 
 
+def test_validate_rejects_negative_max_iterations():
+    errs = validate({"experiment": "boundary_atom",
+                     "solver": {"max_iterations": -1}})
+    assert errs == ["solver.max_iterations must be non-negative"]
+
+
+def test_import_loads_no_unused_scipy_subpackages():
+    # a fresh interpreter: this session has long loaded them
+    import subprocess
+    import sys
+    code = ("import sys, phaselab, phaselab.runner, phaselab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'optimize'], ['scipy', 'interpolate'], "
+            "['scipy', 'spatial'])))")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
 def test_validate_shows_string_dimension_as_string():
     errs = validate({"experiment": "boundary_atom", "n": "2"})
     assert any("got '2'" in e for e in errs)

@@ -269,6 +269,80 @@ def test_newton_cg_matches_sparse_direct(n, R, spacing):
     assert np.linalg.norm(x - exact) <= 1e3 * rtol * np.linalg.norm(exact)
 
 
+def _scipy_newton_cg(prob, w2, rhs, rtol):
+    """The Newton solve in its former form: SciPy's cg on two
+    LinearOperators; returns (x, info, iterations)."""
+    from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
+    d = np.maximum(w2, 0.0)
+    shape = (prob.n_int, prob.n_int)
+    op = LinearOperator(shape, matvec=lambda v: prob.matvec(v) + d * v)
+    shift = float(np.mean(d))
+    M = LinearOperator(shape, matvec=lambda v: prob.shifted_solve(shift, v))
+    steps = []
+    x, info = scipy_cg(op, rhs, rtol=rtol, atol=0.0, M=M,
+                       callback=lambda xk: steps.append(1))
+    return x, info, len(steps)
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS)
+def test_cg_matches_scipy_cg_bitwise(n, R, spacing, monkeypatch):
+    import phaselab.solver as solver_mod
+    prob = _problem(n, R, spacing)
+    rng = np.random.default_rng(50 + n)
+    rhs = rng.standard_normal(prob.n_int)
+    w2 = rng.uniform(-1.0, 66.0, prob.n_int)
+    rtol = SolveConfig().linear_rtol
+    x_ref, info_ref, steps = _scipy_newton_cg(prob, w2, rhs, rtol)
+
+    calls = []
+    solve = _DirichletProblem.shifted_solve
+    monkeypatch.setattr(_DirichletProblem, "shifted_solve",
+                        lambda self, s, v: calls.append(s) or solve(self, s, v))
+    results = []
+    cg = solver_mod.cg
+    monkeypatch.setattr(solver_mod, "cg",
+                        lambda *a: results.append(cg(*a)) or results[-1])
+    x = prob.newton_solve(w2, rhs, rtol)
+    (x_cg, info), = results
+    assert info == info_ref == 0
+    assert np.array_equal(x_cg, x_ref) and np.array_equal(x, x_ref)
+    # one preconditioner application per CG iteration, none to probe
+    assert steps > 0 and len(calls) == steps
+
+
+def test_cg_reports_iterations_without_convergence():
+    import phaselab.solver as solver_mod
+    from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
+    prob = _problem(1, 4.0, 0.125)
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal(prob.n_int)
+    shape = (prob.n_int, prob.n_int)
+    with np.errstate(all="ignore"):
+        x_ref, info_ref = scipy_cg(LinearOperator(shape, matvec=prob.matvec),
+                                   rhs, rtol=1e-300, atol=0.0)
+        x, info = solver_mod.cg(prob.matvec, rhs, 1e-300, lambda r: r)
+    assert info == info_ref == 10 * prob.n_int
+    assert np.array_equal(x, x_ref, equal_nan=True)
+
+
+def test_cg_zero_right_hand_side():
+    import phaselab.solver as solver_mod
+    prob = _problem(2, 4.0, 0.25)
+    x, info = solver_mod.cg(prob.matvec, np.zeros(prob.n_int), 1e-10,
+                            lambda r: r)
+    assert info == 0 and not x.any()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"linear_rtol": 0.0}, {"linear_rtol": 1.0}, {"linear_rtol": math.nan},
+    {"max_iterations": -1}, {"newton_burn_in": -1},
+])
+def test_solve_config_rejects_out_of_range_values(kwargs):
+    key = next(iter(kwargs))
+    with pytest.raises(ValueError, match=key):
+        SolveConfig(**kwargs)
+
+
 def test_newton_falls_back_to_direct_solve_when_cg_fails(monkeypatch):
     import phaselab.solver as solver_mod
     prob = _problem(2, 4.0, 0.25)
