@@ -50,7 +50,6 @@ from .grid import (
     Ball,
     Complement,
     Grid,
-    HalfBall,
     SuperLevel,
     WholeDomain,
     make_half_space_grid,

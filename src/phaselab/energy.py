@@ -459,35 +459,3 @@ def supersolution_margin(grid: Grid, min_radius: float = 1.0) -> float:
     if not sel.any():
         raise ValueError("no nodes at or beyond min_radius")
     return float(np.min((wp - lap)[sel]))
-
-
-def gradient_bound_margin(u: ScalarField, stride: int = 4) -> float:
-    """Optional diagnostic: worst margin of the unit-cube gradient estimate
-
-        |grad u(x)| <= n sqrt(n) sup_{boundary of Q} |u| + sup_Q |lap u| / 2
-
-    over sampled anchor nodes x whose unit cube Q = x + [0, 1]^n fits in
-    the grid.  Returns min(bound - |grad u|); nonnegative means the
-    estimate holds at every sampled anchor.  Diagnostic only, not part of
-    any operation contract.
-    """
-    g = u.grid
-    w = round(1.0 / g.spacing)
-    if w < 2 or any(m <= w for m in g.shape):
-        raise ValueError("grid cannot host a unit cube")
-    gsq = np.sqrt(grad_squared(u))
-    lap = np.abs(laplacian(u).values)
-    vals = np.abs(u.values)
-    factor = g.n * math.sqrt(g.n)
-    worst = np.inf
-    anchors = np.ndindex(*(max(1, (m - w - 1) // stride) for m in g.shape))
-    for a in anchors:
-        idx = tuple(ai * stride for ai in a)
-        box = tuple(slice(i, i + w + 1) for i in idx)
-        sub = vals[box]
-        mask = np.ones(sub.shape, dtype=bool)
-        mask[tuple(slice(1, -1) for _ in idx)] = False
-        sup_boundary = sub[mask].max()
-        bound = factor * sup_boundary + 0.5 * lap[box].max()
-        worst = min(worst, bound - gsq[idx])
-    return float(worst)

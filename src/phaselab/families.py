@@ -30,6 +30,9 @@ Family kinds
 ``oscillation_atom``   oscillatory data ``1 - h`` with ``0 <= h <= delta``
                        and large trace seminorm, solved with the
                        floor-modified potential.
+
+``FAMILY_PARAMS`` lists, for each kind, every parameter its builder reads
+with its default; ``build_family`` raises ``ValueError`` on any other key.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .energy import (
     standard_potential,
     modified_floor_potential,
 )
-from .grid import Grid, NeumannZero, make_half_space_grid
+from .grid import Grid, NeumannZero, face_radii, make_half_space_grid
 from .solver import SolveConfig, SolveResult, solve_half_space
 
 __all__ = [
@@ -59,8 +62,6 @@ __all__ = [
     "BracketFailureError",
     "ResolutionExhaustedError",
     "bump",
-    "exp_decay_profile",
-    "compact_bump_profile",
     "f_of_theta",
     "FThetaCache",
     "find_theta_for_mass",
@@ -71,10 +72,30 @@ __all__ = [
     "build_oscillating_boundary",
     "neumann_layer_field",
     "FAMILY_KINDS",
+    "FAMILY_PARAMS",
 ]
 
-FAMILY_KINDS = ("unbounded", "boundary_atom", "hausdorff_levelset",
-                "hoelder_blowup", "oscillation_atom")
+#: Every parameter each family kind reads, with its default.  ``n`` is the
+#: dimension and ``residual_tol`` the physical-defect tolerance of the
+#: curvature certificate; ``sigma`` (penalty weight) and ``rel_offsets``
+#: (per-eps mass-target offsets) default to None, which means off.
+FAMILY_PARAMS = {
+    "unbounded": {"n": 2, "residual_tol": 1e-6, "L": 0.5,
+                  "unit_spacing": 1 / 16, "base_shape": "compact_bump",
+                  "base_amplitude": 3.0},
+    "boundary_atom": {"n": 2, "residual_tol": 1e-6, "S": 1.0, "L": 1.0,
+                      "unit_spacing": 1 / 16, "base_amplitude": 0.5,
+                      "base_support": 4.0, "sigma": None,
+                      "rel_offsets": None},
+    "hausdorff_levelset": {"n": 2, "residual_tol": 1e-6, "L": 0.5,
+                           "unit_spacing": 1 / 16},
+    "hoelder_blowup": {"n": 2, "residual_tol": 1e-6, "window": 12.0,
+                       "points_per_unit_scale": 6.0},
+    "oscillation_atom": {"n": 2, "residual_tol": 1e-6, "S_prime": 0.1,
+                         "delta": 0.15, "R": 2.0, "unit_spacing": 1 / 128},
+}
+
+FAMILY_KINDS = tuple(FAMILY_PARAMS)
 
 
 class BracketFailureError(RuntimeError):
@@ -129,14 +150,7 @@ class BoundaryData:
                                  "support radius")
 
     def radii(self) -> np.ndarray:
-        if not self.coords:
-            return np.zeros(())
-        r2 = np.zeros(self.samples.shape)
-        for a, coord in enumerate(self.coords):
-            shape = [1] * len(self.coords)
-            shape[a] = -1
-            r2 = r2 + coord.reshape(shape) ** 2
-        return np.sqrt(r2)
+        return face_radii(self.coords)
 
     def scaled(self, factor: float) -> "BoundaryData":
         env = None
@@ -154,74 +168,35 @@ def _face_coords(grid: Grid) -> tuple:
     return tuple(grid.axis_coords(a) for a in range(grid.n - 1))
 
 
-def exp_decay_profile(amplitude: float = 1.0, support: float = 4.0,
-                      center: float = 0.0):
-    """``amplitude * exp(-|x - center|) * window`` with a smooth compactly
-    supported window; satisfies ``0 <= h <= amplitude * exp(-|x|)`` for
-    center 0."""
-
-    def shape(r_centered):
-        out = np.zeros_like(r_centered)
-        ins = r_centered < support
-        t = (r_centered[ins] / support) ** 2
-        out[ins] = amplitude * np.exp(-r_centered[ins]) * np.exp(1.0 - 1.0 / (1.0 - t))
-        return out
-
-    return shape, support, center
-
-
-def compact_bump_profile(amplitude: float = 1.0, width: float = 1.0,
-                         center: float = 0.0):
-    """Smooth bump ``amplitude * exp(1 - 1/(1 - (r/width)^2))`` supported in
-    the width-ball; peak value exactly ``amplitude`` at the center."""
-
-    def shape(r_centered):
-        out = np.zeros_like(r_centered)
-        ins = r_centered < width
-        t = (r_centered[ins] / width) ** 2
-        out[ins] = amplitude * np.exp(1.0 - 1.0 / (1.0 - t))
-        return out
-
-    return shape, width, center
-
-
 def bump(grid: Grid, theta: float, shape: str = "exp_decay",
-         center: float = 0.0, width: float = 1.0,
-         amplitude: float = 1.0) -> BoundaryData:
-    """``theta`` times a base profile, sampled on the flat face of ``grid``.
+         width: float = 1.0, amplitude: float = 1.0) -> BoundaryData:
+    """``theta`` times a base profile centred at the origin, sampled on the
+    flat face of ``grid``; the profile vanishes outside radius ``width``.
 
-    ``shape`` is ``"exp_decay"`` (amplitude * e^-|x| under a smooth window
-    of radius ``width``; carries the envelope certificate
-    ``(theta * amplitude, 1)``) or ``"compact_bump"`` (smooth bump of the
-    given width with peak ``amplitude``).
+    ``shape`` is ``"exp_decay"`` (``amplitude * e^-|x|`` under the smooth
+    window ``exp(1 - 1/(1 - (|x|/width)^2))``; carries the envelope
+    certificate ``(theta * amplitude, 1)``) or ``"compact_bump"`` (the
+    window alone, peak ``amplitude`` at the origin).
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    if shape == "exp_decay":
-        fn, support, ctr = exp_decay_profile(amplitude, width, center)
-        envelope = (theta * amplitude, 1.0) if center == 0.0 else None
-    elif shape == "compact_bump":
-        fn, support, ctr = compact_bump_profile(amplitude, width, center)
-        envelope = None
-    else:
+    if shape not in ("exp_decay", "compact_bump"):
         raise ValueError(f"unknown bump shape {shape!r}")
-
     coords = _face_coords(grid)
-    if coords:
-        r2 = np.zeros(tuple(len(c) for c in coords))
-        for a, coord in enumerate(coords):
-            sh = [1] * len(coords)
-            sh[a] = -1
-            r2 = r2 + (coord.reshape(sh) - ctr) ** 2
-        base = fn(np.sqrt(r2))
+    r = face_radii(coords)
+    base = np.zeros_like(r)
+    ins = r < width
+    window = np.exp(1.0 - 1.0 / (1.0 - (r[ins] / width) ** 2))
+    if shape == "exp_decay":
+        base[ins] = amplitude * np.exp(-r[ins]) * window
+        envelope = (theta * amplitude, 1.0)
     else:
-        base = fn(np.asarray([abs(0.0 - ctr)]))[0]
-    samples = theta * np.asarray(base)
-    return BoundaryData(coords, samples, grid.spacing, envelope,
-                        support_radius=support + abs(ctr),
+        base[ins] = amplitude * window
+        envelope = None
+    return BoundaryData(coords, theta * base, grid.spacing, envelope,
+                        support_radius=width,
                         meta={"shape": shape, "theta": theta,
-                              "amplitude": amplitude, "width": width,
-                              "center": center})
+                              "amplitude": amplitude, "width": width})
 
 
 # --------------------------------------------------------------------------
@@ -358,12 +333,11 @@ def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """Strictly decreasing epsilon list with optional per-epsilon family
-    parameters and the blow-up observation radius (default eps^(-1/2))."""
+    """Strictly decreasing epsilon list with optional per-epsilon bump
+    factors theta and the blow-up frequency ``omega_eps = eps^(-1/2)``."""
 
     eps_list: tuple[float, ...]
     theta_of_eps: dict | None = None
-    omega_of_eps: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "eps_list",
@@ -375,15 +349,11 @@ class EpsilonSchedule:
             raise ValueError("eps values must be finite and positive")
         if not all(b < a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_list must be strictly decreasing")
-        for mapping in (self.theta_of_eps, self.omega_of_eps):
-            if mapping is not None:
-                vals = [mapping[e] for e in eps]
-                if any(v <= 0 or not math.isfinite(v) for v in vals):
-                    raise ValueError("schedule parameters must be finite and "
-                                     "positive for every eps")
-
-    def R_of_eps(self, eps: float) -> float:
-        return eps ** -0.5
+        if self.theta_of_eps is not None:
+            vals = [self.theta_of_eps[e] for e in eps]
+            if any(v <= 0 or not math.isfinite(v) for v in vals):
+                raise ValueError("schedule parameters must be finite and "
+                                 "positive for every eps")
 
     def theta(self, eps: float) -> float:
         if self.theta_of_eps is None:
@@ -391,9 +361,7 @@ class EpsilonSchedule:
         return float(self.theta_of_eps[eps])
 
     def omega(self, eps: float) -> float:
-        if self.omega_of_eps is None:
-            return eps ** -0.5
-        return float(self.omega_of_eps[eps])
+        return eps ** -0.5
 
 
 @dataclass(frozen=True)
@@ -415,39 +383,25 @@ class CounterexampleFamily:
 
 
 def rescale_field(unit_field: ScalarField, eps: float,
-                  physical_grid: Grid, roles: dict | None = None) -> ScalarField:
+                  physical_grid: Grid) -> ScalarField:
     """``u_eps(x) = u_unit(x / eps)`` on the physical grid.
 
-    When the physical grid is exactly the eps-scaled image of the unit
-    grid the values are copied (identity on node indices); otherwise the
-    unit field is evaluated by multilinear interpolation, with query
-    points snapped to unit nodes when they coincide up to roundoff, so the
-    rescaling stays exact on matched nodes.
+    The physical grid must be exactly the eps-scaled image of the unit
+    grid, as every family member's is: the transport is then the identity
+    on node indices and the values are copied.  Any other grid raises
+    ValueError.
     """
     ug = unit_field.grid
-    roles = roles if roles is not None else unit_field.roles
     matched = (physical_grid.shape == ug.shape
                and abs(physical_grid.spacing - eps * ug.spacing)
                <= 1e-12 * ug.spacing
                and all(abs(po - eps * uo) <= 1e-12 * max(1.0, abs(uo))
                        for po, uo in zip(physical_grid.origin, ug.origin)))
-    if matched:
-        return ScalarField(physical_grid, unit_field.values.copy(), roles)
-
-    # deferred: every family member takes the matched branch above
-    from scipy.interpolate import RegularGridInterpolator
-    axes = [ug.axis_coords(a) for a in range(ug.n)]
-    interp = RegularGridInterpolator(axes, unit_field.values, method="linear",
-                                     bounds_error=True)
-    mesh = physical_grid.meshgrid()
-    pts = np.stack([x.ravel() / eps for x in mesh], axis=-1)
-    for a, coord in enumerate(axes):
-        idx = np.rint((pts[:, a] - coord[0]) / ug.spacing)
-        snapped = coord[0] + idx * ug.spacing
-        close = np.abs(pts[:, a] - snapped) <= 1e-9 * ug.spacing
-        pts[close, a] = snapped[close]
-    vals = interp(pts).reshape(physical_grid.shape)
-    return ScalarField(physical_grid, vals, roles)
+    if not matched:
+        raise ValueError("the physical grid is not the eps-scaled image of "
+                         "the unit grid")
+    return ScalarField(physical_grid, unit_field.values.copy(),
+                       unit_field.roles)
 
 
 def _member_from_solve(eps: float, parameter, grid: Grid, result: SolveResult,
@@ -483,22 +437,26 @@ def build_family(kind: str, schedule: EpsilonSchedule, params: dict,
                  workers: int = 1) -> CounterexampleFamily:
     """Construct one counterexample family over the epsilon schedule.
 
-    ``params`` is kind-specific (see the module docstring); common keys are
-    ``n`` (dimension, default 2), ``L`` (physical half-width of the fixed
-    domain), ``unit_spacing`` and ``residual_tol`` (the physical-defect
-    tolerance of the curvature certificate, default 1e-6).  Unit solves run
-    at ``eps * residual_tol``.
+    ``params`` may set any key of ``FAMILY_PARAMS[kind]``; the rest keep
+    their defaults, and any other key raises ValueError.  Unit solves run
+    at ``eps * params["residual_tol"]``; of ``cfg`` they use the iteration
+    budget and the linear-solver settings.
 
     Members are independent across epsilon and are built on up to
     ``workers`` threads; the returned tuple is always ordered by the
     schedule, so results do not depend on the worker count.
     """
-    if kind not in FAMILY_KINDS:
+    if kind not in FAMILY_PARAMS:
         raise ValueError(f"unknown family kind {kind!r}")
+    defaults = FAMILY_PARAMS[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {kind} params {unknown}; expected keys "
+                         f"from {sorted(defaults)}")
+    params = {**defaults, **params}
     cfg = cfg or SolveConfig()
-    params = dict(params)
-    n = int(params.get("n", 2))
-    tol_phys = float(params.get("residual_tol", 1e-6))
+    n = int(params["n"])
+    tol_phys = float(params["residual_tol"])
     builder = {
         "unbounded": _build_unbounded,
         "boundary_atom": _build_boundary_atom,
@@ -532,17 +490,16 @@ def _build_unbounded(schedule, params, n, tol_phys, cfg, workers):
     if not all(b < a for a, b in zip(drive, drive[1:])):
         raise ValueError("unbounded family requires eps^(n-1) theta^4 "
                          "strictly decreasing along the schedule")
-    L = float(params.get("L", 0.5))
-    hu = float(params.get("unit_spacing", 1 / 16))
-    shape = params.get("base_shape", "compact_bump")
-    amp = float(params.get("base_amplitude", 3.0))
-    width = float(params.get("base_width", 1.0))
+    L = float(params["L"])
+    hu = float(params["unit_spacing"])
+    shape = params["base_shape"]
+    amp = float(params["base_amplitude"])
     pot = standard_potential()
 
     def build_one(eps):
         th = schedule.theta(eps)
         g, _ = _half_space_unit_grid(n, L / eps, hu)
-        base = bump(g, 1.0, shape=shape, amplitude=amp, width=width)
+        base = bump(g, 1.0, shape=shape, amplitude=amp)
         res = solve_half_space(th * base.samples, 1.0, pot, g,
                                _solve_cfg(cfg, eps, tol_phys))
         return _member_from_solve(
@@ -556,13 +513,12 @@ def _build_boundary_atom(schedule, params, n, tol_phys, cfg, workers):
     S = float(params["S"])
     if S <= 0:
         raise ValueError("boundary_atom needs S > 0")
-    L = float(params.get("L", 1.0))
-    hu = float(params.get("unit_spacing", 1 / 16))
-    amp = float(params.get("base_amplitude", 0.5))
-    support = float(params.get("base_support", 4.0))
-    rel_tol = float(params.get("mass_rel_tol", 5e-3))
-    offsets = params.get("rel_offsets")
-    sigma = params.get("sigma")
+    L = float(params["L"])
+    hu = float(params["unit_spacing"])
+    amp = float(params["base_amplitude"])
+    support = float(params["base_support"])
+    offsets = params["rel_offsets"]
+    sigma = params["sigma"]
     pot = standard_potential()
     eps_arr = schedule.eps_list
     offset_of = {e: (float(offsets[i]) if offsets is not None else 0.0)
@@ -575,13 +531,13 @@ def _build_boundary_atom(schedule, params, n, tol_phys, cfg, workers):
         member_cache = FThetaCache()
         th = find_theta_for_mass(c0() * S, eps, n, base, pot, g,
                                  _solve_cfg(cfg, eps, tol_phys),
-                                 cache=member_cache, rel_tol=rel_tol,
+                                 cache=member_cache,
                                  rel_offset=offset_of[eps])
         _, res = member_cache.get(th)
         return _member_from_solve(
             eps, th, g, res, tol_phys, sigma=sigma, S_target=S,
             extra_certs={"f_pairs": member_cache.pairs(),
-                         "trace_norm_sq": _trace_norm_sq(base, n)})
+                         "trace_norm_sq": _trace_norm_sq(base)})
 
     members = _map_members(build_one, eps_arr, workers)
     if len(members) > 1:
@@ -594,7 +550,7 @@ def _build_boundary_atom(schedule, params, n, tol_phys, cfg, workers):
     return members
 
 
-def _trace_norm_sq(base: BoundaryData, n: int) -> float:
+def _trace_norm_sq(base: BoundaryData) -> float:
     """Discrete boundary L2 norm squared of the base samples."""
     if base.boundary_dim == 0:
         return float(base.samples ** 2)
@@ -602,14 +558,13 @@ def _trace_norm_sq(base: BoundaryData, n: int) -> float:
 
 
 def _build_hausdorff(schedule, params, n, tol_phys, cfg, workers):
-    L = float(params.get("L", 0.5))
-    hu = float(params.get("unit_spacing", 1 / 16))
-    width = float(params.get("base_width", 1.0))
+    L = float(params["L"])
+    hu = float(params["unit_spacing"])
     pot = standard_potential()
 
     def build_one(eps):
         g, _ = _half_space_unit_grid(n, L / eps, hu)
-        base = bump(g, 1.0, shape="compact_bump", amplitude=2.0, width=width)
+        base = bump(g, 1.0, shape="compact_bump", amplitude=2.0)
         peak = float(np.max(base.samples))
         if abs(peak - 2.0) > 1e-9:
             raise ValueError("hausdorff base bump must peak at exactly 2")
@@ -621,9 +576,8 @@ def _build_hausdorff(schedule, params, n, tol_phys, cfg, workers):
 
 
 def _build_hoelder(schedule, params, n, tol_phys, cfg, workers):
-    B = float(params.get("window", 12.0))
-    ppu = float(params.get("points_per_unit_scale", 6.0))
-    width = float(params.get("base_width", 1.0))
+    B = float(params["window"])
+    ppu = float(params["points_per_unit_scale"])
     pot = standard_potential()
 
     def build_one(eps):
@@ -633,7 +587,7 @@ def _build_hoelder(schedule, params, n, tol_phys, cfg, workers):
         g, _ = make_half_space_grid(n, B, hu, 1.0)
         # data 1 - h(omega x): sample the peak-2 bump at frequency omega
         base = bump(g, 1.0, shape="compact_bump", amplitude=2.0,
-                    width=width / om)
+                    width=1.0 / om)
         res = solve_half_space(-base.samples, 1.0, pot, g,
                                _solve_cfg(cfg, eps, tol_phys))
         return _member_from_solve(
@@ -646,8 +600,8 @@ def _build_hoelder(schedule, params, n, tol_phys, cfg, workers):
 def _build_oscillation(schedule, params, n, tol_phys, cfg, workers):
     S_prime = float(params["S_prime"])
     delta = float(params["delta"])
-    R = float(params.get("R", 2.0))
-    hu = float(params.get("unit_spacing", 1 / 64))
+    R = float(params["R"])
+    hu = float(params["unit_spacing"])
     pot = modified_floor_potential(delta)
 
     def build_one(eps):
@@ -767,12 +721,7 @@ def build_oscillating_boundary(S_prime: float, delta: float, grid: Grid,
     if not coords:
         raise ValueError("oscillating data needs a face of dimension >= 1")
 
-    r = np.zeros(tuple(len(c) for c in coords))
-    for a, coord in enumerate(coords):
-        sh = [1] * len(coords)
-        sh[a] = -1
-        r = r + coord.reshape(sh) ** 2
-    r = np.sqrt(r)
+    r = face_radii(coords)
     window = np.zeros_like(r)
     ins = r < 1.0
     window[ins] = np.exp(1.0 - 1.0 / (1.0 - r[ins] ** 2))

@@ -14,7 +14,6 @@ multiplication per node, no accumulated summation).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -29,11 +28,11 @@ __all__ = [
     "Free",
     "WholeDomain",
     "Ball",
-    "HalfBall",
     "SuperLevel",
     "Complement",
     "GridBudgetError",
     "GridMismatchError",
+    "face_radii",
     "make_half_space_grid",
     "region_cells",
     "region_cell_count",
@@ -215,16 +214,6 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class HalfBall:
-    """Ball centered on the flat boundary face; the grid already restricts
-    membership to the half-space, so this is Ball membership with the
-    center's normal coordinate pinned to the face."""
-
-    center: tuple[float, ...]
-    radius: float
-
-
-@dataclass(frozen=True)
 class SuperLevel:
     """Nodes where the field value (or |value|) is >= threshold."""
 
@@ -252,7 +241,7 @@ def region_cells(grid: Grid, region: Region) -> np.ndarray:
         return np.ones(grid.shape, dtype=bool)
     if isinstance(region, Complement):
         return ~region_cells(grid, region.region)
-    if isinstance(region, (Ball, HalfBall)):
+    if isinstance(region, Ball):
         center = np.asarray(region.center, dtype=float)
         if center.shape != (grid.n,):
             raise GridMismatchError(
@@ -323,6 +312,18 @@ def make_half_space_grid(n: int, R: float, spacing: float, far_value: float,
     return grid, roles
 
 
+def face_radii(coords: tuple) -> np.ndarray:
+    """Distance from the origin of every node of a face lattice, given one
+    coordinate array per tangential axis (zero for the point face of a
+    one-dimensional grid)."""
+    r2 = np.zeros(tuple(len(c) for c in coords))
+    for a, coord in enumerate(coords):
+        shape = [1] * len(coords)
+        shape[a] = -1
+        r2 = r2 + coord.reshape(shape) ** 2
+    return np.sqrt(r2)
+
+
 def tail_bound(n: int, R: float, theta: float = 1.0) -> float:
     """Energy outside the half-ball of radius R for exp-decaying solutions.
 
@@ -344,8 +345,9 @@ def truncation_radius(n: int, theta: float = 1.0, tol: float = 1e-6,
                       target_energy: float = 1.0) -> float:
     """Smallest R with ``tail_bound(n, R, theta) < tol * target_energy``.
 
-    Scalar root-find on the explicit tail expression; used to pick the
-    default truncation radius of half-space solves.
+    Scalar root-find on the explicit tail expression.  A sizing aid for
+    callers choosing a half-space radius by hand: no family or experiment
+    calls it, they take their radius from their own parameters.
     """
     goal = tol * target_energy
     if goal <= 0:
@@ -420,17 +422,3 @@ def roles_from_dict(d: dict) -> dict:
         else:
             raise ValueError(f"unknown role kind {kind!r}")
     return roles
-
-
-def grid_to_json(grid: Grid, roles: dict | None = None) -> str:
-    doc = {"grid": grid_to_dict(grid)}
-    if roles is not None:
-        doc["faces"] = roles_to_dict(roles)
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def grid_from_json(text: str):
-    doc = json.loads(text)
-    grid = grid_from_dict(doc["grid"])
-    roles = roles_from_dict(doc["faces"]) if "faces" in doc else None
-    return grid, roles

@@ -38,7 +38,8 @@ from .diagnostics import (
 )
 from .energy import (EnergyBreakdown, ScalarField, c0, density_fields,
                      standard_potential)
-from .families import EpsilonSchedule, build_family, neumann_layer_field
+from .families import (FAMILY_PARAMS, EpsilonSchedule, build_family,
+                       neumann_layer_field)
 from .fieldio import save_field
 from .grid import make_half_space_grid
 from .solver import SolveConfig, solve_half_space
@@ -97,6 +98,14 @@ class VerificationSummary:
 # defaults and validation
 # --------------------------------------------------------------------------
 
+def _family_keys(kind: str) -> dict:
+    """The family parameters a config may set, with the family defaults:
+    every key of ``FAMILY_PARAMS[kind]`` except ``n`` (a top-level config
+    key) and the switches that are off by default, which runners set."""
+    return {k: v for k, v in FAMILY_PARAMS[kind].items()
+            if k != "n" and v is not None}
+
+
 DEFAULTS = {
     "tanh_calibration": {
         "n": 1, "eps_list": [0.1],
@@ -105,32 +114,27 @@ DEFAULTS = {
     },
     "unbounded": {
         "n": 2, "eps_list": [0.1, 0.05, 0.025],
-        "params": {"L": 0.5, "unit_spacing": 1 / 16, "theta_exponent": 0.125,
-                   "base_amplitude": 3.0, "base_shape": "compact_bump",
-                   "slope_window": [0.3, 0.7], "residual_tol": 1e-6},
+        "params": {**_family_keys("unbounded"), "theta_exponent": 0.125,
+                   "slope_window": [0.3, 0.7]},
     },
     "boundary_atom": {
         "n": 2, "eps_list": [0.2, 0.1, 0.05],
-        "params": {"S": 1.0, "L": 1.0, "unit_spacing": 1 / 16,
-                   "base_amplitude": 0.5, "base_support": 4.0,
-                   "probe_radii": [0.25, 0.1], "residual_tol": 1e-6,
-                   "concentration_radius": 0.25},
+        "params": {**_family_keys("boundary_atom"),
+                   "probe_radii": [0.25, 0.1], "concentration_radius": 0.25},
     },
     "hausdorff_levelset": {
         "n": 2, "eps_list": [0.1, 0.05, 0.025],
-        "params": {"L": 0.5, "unit_spacing": 1 / 16, "level_band": 0.25,
-                   "distance_factor": 8.0, "residual_tol": 1e-6},
+        "params": {**_family_keys("hausdorff_levelset"), "level_band": 0.25,
+                   "distance_factor": 8.0},
     },
     "hoelder_blowup": {
         "n": 2, "eps_list": [0.2, 0.1, 0.05],
-        "params": {"window": 12.0, "points_per_unit_scale": 6.0,
-                   "gamma": 0.5, "interior_variation_tol": 0.2,
-                   "residual_tol": 1e-6},
+        "params": {**_family_keys("hoelder_blowup"), "gamma": 0.5,
+                   "interior_variation_tol": 0.2},
     },
     "oscillation_atom": {
         "n": 2, "eps_list": [0.1],
-        "params": {"S_prime": 0.1, "delta": 0.15, "R": 2.0,
-                   "unit_spacing": 1 / 128, "residual_tol": 1e-6},
+        "params": _family_keys("oscillation_atom"),
     },
     "neumann_layer": {
         "n": 2, "eps_list": [0.064, 0.032, 0.016, 0.008],
@@ -139,9 +143,8 @@ DEFAULTS = {
     },
     "penalty_zero": {
         "n": 2, "eps_list": [0.2, 0.1, 0.05],
-        "params": {"S": 1.0, "L": 1.0, "unit_spacing": 1 / 16,
-                   "base_amplitude": 0.5, "base_support": 4.0, "sigma": 1.0,
-                   "offset_scale": 1e-3, "residual_tol": 1e-6},
+        "params": {**_family_keys("boundary_atom"), "sigma": 1.0,
+                   "offset_scale": 1e-3},
     },
 }
 
@@ -304,9 +307,18 @@ def _family_row(experiment, n, member, **extra):
 # experiments
 # --------------------------------------------------------------------------
 
-def _solver_cfg(cfg):
-    return SolveConfig(residual_tol=cfg["solver"]["residual_tol"],
-                       max_iterations=cfg["solver"]["max_iterations"])
+def _family(cfg, kind, theta_of_eps=None, **extra):
+    """The ``kind`` family over the config's eps list, built from the
+    config params that the kind reads plus ``extra``.  Unit solves run at
+    the family's own ``eps * residual_tol``, so of the solver block only
+    ``max_iterations`` reaches them."""
+    params = {k: v for k, v in cfg["params"].items()
+              if k in FAMILY_PARAMS[kind]}
+    sched = EpsilonSchedule(tuple(cfg["eps_list"]), theta_of_eps)
+    return build_family(
+        kind, sched, {"n": cfg["n"], **params, **extra},
+        cfg=SolveConfig(max_iterations=cfg["solver"]["max_iterations"]),
+        workers=cfg["workers"])
 
 
 def run_tanh_calibration(cfg):
@@ -363,12 +375,7 @@ def run_unbounded(cfg):
     n = cfg["n"]
     eps_list = cfg["eps_list"]
     thetas = {e: e ** (-p["theta_exponent"]) for e in eps_list}
-    sched = EpsilonSchedule(tuple(eps_list), theta_of_eps=thetas)
-    fam = build_family("unbounded", sched, {
-        "n": n, "L": p["L"], "unit_spacing": p["unit_spacing"],
-        "base_shape": p["base_shape"], "base_amplitude": p["base_amplitude"],
-        "residual_tol": p["residual_tol"],
-    }, cfg=_solver_cfg(cfg), workers=cfg["workers"])
+    fam = _family(cfg, "unbounded", theta_of_eps=thetas)
 
     sups = [lp_norm(m.field, "inf") for m in fam.members]
     S = [m.energy.S_eps for m in fam.members]
@@ -404,24 +411,11 @@ def run_unbounded(cfg):
     return rows, assertions, fields
 
 
-def _boundary_atom_family(cfg, sigma=None, offsets=None):
-    p = cfg["params"]
-    sched = EpsilonSchedule(tuple(cfg["eps_list"]))
-    return build_family("boundary_atom", sched, {
-        "n": cfg["n"], "S": p["S"], "L": p["L"],
-        "unit_spacing": p["unit_spacing"],
-        "base_amplitude": p["base_amplitude"],
-        "base_support": p["base_support"],
-        "residual_tol": p["residual_tol"],
-        "sigma": sigma, "rel_offsets": offsets,
-    }, cfg=_solver_cfg(cfg), workers=cfg["workers"])
-
-
 def run_boundary_atom(cfg):
     p = cfg["params"]
     n = cfg["n"]
     S_target = p["S"]
-    fam = _boundary_atom_family(cfg)
+    fam = _family(cfg, "boundary_atom")
     origin = tuple([0.0] * n)
     report = concentration_scan(fam, origin, p["probe_radii"])
     R1 = p["concentration_radius"]
@@ -501,11 +495,7 @@ def _f_bound_margins(fam):
 def run_hausdorff_levelset(cfg):
     p = cfg["params"]
     n = cfg["n"]
-    sched = EpsilonSchedule(tuple(cfg["eps_list"]))
-    fam = build_family("hausdorff_levelset", sched, {
-        "n": n, "L": p["L"], "unit_spacing": p["unit_spacing"],
-        "residual_tol": p["residual_tol"],
-    }, cfg=_solver_cfg(cfg), workers=cfg["workers"])
+    fam = _family(cfg, "hausdorff_levelset")
 
     band = p["level_band"]
     origin = np.zeros(n)
@@ -547,12 +537,7 @@ def run_hoelder_blowup(cfg):
     p = cfg["params"]
     n = cfg["n"]
     gamma = p["gamma"]
-    sched = EpsilonSchedule(tuple(cfg["eps_list"]))
-    fam = build_family("hoelder_blowup", sched, {
-        "n": n, "window": p["window"],
-        "points_per_unit_scale": p["points_per_unit_scale"],
-        "residual_tol": p["residual_tol"],
-    }, cfg=_solver_cfg(cfg), workers=cfg["workers"])
+    fam = _family(cfg, "hoelder_blowup")
 
     scaled_boundary = []
     interior_raw = []
@@ -593,12 +578,7 @@ def run_hoelder_blowup(cfg):
 def run_oscillation_atom(cfg):
     p = cfg["params"]
     n = cfg["n"]
-    sched = EpsilonSchedule(tuple(cfg["eps_list"]))
-    fam = build_family("oscillation_atom", sched, {
-        "n": n, "S_prime": p["S_prime"], "delta": p["delta"],
-        "R": p["R"], "unit_spacing": p["unit_spacing"],
-        "residual_tol": p["residual_tol"],
-    }, cfg=_solver_cfg(cfg), workers=cfg["workers"])
+    fam = _family(cfg, "oscillation_atom")
 
     S_prime, delta = p["S_prime"], p["delta"]
     m0 = fam.members[0]
@@ -676,7 +656,7 @@ def run_penalty_zero(cfg):
     eps_list = cfg["eps_list"]
     eps0 = eps_list[0]
     offsets = [p["offset_scale"] * (e / eps0) for e in eps_list]
-    fam = _boundary_atom_family(cfg, sigma=p["sigma"], offsets=offsets)
+    fam = _family(cfg, "boundary_atom", rel_offsets=offsets)
     pen = [m.energy.F_eps_penalized for m in fam.members]
     assertions = [
         _check("penalty.monotone",

@@ -56,6 +56,7 @@ from .grid import (
     Grid,
     apply_dirichlet,
     check_roles,
+    face_radii,
 )
 
 __all__ = [
@@ -514,13 +515,7 @@ def comparison_check(theta: float, h_samples, potential: Potential, grid: Grid,
     passed = violation <= tol
 
     decay_violation = None
-    face_grid_r = np.zeros(h_arr.shape)
-    for a in range(grid.n - 1):
-        coords = grid.axis_coords(a)
-        shape = [1] * (grid.n - 1)
-        shape[a] = -1
-        face_grid_r = face_grid_r + coords.reshape(shape) ** 2
-    face_r = np.sqrt(face_grid_r)
+    face_r = face_radii(tuple(grid.axis_coords(a) for a in range(grid.n - 1)))
     if np.all(h_arr <= np.exp(-face_r) + 1e-12):
         envelope = 1.0 + theta * np.exp(-grid.node_radii()) + 2.0 * grid.spacing
         decay_violation = float(np.max(rt.field.values - envelope))

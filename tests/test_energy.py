@@ -320,17 +320,6 @@ def test_region_additivity():
     assert total == modica_mortola(u, eps)
 
 
-def test_gradient_bound_diagnostic():
-    from phaselab.energy import gradient_bound_margin
-    g = Grid((41, 41), 0.25, (0.0, 0.0))
-    x, z = g.meshgrid()
-    u = field_on(g, np.sin(x) * np.cos(z))
-    assert gradient_bound_margin(u) >= 0.0
-    tiny = Grid((5, 5), 0.1, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        gradient_bound_margin(field_on(tiny, np.zeros(tiny.shape)))
-
-
 def test_half_space_energy_constant_is_zero():
     g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
     assert half_space_energy(field_on(g, np.ones(g.shape))) == 0.0

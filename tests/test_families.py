@@ -5,6 +5,7 @@ import pytest
 
 from phaselab.energy import c0, standard_potential
 from phaselab.families import (
+    FAMILY_PARAMS,
     BoundaryData,
     BracketFailureError,
     EpsilonSchedule,
@@ -17,7 +18,6 @@ from phaselab.families import (
     find_theta_for_mass,
     h_half_seminorm,
     neumann_layer_field,
-    rescale_field,
     seminorm_constant,
 )
 from phaselab.grid import Grid, NeumannZero, make_half_space_grid
@@ -155,7 +155,6 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         EpsilonSchedule((0.2, 0.1), theta_of_eps={0.2: 1.0, 0.1: -3.0})
     s = EpsilonSchedule((0.2, 0.1))
-    assert s.R_of_eps(0.04) == pytest.approx(5.0)
     assert s.omega(0.04) == pytest.approx(5.0)
 
 
@@ -169,6 +168,22 @@ def test_unbounded_requires_vanishing_drive():
 def test_unknown_kind():
     with pytest.raises(ValueError):
         build_family("nope", EpsilonSchedule((0.1,)), {})
+
+
+def test_misspelled_family_key_is_rejected():
+    with pytest.raises(ValueError, match="unit_spacin"):
+        build_family("hausdorff_levelset", EpsilonSchedule((0.2,)),
+                     {"L": 0.4, "unit_spacin": 0.25})
+
+
+def test_oscillation_family_builds_from_its_defaults():
+    fam = build_family("oscillation_atom", EpsilonSchedule((0.1,)), {})
+    assert fam.params == FAMILY_PARAMS["oscillation_atom"]
+    m = fam.members[0]
+    S_prime, delta = fam.params["S_prime"], fam.params["delta"]
+    assert S_prime <= m.certificates["seminorm"] <= 1.1 * S_prime
+    assert m.certificates["min_u"] >= 1.0 - 2.0 * delta - 1e-6
+    assert m.certificates["willmore_ok"]
 
 
 def test_small_unbounded_family_certificates():
@@ -188,25 +203,6 @@ def test_small_unbounded_family_certificates():
         # physical grid is the exact scaled image
         assert m.field.grid.shape == m.unit_grid.shape
         assert np.array_equal(m.field.values, m.unit_result.field.values)
-
-
-def test_rescale_field_interpolation_path():
-    g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    x, z = g.meshgrid()
-    from phaselab.energy import ScalarField
-    u = ScalarField.from_values(g, np.sin(x) + z)
-    eps = 0.5
-    # physical grid covering half the scaled domain with doubled spacing:
-    # every physical node maps exactly onto a unit node
-    gp = Grid((5, 3), 0.25, (-0.5, 0.0))
-    out = rescale_field(u, eps, gp)
-    xp, zp = gp.meshgrid()
-    expect = np.sin(xp / eps) + zp / eps
-    assert np.max(np.abs(out.values - expect)) < 1e-12
-    # off-node queries interpolate linearly between unit nodes
-    gq = Grid((4, 3), 0.3, (-0.45, 0.0))
-    out2 = rescale_field(u, eps, gq)
-    assert np.all(np.isfinite(out2.values))
 
 
 # --------------------------------------------------------------------------

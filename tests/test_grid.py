@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from phaselab.grid import (
     GridMismatchError,
     SuperLevel,
     WholeDomain,
-    grid_from_json,
-    grid_to_json,
     make_half_space_grid,
     region_cell_count,
     region_cells,
@@ -129,17 +126,3 @@ def test_truncation_radius_root_find():
     assert theta ** 4 * quad_tail < tol * 1.0000001
     assert tail_bound(2, R, theta) == pytest.approx(tol, rel=1e-6)
     assert tail_bound(2, 0.9 * R, theta) > tol
-
-
-def test_serialization_roundtrip():
-    g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    data = np.linspace(0, 1, g.shape[0])
-    roles[(1, "low")] = DirichletData(data)
-    text = grid_to_json(g, roles)
-    g2, roles2 = grid_from_json(text)
-    assert g2 == g
-    assert np.array_equal(roles2[(1, "low")].samples, data)
-    assert roles2[(0, "high")] == roles[(0, "high")]
-    # document structure is plain JSON
-    doc = json.loads(text)
-    assert set(doc) == {"grid", "faces"}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab.cli import main as cli_main
+from phaselab.families import FAMILY_PARAMS
 from phaselab.fieldio import load_field, save_field
 from phaselab.runner import (CSV_COLUMNS, DEFAULTS, expand_config, run,
                              validate)
@@ -26,6 +27,25 @@ def test_validate_oscillation_delta_gate():
     errs = validate({"experiment": "oscillation_atom",
                      "params": {"delta": 0.3}})
     assert any("monotone" in e for e in errs)
+
+
+@pytest.mark.parametrize("experiment, kind", [
+    ("unbounded", "unbounded"), ("boundary_atom", "boundary_atom"),
+    ("hausdorff_levelset", "hausdorff_levelset"),
+    ("hoelder_blowup", "hoelder_blowup"),
+    ("oscillation_atom", "oscillation_atom"),
+    ("penalty_zero", "boundary_atom")])
+def test_runner_family_defaults_are_the_family_table(experiment, kind):
+    # every family key a config may set defaults to the family's own value;
+    # the off-by-default switches (sigma, rel_offsets) are the runners' to set
+    table = FAMILY_PARAMS[kind]
+    params = DEFAULTS[experiment]["params"]
+    assert DEFAULTS[experiment]["n"] == table["n"]
+    shared = {k for k in params if k in table and table[k] is not None}
+    assert shared == {k for k, v in table.items()
+                      if k != "n" and v is not None}
+    for key in shared:
+        assert params[key] == table[key], key
 
 
 def test_validate_complete_config_ok():
@@ -101,8 +121,10 @@ def test_csv_floats_round_trip(tmp_path):
 
 def test_field_io_roundtrip(tmp_path):
     from phaselab.energy import ScalarField
-    from phaselab.grid import make_half_space_grid
+    from phaselab.grid import DirichletData, make_half_space_grid
     g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
+    data = np.linspace(0, 1, g.shape[0])
+    roles[(1, "low")] = DirichletData(data)
     rng = np.random.default_rng(0)
     fld = ScalarField(g, rng.standard_normal(g.shape), roles)
     base = str(tmp_path / "f")
@@ -110,6 +132,8 @@ def test_field_io_roundtrip(tmp_path):
     back = load_field(base)
     assert back.grid == g
     assert np.array_equal(back.values, fld.values)
+    assert np.array_equal(back.roles[(1, "low")].samples, data)
+    assert back.roles[(0, "high")] == roles[(0, "high")]
 
 
 def test_cli_validate_and_report(tmp_path, capsys):

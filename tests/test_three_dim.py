@@ -21,7 +21,7 @@ from phaselab.families import (
     h_half_seminorm,
     seminorm_constant,
 )
-from phaselab.grid import Ball, HalfBall, make_half_space_grid, region_cells
+from phaselab.grid import make_half_space_grid
 from phaselab.solver import SolveConfig, solve_half_space
 
 
@@ -63,9 +63,6 @@ def test_3d_energy_scaling_identity():
 
 def test_3d_regions_and_levels():
     g, _ = make_half_space_grid(3, 2.0, 0.25, 1.0)
-    ball = Ball((0.0, 0.0, 0.0), 1.0)
-    half = HalfBall((0.0, 0.0, 0.0), 1.0)
-    assert np.array_equal(region_cells(g, ball), region_cells(g, half))
     x, y, z = g.meshgrid()
     u = ScalarField.from_values(
         g, np.tanh((1.0 - np.sqrt(x ** 2 + y ** 2 + z ** 2)) / 0.3))
