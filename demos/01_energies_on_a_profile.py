@@ -35,11 +35,9 @@ print(f"normalizing constant c0 = {c0():.8f}")
 
 # Relax the sampled profile to the discrete stationary state (the samples
 # alone carry an O(spacing^2) stationarity defect).
-init = ScalarField.from_values(grid, profile)
 res = solve_half_space(np.asarray(profile[0] - 1.0), 1.0,
                        standard_potential(), grid,
-                       SolveConfig(residual_tol=1e-10,
-                                   initial_guess="user", user_field=init))
+                       SolveConfig(residual_tol=1e-10), initial=profile)
 print(f"relaxed in {res.iterations} steps, residual {res.residual:.1e}")
 
 # Transport to the physical grid on [0, 10] and evaluate the energies.

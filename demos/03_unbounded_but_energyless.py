@@ -8,7 +8,7 @@ zero because every member is a rescaled stationary solution.
 
 import numpy as np
 
-from phaselab import EpsilonSchedule, SolveConfig, build_family, lp_norm
+from phaselab import EpsilonSchedule, build_family, lp_norm
 
 eps_list = (0.2, 0.12, 0.08)
 thetas = {e: e ** -0.125 for e in eps_list}
@@ -18,7 +18,6 @@ family = build_family(
     EpsilonSchedule(eps_list, theta_of_eps=thetas),
     {"n": 2, "L": 0.4, "unit_spacing": 1 / 12, "base_amplitude": 3.0,
      "residual_tol": 1e-6},
-    cfg=SolveConfig(residual_tol=1e-8),
 )
 
 print("  eps    theta    sup|u|     S_eps       W_eps")

@@ -7,7 +7,7 @@ the origin: the weak-star limit is an atom of size S at one boundary
 point, reached with zero curvature energy at every scale.
 """
 
-from phaselab import EpsilonSchedule, SolveConfig, build_family, concentration_scan
+from phaselab import EpsilonSchedule, build_family, concentration_scan
 
 S = 1.0
 eps_list = (0.3, 0.2, 0.15)
@@ -16,7 +16,6 @@ family = build_family(
     "boundary_atom",
     EpsilonSchedule(eps_list),
     {"n": 2, "S": S, "L": 0.6, "unit_spacing": 1 / 12, "residual_tol": 1e-6},
-    cfg=SolveConfig(residual_tol=1e-8),
 )
 
 print("  eps    theta     S_eps        W_eps")

@@ -10,7 +10,6 @@ import numpy as np
 
 from phaselab import (
     EpsilonSchedule,
-    SolveConfig,
     build_family,
     hausdorff_distance,
     level_set,
@@ -21,7 +20,6 @@ family = build_family(
     "hausdorff_levelset",
     EpsilonSchedule((0.2, 0.12, 0.08)),
     {"n": 2, "L": 0.5, "unit_spacing": 1 / 12, "residual_tol": 1e-6},
-    cfg=SolveConfig(residual_tol=1e-8),
 )
 
 origin = np.zeros(2)

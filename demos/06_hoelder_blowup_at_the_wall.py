@@ -8,7 +8,7 @@ stays flat: interior regularity is immune to wild traces.
 
 import numpy as np
 
-from phaselab import EpsilonSchedule, SolveConfig, build_family, hoelder_quotient
+from phaselab import EpsilonSchedule, build_family, hoelder_quotient
 from phaselab.diagnostics import interior_region_mask
 
 family = build_family(
@@ -16,7 +16,6 @@ family = build_family(
     EpsilonSchedule((0.2, 0.1, 0.05)),
     {"n": 2, "window": 12.0, "points_per_unit_scale": 6.0,
      "residual_tol": 1e-6},
-    cfg=SolveConfig(residual_tol=1e-8),
 )
 
 gamma = 0.5

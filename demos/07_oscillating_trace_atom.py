@@ -9,7 +9,6 @@ above 1 - 2 delta, so the whole construction lives inside [-1, 1].
 
 from phaselab import (
     EpsilonSchedule,
-    SolveConfig,
     build_family,
     build_oscillating_boundary,
     h_half_seminorm,
@@ -33,7 +32,6 @@ family = build_family(
     EpsilonSchedule((0.1,)),
     {"n": 2, "S_prime": S_prime, "delta": delta, "R": 2.0,
      "unit_spacing": 1 / 128, "residual_tol": 1e-6},
-    cfg=SolveConfig(residual_tol=1e-8),
 )
 m = family.members[0]
 print(f"\nminimum of the solution: {m.certificates['min_u']:.4f} "

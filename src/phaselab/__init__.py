@@ -34,7 +34,6 @@ from .families import (
     find_theta_for_mass,
     h_half_seminorm,
     neumann_layer_field,
-    rescale_field,
 )
 from .diagnostics import (
     boundary_layer_mass,

@@ -1,13 +1,13 @@
 """Boundary-data families and epsilon-indexed phase-field constructions.
 
-Each family solves the unit-scale problem once per epsilon and transports
-the solution to the physical grid through ``u_eps(x) = u_unit(x / eps)``.
-The physical grid of a member is the exact ``eps``-scaled image of its
-unit grid, so the transport is the identity on node indices, rescaling is
-exact at every node, and the discrete stationarity defect of the physical
-field is the unit-solve residual divided by eps.  Unit solves therefore
-run at residual tolerance ``eps * residual_tol``, which makes the
-certified bound
+Each family solves the unit-scale problem once per epsilon and reads the
+solution as ``u_eps(x) = u_unit(x / eps)`` on the physical grid, the exact
+``eps``-scaled image of the unit grid.  Node ``i`` of one is node ``i`` of
+the other, so there is no transport step: a member's field shares the
+values array of its unit solve, and the discrete stationarity defect of
+the physical field is the unit-solve residual divided by eps.  Unit solves
+therefore run at residual tolerance ``eps * residual_tol``, which makes
+the certified bound
 
     W_eps(u_eps) <= residual_tol^2 * volume / (c0 * eps)
 
@@ -33,6 +33,7 @@ Family kinds
 
 ``FAMILY_PARAMS`` lists, for each kind, every parameter its builder reads
 with its default; ``build_family`` raises ``ValueError`` on any other key.
+Of the solver settings, the family layer takes only the iteration cap.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ __all__ = [
     "FThetaCache",
     "find_theta_for_mass",
     "build_family",
-    "rescale_field",
     "h_half_seminorm",
     "seminorm_constant",
     "build_oscillating_boundary",
     "neumann_layer_field",
     "FAMILY_KINDS",
     "FAMILY_PARAMS",
+    "BUMP_SHAPES",
 ]
 
 #: Every parameter each family kind reads, with its default.  ``n`` is the
@@ -96,6 +97,9 @@ FAMILY_PARAMS = {
 }
 
 FAMILY_KINDS = tuple(FAMILY_PARAMS)
+
+#: The base profiles ``bump`` can sample.
+BUMP_SHAPES = ("exp_decay", "compact_bump")
 
 
 class BracketFailureError(RuntimeError):
@@ -180,7 +184,7 @@ def bump(grid: Grid, theta: float, shape: str = "exp_decay",
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    if shape not in ("exp_decay", "compact_bump"):
+    if shape not in BUMP_SHAPES:
         raise ValueError(f"unknown bump shape {shape!r}")
     coords = _face_coords(grid)
     r = face_radii(coords)
@@ -237,16 +241,16 @@ def f_of_theta(theta: float, base: BoundaryData, potential: Potential,
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
+    initial = None
     if cache is not None:
         hit = cache.get(theta)
         if hit is not None:
             return hit[0]
-    run_cfg = cfg
-    if cache is not None:
         warm = cache.nearest(theta)
         if warm is not None:
-            run_cfg = replace(cfg, initial_guess="user", user_field=warm.field)
-    result = solve_half_space(theta * base.samples, 1.0, potential, grid, run_cfg)
+            initial = warm.field.values
+    result = solve_half_space(theta * base.samples, 1.0, potential, grid, cfg,
+                              initial=initial)
     if cache is not None:
         cache.insert(theta, result.final_energy, result)
     return result.final_energy
@@ -382,33 +386,11 @@ class CounterexampleFamily:
     params: dict
 
 
-def rescale_field(unit_field: ScalarField, eps: float,
-                  physical_grid: Grid) -> ScalarField:
-    """``u_eps(x) = u_unit(x / eps)`` on the physical grid.
-
-    The physical grid must be exactly the eps-scaled image of the unit
-    grid, as every family member's is: the transport is then the identity
-    on node indices and the values are copied.  Any other grid raises
-    ValueError.
-    """
-    ug = unit_field.grid
-    matched = (physical_grid.shape == ug.shape
-               and abs(physical_grid.spacing - eps * ug.spacing)
-               <= 1e-12 * ug.spacing
-               and all(abs(po - eps * uo) <= 1e-12 * max(1.0, abs(uo))
-                       for po, uo in zip(physical_grid.origin, ug.origin)))
-    if not matched:
-        raise ValueError("the physical grid is not the eps-scaled image of "
-                         "the unit grid")
-    return ScalarField(physical_grid, unit_field.values.copy(),
-                       unit_field.roles)
-
-
 def _member_from_solve(eps: float, parameter, grid: Grid, result: SolveResult,
                        residual_tol_phys: float, sigma=None, S_target=None,
                        extra_certs=None) -> FamilyMember:
     phys_grid = grid.scaled(eps)
-    phys = rescale_field(result.field, eps, phys_grid)
+    phys = ScalarField(phys_grid, result.field.values, result.field.roles)
     energy = EnergyBreakdown.of(phys, eps, sigma, S_target)
     volume = phys_grid.num_nodes * phys_grid.cell_measure
     w_bound = residual_tol_phys ** 2 * volume / (c0() * eps)
@@ -417,7 +399,6 @@ def _member_from_solve(eps: float, parameter, grid: Grid, result: SolveResult,
         "willmore_bound": w_bound,
         "willmore_ok": energy.W_eps <= w_bound,
         "unit_residual": result.residual,
-        "physical_defect": result.residual / eps,
         "mass_bookkeeping_rel": abs(energy.S_eps - book) / max(abs(book), 1e-300),
         "sup_u": float(np.max(phys.values)),
         "min_u": float(np.min(phys.values)),
@@ -427,20 +408,20 @@ def _member_from_solve(eps: float, parameter, grid: Grid, result: SolveResult,
     return FamilyMember(eps, parameter, grid, result, phys, energy, certs)
 
 
-def _half_space_unit_grid(n: int, R: float, unit_spacing: float):
+def _half_space_unit_grid(n: int, R: float, unit_spacing: float) -> Grid:
     m = max(4, round(R / unit_spacing))
-    return make_half_space_grid(n, m * unit_spacing, unit_spacing, 1.0)
+    return make_half_space_grid(n, m * unit_spacing, unit_spacing, 1.0)[0]
 
 
 def build_family(kind: str, schedule: EpsilonSchedule, params: dict,
-                 cfg: SolveConfig | None = None,
+                 max_iterations: int = 400,
                  workers: int = 1) -> CounterexampleFamily:
     """Construct one counterexample family over the epsilon schedule.
 
     ``params`` may set any key of ``FAMILY_PARAMS[kind]``; the rest keep
     their defaults, and any other key raises ValueError.  Unit solves run
-    at ``eps * params["residual_tol"]``; of ``cfg`` they use the iteration
-    budget and the linear-solver settings.
+    at ``eps * params["residual_tol"]`` and stop with NonConvergenceError
+    after ``max_iterations`` iterations.
 
     Members are independent across epsilon and are built on up to
     ``workers`` threads; the returned tuple is always ordered by the
@@ -454,7 +435,7 @@ def build_family(kind: str, schedule: EpsilonSchedule, params: dict,
         raise ValueError(f"unknown {kind} params {unknown}; expected keys "
                          f"from {sorted(defaults)}")
     params = {**defaults, **params}
-    cfg = cfg or SolveConfig()
+    cfg = SolveConfig(max_iterations=max_iterations)
     n = int(params["n"])
     tol_phys = float(params["residual_tol"])
     builder = {
@@ -478,8 +459,7 @@ def _map_members(fn, eps_list, workers: int):
 
 
 def _solve_cfg(cfg: SolveConfig, eps: float, tol_phys: float) -> SolveConfig:
-    return replace(cfg, residual_tol=eps * tol_phys,
-                   initial_guess="boundary_extension", user_field=None)
+    return replace(cfg, residual_tol=eps * tol_phys)
 
 
 def _build_unbounded(schedule, params, n, tol_phys, cfg, workers):
@@ -498,7 +478,7 @@ def _build_unbounded(schedule, params, n, tol_phys, cfg, workers):
 
     def build_one(eps):
         th = schedule.theta(eps)
-        g, _ = _half_space_unit_grid(n, L / eps, hu)
+        g = _half_space_unit_grid(n, L / eps, hu)
         base = bump(g, 1.0, shape=shape, amplitude=amp)
         res = solve_half_space(th * base.samples, 1.0, pot, g,
                                _solve_cfg(cfg, eps, tol_phys))
@@ -526,7 +506,7 @@ def _build_boundary_atom(schedule, params, n, tol_phys, cfg, workers):
 
     def build_one(eps):
         # the theta -> energy cache is grid-specific, hence per member
-        g, _ = _half_space_unit_grid(n, L / eps, hu)
+        g = _half_space_unit_grid(n, L / eps, hu)
         base = bump(g, 1.0, shape="exp_decay", amplitude=amp, width=support)
         member_cache = FThetaCache()
         th = find_theta_for_mass(c0() * S, eps, n, base, pot, g,
@@ -563,7 +543,7 @@ def _build_hausdorff(schedule, params, n, tol_phys, cfg, workers):
     pot = standard_potential()
 
     def build_one(eps):
-        g, _ = _half_space_unit_grid(n, L / eps, hu)
+        g = _half_space_unit_grid(n, L / eps, hu)
         base = bump(g, 1.0, shape="compact_bump", amplitude=2.0)
         peak = float(np.max(base.samples))
         if abs(peak - 2.0) > 1e-9:
@@ -590,9 +570,7 @@ def _build_hoelder(schedule, params, n, tol_phys, cfg, workers):
                     width=1.0 / om)
         res = solve_half_space(-base.samples, 1.0, pot, g,
                                _solve_cfg(cfg, eps, tol_phys))
-        return _member_from_solve(
-            eps, om, g, res, tol_phys,
-            extra_certs={"window": B, "unit_spacing": hu})
+        return _member_from_solve(eps, om, g, res, tol_phys)
 
     return _map_members(build_one, schedule.eps_list, workers)
 
@@ -605,16 +583,14 @@ def _build_oscillation(schedule, params, n, tol_phys, cfg, workers):
     pot = modified_floor_potential(delta)
 
     def build_one(eps):
-        g, _ = _half_space_unit_grid(n, R, hu)
+        g = _half_space_unit_grid(n, R, hu)
         data = build_oscillating_boundary(S_prime, delta, g)
         res = solve_half_space(-data.samples, 1.0, pot, g,
                                _solve_cfg(cfg, eps, tol_phys))
         return _member_from_solve(
             eps, data.meta["frequency"], g, res, tol_phys,
             extra_certs={"seminorm": data.meta["seminorm"],
-                         "dirichlet_energy": dirichlet_part(res.field),
-                         "delta": delta,
-                         "floor_level": 1.0 - 2.0 * delta})
+                         "dirichlet_energy": dirichlet_part(res.field)})
 
     return _map_members(build_one, schedule.eps_list, workers)
 

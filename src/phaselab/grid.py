@@ -33,6 +33,7 @@ __all__ = [
     "GridBudgetError",
     "GridMismatchError",
     "face_radii",
+    "half_space_roles",
     "make_half_space_grid",
     "region_cells",
     "region_cell_count",
@@ -302,14 +303,16 @@ def make_half_space_grid(n: int, R: float, spacing: float, far_value: float,
 
     origin = tuple([-R] * (n - 1) + [0.0])
     grid = Grid(shape, float(spacing), origin)
+    return grid, half_space_roles(grid, np.zeros(shape[:-1]), far_value)
 
-    roles = {}
-    for a in range(n):
-        for s in (LOW, HIGH):
-            roles[(a, s)] = DirichletConstant(float(far_value))
-    face_shape = tuple(shape[:-1])
-    roles[(n - 1, LOW)] = DirichletData(np.zeros(face_shape))
-    return grid, roles
+
+def half_space_roles(grid: Grid, trace: np.ndarray, far_value: float) -> dict:
+    """Face roles of a truncated half-space: ``trace`` on the flat face
+    ``x_n = 0`` (last axis, low side), ``far_value`` on every other face."""
+    roles = {(a, s): DirichletConstant(float(far_value))
+             for a in range(grid.n) for s in (LOW, HIGH)}
+    roles[(grid.n - 1, LOW)] = DirichletData(np.asarray(trace, dtype=float))
+    return roles
 
 
 def face_radii(coords: tuple) -> np.ndarray:

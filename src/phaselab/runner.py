@@ -38,8 +38,8 @@ from .diagnostics import (
 )
 from .energy import (EnergyBreakdown, ScalarField, c0, density_fields,
                      standard_potential)
-from .families import (FAMILY_PARAMS, EpsilonSchedule, build_family,
-                       neumann_layer_field)
+from .families import (BUMP_SHAPES, FAMILY_PARAMS, EpsilonSchedule,
+                       build_family, neumann_layer_field)
 from .fieldio import save_field
 from .grid import make_half_space_grid
 from .solver import SolveConfig, solve_half_space
@@ -271,9 +271,27 @@ def validate(config: dict) -> list[str]:
         errors.append("S must be positive")
     if name == "penalty_zero" and p["sigma"] < 0:
         errors.append("sigma must be >= 0")
-    for key in ("L", "unit_spacing", "window", "R"):
+    for key in ("L", "unit_spacing", "window", "R", "points_per_unit_scale",
+                "base_support", "base_amplitude", "residual_tol"):
         if key in p and p[key] <= 0:
-            errors.append(f"params.{key} must be positive")
+            errors.append(f"params.{key} must be positive, got {p[key]!r}")
+    for key in ("slope_window", "interfaces"):
+        if key in p and len(p[key]) != 2:
+            errors.append(f"params.{key} must have exactly 2 entries, got "
+                          f"{p[key]!r}")
+    if "base_shape" in p and p["base_shape"] not in BUMP_SHAPES:
+        errors.append(f"params.base_shape must be one of {BUMP_SHAPES}, got "
+                      f"{p['base_shape']!r}")
+    if "probe_radii" in p:
+        if not p["probe_radii"]:
+            errors.append("params.probe_radii must be non-empty")
+        elif p["concentration_radius"] not in p["probe_radii"]:
+            errors.append("params.concentration_radius must be one of "
+                          f"params.probe_radii {p['probe_radii']!r}, got "
+                          f"{p['concentration_radius']!r}")
+    if "level_band" in p and not 0.0 < p["level_band"] < 1.0:
+        errors.append(f"params.level_band must lie in (0, 1), got "
+                      f"{p['level_band']!r}")
     return errors
 
 
@@ -315,10 +333,9 @@ def _family(cfg, kind, theta_of_eps=None, **extra):
     params = {k: v for k, v in cfg["params"].items()
               if k in FAMILY_PARAMS[kind]}
     sched = EpsilonSchedule(tuple(cfg["eps_list"]), theta_of_eps)
-    return build_family(
-        kind, sched, {"n": cfg["n"], **params, **extra},
-        cfg=SolveConfig(max_iterations=cfg["solver"]["max_iterations"]),
-        workers=cfg["workers"])
+    return build_family(kind, sched, {"n": cfg["n"], **params, **extra},
+                        max_iterations=cfg["solver"]["max_iterations"],
+                        workers=cfg["workers"])
 
 
 def run_tanh_calibration(cfg):
@@ -331,11 +348,9 @@ def run_tanh_calibration(cfg):
     gu, _ = make_half_space_grid(1, length / eps, spacing / eps, 1.0)
     y = gu.axis_coords(0)
     profile = np.tanh((y - x0 / eps) / math.sqrt(2.0))
-    init = ScalarField.from_values(gu, profile)
-    scfg = SolveConfig(residual_tol=1e-10 if eps >= 0.05 else 1e-9,
-                       initial_guess="user", user_field=init)
+    scfg = SolveConfig(residual_tol=1e-10 if eps >= 0.05 else 1e-9)
     res = solve_half_space(np.asarray(profile[0] - 1.0), 1.0,
-                           standard_potential(), gu, scfg)
+                           standard_potential(), gu, scfg, initial=profile)
 
     gp = gu.scaled(eps)
     raw = ScalarField(gp, np.tanh((gp.axis_coords(0) - x0)
@@ -453,7 +468,7 @@ def run_boundary_atom(cfg):
         _check("atom.theta_polynomial",
                "theta grows at most polynomially in 1/eps (finite fitted "
                "log-log slope)",
-               fam.members[0].certificates.get("theta_growth_slope", 0.0),
+               fam.members[0].certificates["theta_growth_slope"],
                "<=", 8.0),
     ]
     r1, r2 = (float(p["probe_radii"][0]),
@@ -477,8 +492,8 @@ def _f_bound_margins(fam):
     worst_pair = -np.inf
     worst_trace = np.inf
     for m in fam.members:
-        pairs = m.certificates.get("f_pairs", [])
-        trace_sq = m.certificates.get("trace_norm_sq", 0.0)
+        pairs = m.certificates["f_pairs"]
+        trace_sq = m.certificates["trace_norm_sq"]
         for th, fv in pairs:
             worst_trace = min(worst_trace,
                               (fv - th * th * trace_sq) / max(fv, 1e-300))

@@ -31,10 +31,18 @@ orthonormal type-I discrete sine transform diagonalizes ``A`` exactly
 ``u+ = u - (s I + A)^{-1} r``, costs one forward and one inverse DST-I.
 Newton systems ``(A + diag(max(W'', 0))) d = -r`` are solved by ``cg``,
 phaselab's own preconditioned conjugate-gradient loop (SciPy's recurrence,
-bit for bit, on plain callables), at relative tolerance ``linear_rtol``,
+bit for bit, on plain callables), at relative tolerance ``LINEAR_RTOL``,
 preconditioned by the DST solve of ``A + mean(diag) I``; only should CG
 fail is ``A`` assembled as a sparse matrix, for a direct factorization.
+Newton steps start after ``NEWTON_BURN_IN`` semi-implicit iterations.
 The stopping rule is the sup-norm residual on interior nodes.
+
+``solve_half_space`` is the one entry point.  ``SolveConfig`` holds the
+stopping rule (``residual_tol``, ``max_iterations``); the start field is
+the ``initial`` argument, an array of nodal values on the grid (default:
+the boundary extension ``far + (trace - far) e^(-x_n)``).  The face data
+replace its face layers, so a previous solution on the same grid is a
+warm start.
 """
 
 from __future__ import annotations
@@ -48,16 +56,7 @@ from scipy.sparse.linalg import splu
 
 from .energy import (Potential, ScalarField, STANDARD, half_space_energy,
                      interior_laplacian)
-from .grid import (
-    LOW,
-    HIGH,
-    DirichletConstant,
-    DirichletData,
-    Grid,
-    apply_dirichlet,
-    check_roles,
-    face_radii,
-)
+from .grid import Grid, apply_dirichlet, face_radii, half_space_roles
 
 __all__ = [
     "SolveConfig",
@@ -65,14 +64,22 @@ __all__ = [
     "NonConvergenceError",
     "InvalidBoundaryError",
     "solve_half_space",
-    "solve_dirichlet_problem",
     "residual_field",
     "uniqueness_check",
     "UniquenessReport",
     "comparison_check",
     "ComparisonReport",
     "boundary_extension",
+    "LINEAR_RTOL",
+    "NEWTON_BURN_IN",
 ]
+
+#: Relative tolerance of the conjugate-gradient solve of each Newton
+#: system; the semi-implicit systems are solved exactly.
+LINEAR_RTOL = 1e-10
+#: Semi-implicit iterations before the first Newton step.
+NEWTON_BURN_IN = 2
+
 
 class InvalidBoundaryError(ValueError):
     """Boundary samples are not finite."""
@@ -93,38 +100,20 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs.
-
-    ``residual_tol`` is the sup-norm of the discrete ``-lap(u) + W'(u)``
-    over interior nodes.  ``initial_guess`` is one of
-    ``"boundary_extension"`` (default, ``far + (trace - far) e^(-x_n)``),
-    ``"constant_one"`` (constant far-field value) or ``"user"`` together
-    with ``user_field``.  ``linear_rtol`` is the relative tolerance of the
-    conjugate-gradient solve of each Newton system; the semi-implicit
-    systems are solved exactly and do not use it.
-    """
+    """Stopping rule of a solve: the sup-norm of the discrete
+    ``-lap(u) + W'(u)`` over interior nodes must reach ``residual_tol``
+    within ``max_iterations`` iterations."""
 
     residual_tol: float = 1e-9
     max_iterations: int = 400
-    initial_guess: str = "boundary_extension"
-    user_field: ScalarField | None = None
-    linear_rtol: float = 1e-10
-    newton_burn_in: int = 2
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if not 0.0 < self.linear_rtol < 1.0:
+        if not self.residual_tol > 0:
             raise ValueError(
-                f"linear_rtol must lie in (0, 1), got {self.linear_rtol!r}")
-        for key in ("max_iterations", "newton_burn_in"):
-            if getattr(self, key) < 0:
-                raise ValueError(
-                    f"{key} must be non-negative, got {getattr(self, key)!r}")
-        if self.initial_guess not in ("boundary_extension", "constant_one", "user"):
-            raise ValueError(f"unknown initial guess policy {self.initial_guess!r}")
-        if self.initial_guess == "user" and self.user_field is None:
-            raise ValueError("initial_guess='user' requires user_field")
+                f"residual_tol must be positive, got {self.residual_tol!r}")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative, got "
+                             f"{self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -151,12 +140,6 @@ class _DirichletProblem:
     """Interior-node view of A = -lap_h with eliminated Dirichlet layers."""
 
     def __init__(self, grid: Grid, roles: dict, potential: Potential):
-        check_roles(grid, roles)
-        for face, role in roles.items():
-            if not isinstance(role, (DirichletData, DirichletConstant)):
-                raise ValueError(
-                    f"solver requires Dirichlet faces everywhere, face {face} "
-                    f"has {type(role).__name__}")
         self.grid = grid
         self.roles = roles
         self.potential = potential
@@ -293,21 +276,39 @@ def boundary_extension(grid: Grid, trace: np.ndarray, far_value: float) -> np.nd
     return far_value + (t - far_value)[..., np.newaxis] * decay
 
 
-def _half_space_roles(grid: Grid, trace: np.ndarray, far_value: float) -> dict:
-    roles = {(a, s): DirichletConstant(float(far_value))
-             for a in range(grid.n) for s in (LOW, HIGH)}
-    roles[(grid.n - 1, LOW)] = DirichletData(np.asarray(trace, dtype=float))
-    return roles
-
-
 # --------------------------------------------------------------------------
 # main solver
 # --------------------------------------------------------------------------
 
-def solve_dirichlet_problem(grid: Grid, roles: dict, potential: Potential,
-                            cfg: SolveConfig,
-                            initial: np.ndarray) -> SolveResult:
-    """Minimize the discrete energy with all faces Dirichlet-pinned."""
+def solve_half_space(h_samples: np.ndarray, far_value: float,
+                     potential: Potential, grid: Grid,
+                     cfg: SolveConfig | None = None,
+                     initial: np.ndarray | None = None) -> SolveResult:
+    """Minimize F over fields with trace ``far_value + h`` on the flat face.
+
+    ``h_samples`` are the nodal samples of the boundary bump on the
+    ``x_n = 0`` face (shape = tangential node shape; pass negated samples
+    for the ``1 - h`` constructions).  All remaining faces are pinned to
+    ``far_value``.  ``initial`` is the start field, an array of nodal
+    values on ``grid`` whose face layers are replaced by the face data;
+    None starts from the boundary extension.
+    """
+    cfg = cfg or SolveConfig()
+    h_arr = np.asarray(h_samples, dtype=float)
+    if not np.all(np.isfinite(h_arr)):
+        raise InvalidBoundaryError("boundary samples contain non-finite values")
+    face_shape = tuple(grid.shape[:-1])
+    if h_arr.shape != face_shape:
+        raise InvalidBoundaryError(
+            f"boundary samples shape {h_arr.shape} != face shape {face_shape}")
+    trace = far_value + h_arr
+    if initial is None:
+        initial = boundary_extension(grid, trace, far_value)
+    elif np.shape(initial) != grid.shape or not np.all(np.isfinite(initial)):
+        raise ValueError("initial must be a finite array of the grid shape "
+                         f"{grid.shape}, got shape {np.shape(initial)}")
+
+    roles = half_space_roles(grid, trace, far_value)
     prob = _DirichletProblem(grid, roles, potential)
     u_full = apply_dirichlet(np.asarray(initial, dtype=float), grid, roles)
 
@@ -337,10 +338,10 @@ def solve_dirichlet_problem(grid: Grid, roles: dict, potential: Potential,
         accepted = False
         u_int = prob.interior(u_full)
 
-        if iterations >= cfg.newton_burn_in:
+        if iterations >= NEWTON_BURN_IN:
             tried_newton = True
             delta = prob.newton_solve(potential.second_derivative(u_int), -r,
-                                      cfg.linear_rtol)
+                                      LINEAR_RTOL)
             t = 1.0
             for _ in range(6):
                 cand = prob.embed(u_int + t * delta, u_full)
@@ -399,39 +400,6 @@ def _finish(prob, u_full, trace_vals, res, iterations, converged):
     )
 
 
-def solve_half_space(h_samples, far_value: float, potential: Potential,
-                     grid: Grid, cfg: SolveConfig | None = None) -> SolveResult:
-    """Minimize F over fields with trace ``far_value + h`` on the flat face.
-
-    ``h_samples`` are the nodal samples of the boundary bump on the
-    ``x_n = 0`` face (shape = tangential node shape; pass negated samples
-    for the ``1 - h`` constructions).  All remaining faces are pinned to
-    ``far_value``.
-    """
-    cfg = cfg or SolveConfig()
-    h_arr = np.asarray(getattr(h_samples, "samples", h_samples), dtype=float)
-    if not np.all(np.isfinite(h_arr)):
-        raise InvalidBoundaryError("boundary samples contain non-finite values")
-    face_shape = tuple(grid.shape[:-1])
-    if h_arr.shape != face_shape:
-        raise InvalidBoundaryError(
-            f"boundary samples shape {h_arr.shape} != face shape {face_shape}")
-
-    trace = far_value + h_arr
-    roles = _half_space_roles(grid, trace, far_value)
-
-    if cfg.initial_guess == "boundary_extension":
-        init = boundary_extension(grid, trace, far_value)
-    elif cfg.initial_guess == "constant_one":
-        init = np.full(grid.shape, float(far_value))
-    else:
-        uf = cfg.user_field
-        if uf.grid != grid:
-            raise ValueError("user initial guess lives on a different grid")
-        init = uf.values
-    return solve_dirichlet_problem(grid, roles, potential, cfg, init)
-
-
 # --------------------------------------------------------------------------
 # residual and certified checks
 # --------------------------------------------------------------------------
@@ -454,7 +422,7 @@ class UniquenessReport:
         return self.status == "unique"
 
 
-def uniqueness_check(h_samples, potential: Potential, grid: Grid,
+def uniqueness_check(h_samples: np.ndarray, potential: Potential, grid: Grid,
                      cfg: SolveConfig | None = None,
                      far_value: float = 1.0) -> UniquenessReport:
     """Solve from two different initial guesses and compare.
@@ -465,17 +433,14 @@ def uniqueness_check(h_samples, potential: Potential, grid: Grid,
     check reports ``not_applicable``.
     """
     cfg = cfg or SolveConfig()
-    h_arr = np.asarray(getattr(h_samples, "samples", h_samples), dtype=float)
+    h_arr = np.asarray(h_samples, dtype=float)
     monotone = (potential.kind == "modified_floor") or np.all(h_arr >= 0.0)
     if not monotone:
         return UniquenessReport(status="not_applicable")
 
-    r1 = solve_half_space(h_arr, far_value, potential, grid,
-                          replace(cfg, initial_guess="constant_one",
-                                  user_field=None))
-    r2 = solve_half_space(h_arr, far_value, potential, grid,
-                          replace(cfg, initial_guess="boundary_extension",
-                                  user_field=None))
+    r1 = solve_half_space(h_arr, far_value, potential, grid, cfg,
+                          initial=np.full(grid.shape, far_value))
+    r2 = solve_half_space(h_arr, far_value, potential, grid, cfg)
     diff = float(np.max(np.abs(r1.field.values - r2.field.values)))
     tol = 10.0 * cfg.residual_tol
     return UniquenessReport(status="unique" if diff <= tol else "distinct",
@@ -491,7 +456,8 @@ class ComparisonReport:
     decay_max_violation: float | None = None
 
 
-def comparison_check(theta: float, h_samples, potential: Potential, grid: Grid,
+def comparison_check(theta: float, h_samples: np.ndarray,
+                     potential: Potential, grid: Grid,
                      cfg: SolveConfig | None = None) -> ComparisonReport:
     """Check the scaled-comparison bound ``u_theta <= 1 + theta (u_1 - 1)``.
 
@@ -504,7 +470,7 @@ def comparison_check(theta: float, h_samples, potential: Potential, grid: Grid,
     if theta < 1.0:
         raise ValueError(f"theta must be >= 1, got {theta}")
     cfg = cfg or SolveConfig()
-    h_arr = np.asarray(getattr(h_samples, "samples", h_samples), dtype=float)
+    h_arr = np.asarray(h_samples, dtype=float)
 
     r1 = solve_half_space(h_arr, 1.0, potential, grid, cfg)
     rt = solve_half_space(theta * h_arr, 1.0, potential, grid, cfg)

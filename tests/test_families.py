@@ -21,7 +21,7 @@ from phaselab.families import (
     seminorm_constant,
 )
 from phaselab.grid import Grid, NeumannZero, make_half_space_grid
-from phaselab.solver import SolveConfig
+from phaselab.solver import NonConvergenceError, SolveConfig
 
 P = standard_potential()
 
@@ -192,8 +192,7 @@ def test_small_unbounded_family_certificates():
     fam = build_family(
         "unbounded", EpsilonSchedule(eps_list, theta_of_eps=thetas),
         {"n": 2, "L": 0.4, "unit_spacing": 0.125, "base_amplitude": 2.0,
-         "residual_tol": 1e-6},
-        cfg=SolveConfig(residual_tol=1e-8))
+         "residual_tol": 1e-6})
     assert len(fam.members) == 2
     for m in fam.members:
         assert m.certificates["willmore_ok"]
@@ -203,6 +202,12 @@ def test_small_unbounded_family_certificates():
         # physical grid is the exact scaled image
         assert m.field.grid.shape == m.unit_grid.shape
         assert np.array_equal(m.field.values, m.unit_result.field.values)
+
+
+def test_iteration_cap_reaches_the_unit_solves():
+    with pytest.raises(NonConvergenceError):
+        build_family("hausdorff_levelset", EpsilonSchedule((0.2,)),
+                     {"L": 0.4, "unit_spacing": 0.25}, max_iterations=0)
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,10 @@ from phaselab.grid import (
     GridMismatchError,
     SuperLevel,
     WholeDomain,
+    half_space_roles,
     make_half_space_grid,
     region_cell_count,
+    roles_to_dict,
     region_cells,
     tail_bound,
     truncation_radius,
@@ -38,6 +40,14 @@ def test_half_space_2d_example():
     assert isinstance(roles[(1, "low")], DirichletData)
     for face in ((0, "low"), (0, "high"), (1, "high")):
         assert isinstance(roles[face], DirichletConstant)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_half_space_grid_roles_match_the_role_builder(n):
+    g, roles = make_half_space_grid(n, 2.0, 0.25, 0.5)
+    built = half_space_roles(g, np.zeros(g.shape[:-1]), 0.5)
+    assert list(roles_to_dict(roles).items()) \
+        == list(roles_to_dict(built).items())
 
 
 def test_node_coords_by_multiplication():

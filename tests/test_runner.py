@@ -214,6 +214,37 @@ def test_validate_rejects_unknown_keys(config, key):
     assert any(f"unknown key {key};" in e for e in errs)
 
 
+@pytest.mark.parametrize("experiment, params, key", [
+    ("boundary_atom", {"probe_radii": []}, "params.probe_radii"),
+    ("boundary_atom", {"concentration_radius": 0.3},
+     "params.concentration_radius"),
+    ("unbounded", {"slope_window": [0.3]}, "params.slope_window"),
+    ("unbounded", {"slope_window": [0.3, 0.5, 0.7]}, "params.slope_window"),
+    ("neumann_layer", {"interfaces": [0.7]}, "params.interfaces"),
+    ("unbounded", {"base_shape": "foo"}, "params.base_shape"),
+    ("hoelder_blowup", {"points_per_unit_scale": -1},
+     "params.points_per_unit_scale"),
+    ("boundary_atom", {"base_support": -1}, "params.base_support"),
+    ("unbounded", {"base_amplitude": 0.0}, "params.base_amplitude"),
+    ("penalty_zero", {"base_amplitude": -0.5}, "params.base_amplitude"),
+    ("hausdorff_levelset", {"residual_tol": 0}, "params.residual_tol"),
+    ("hausdorff_levelset", {"level_band": 0.0}, "params.level_band"),
+    ("hausdorff_levelset", {"level_band": 1.0}, "params.level_band"),
+])
+def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
+                                                  tmp_path, monkeypatch):
+    from phaselab.solver import _DirichletProblem
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started on an invalid config")
+    monkeypatch.setattr(_DirichletProblem, "__init__", no_solve)
+    cfg = {"experiment": experiment, "params": params}
+    errs = validate(cfg)
+    assert len(errs) == 1 and errs[0].startswith(key + " ")
+    with pytest.raises(ValueError, match="invalid config: " + key):
+        run({**cfg, "output_dir": str(tmp_path)})
+
+
 def test_validate_rejects_negative_max_iterations():
     errs = validate({"experiment": "boundary_atom",
                      "solver": {"max_iterations": -1}})
@@ -277,23 +308,3 @@ def test_load_field_rejects_unknown_format(tmp_path):
         load_field(str(base))
 
 
-def test_rescale_field_outside_unit_domain():
-    from phaselab.energy import ScalarField
-    from phaselab.families import rescale_field
-    from phaselab.grid import Grid, make_half_space_grid
-    g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    u = ScalarField.from_values(g, np.ones(g.shape))
-    too_wide = Grid((41, 11), 0.25, (-5.0, 0.0))
-    with pytest.raises(ValueError):
-        rescale_field(u, 1.0, too_wide)
-
-
-def test_solver_requires_dirichlet_faces():
-    from phaselab.energy import standard_potential
-    from phaselab.grid import NeumannZero, make_half_space_grid
-    from phaselab.solver import SolveConfig, solve_dirichlet_problem
-    g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    roles[(0, "low")] = NeumannZero()
-    with pytest.raises(ValueError):
-        solve_dirichlet_problem(g, roles, standard_potential(), SolveConfig(),
-                                np.ones(g.shape))

@@ -10,10 +10,12 @@ from phaselab.energy import (
     half_space_energy,
     standard_potential,
 )
-from phaselab.grid import make_half_space_grid
+from dataclasses import fields
+
+from phaselab.grid import half_space_roles, make_half_space_grid
 from phaselab.solver import (
     _DirichletProblem,
-    _half_space_roles,
+    LINEAR_RTOL,
     InvalidBoundaryError,
     NonConvergenceError,
     SolveConfig,
@@ -178,8 +180,7 @@ def test_non_convergence_flags_best_iterate():
     h = 6.0 * exp_base(g.axis_coords(0))
     with pytest.raises(NonConvergenceError) as err:
         solve_half_space(h, 1.0, P, g,
-                         SolveConfig(residual_tol=1e-12, max_iterations=1,
-                                     newton_burn_in=5))
+                         SolveConfig(residual_tol=1e-12, max_iterations=1))
     best = err.value.result
     assert not best.converged
     assert best.residual > 1e-12
@@ -193,6 +194,29 @@ def test_invalid_boundary():
         solve_half_space(bad, 1.0, P, g, SolveConfig())
     with pytest.raises(InvalidBoundaryError):
         solve_half_space(np.zeros(5), 1.0, P, g, SolveConfig())
+
+
+def test_warm_start_from_a_solution_takes_no_iteration():
+    g, _ = make_half_space_grid(2, 6.0, 0.125, 1.0)
+    h = 2.0 * exp_base(g.axis_coords(0))
+    cfg = SolveConfig(residual_tol=1e-9)
+    res = solve_half_space(h, 1.0, P, g, cfg)
+    warm = solve_half_space(h, 1.0, P, g, cfg, initial=res.field.values)
+    assert warm.iterations == 0 and warm.converged
+    assert np.array_equal(warm.field.values, res.field.values)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (49, 24), (49,)])
+def test_initial_of_the_wrong_shape_is_rejected(shape):
+    g, _ = make_half_space_grid(2, 6.0, 0.25, 1.0)
+    with pytest.raises(ValueError, match="initial"):
+        solve_half_space(np.zeros(g.shape[0]), 1.0, P, g, SolveConfig(),
+                         initial=np.ones(shape))
+
+
+def test_solve_config_holds_only_the_stopping_rule():
+    assert [f.name for f in fields(SolveConfig)] == ["residual_tol",
+                                                     "max_iterations"]
 
 
 def test_truncation_stability():
@@ -213,7 +237,7 @@ def test_truncation_stability():
 
 def _problem(n, R, spacing):
     g, _ = make_half_space_grid(n, R, spacing, 1.0)
-    roles = _half_space_roles(g, np.ones(g.shape[:-1]), 1.0)
+    roles = half_space_roles(g, np.ones(g.shape[:-1]), 1.0)
     return _DirichletProblem(g, roles, P)
 
 
@@ -261,7 +285,7 @@ def test_newton_cg_matches_sparse_direct(n, R, spacing):
     w2 = rng.uniform(-1.0, 66.0, prob.n_int)
     H = (prob.sparse_matrix() + sp.diags(np.maximum(w2, 0.0))).tocsc()
     exact = splu(H).solve(rhs)
-    rtol = SolveConfig().linear_rtol
+    rtol = LINEAR_RTOL
     x = prob.newton_solve(w2, rhs, rtol)
     assert np.linalg.norm(H @ x - rhs) <= rtol * np.linalg.norm(rhs)
     # the error is at most cond(H) times the relative residual; cond(H) is
@@ -291,7 +315,7 @@ def test_cg_matches_scipy_cg_bitwise(n, R, spacing, monkeypatch):
     rng = np.random.default_rng(50 + n)
     rhs = rng.standard_normal(prob.n_int)
     w2 = rng.uniform(-1.0, 66.0, prob.n_int)
-    rtol = SolveConfig().linear_rtol
+    rtol = LINEAR_RTOL
     x_ref, info_ref, steps = _scipy_newton_cg(prob, w2, rhs, rtol)
 
     calls = []
@@ -334,8 +358,7 @@ def test_cg_zero_right_hand_side():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"linear_rtol": 0.0}, {"linear_rtol": 1.0}, {"linear_rtol": math.nan},
-    {"max_iterations": -1}, {"newton_burn_in": -1},
+    {"max_iterations": -1}, {"residual_tol": 0}, {"residual_tol": math.nan},
 ])
 def test_solve_config_rejects_out_of_range_values(kwargs):
     key = next(iter(kwargs))
