@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ScalarField, density_fields
-from .grid import Ball, Complement, Grid, Region, SuperLevel, region_cells
+from .energy import EnergyBreakdown, ScalarField, density_fields
+from .grid import Ball, Complement, Grid, Region, region_cells
 
 __all__ = [
     "EmptySetError",
@@ -45,17 +45,14 @@ def region_mass(density: ScalarField, region: Region) -> float:
     return float(np.sum(density.values[mask])) * density.grid.cell_measure
 
 
-def boundary_layer_mass(u: ScalarField, mu: ScalarField,
+def boundary_layer_mass(u: ScalarField, eps: float,
                         theta: float = 1.0) -> float:
-    """Diffuse mass of the excess set ``{|u| >= theta}``, theta >= 1.
-
-    ``mu`` is the mass density of ``u``, the first array of
-    ``density_fields(u, eps)``.
-    """
+    """Diffuse mass of the excess set ``{|u| >= theta}``, theta >= 1: the
+    mass density of u at eps summed over that set, without a full-size
+    density array (``EnergyBreakdown.of`` with theta)."""
     if theta < 1.0:
         raise ValueError(f"theta must be >= 1, got {theta}")
-    region = SuperLevel(theta, u.values, u.grid, absolute=True)
-    return region_mass(mu, region)
+    return EnergyBreakdown.of(u, eps, theta=theta).excess_mass
 
 
 @dataclass(frozen=True)

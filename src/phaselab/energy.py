@@ -12,25 +12,31 @@ normalization ``c0 = integral of sqrt(2 W) over (-1, 1) = 2 sqrt(2) / 3``):
   ``F(u) = sum_cells [ |grad u|^2 / 2 + W(u) ] h^n``  (no 1/c0 factor)
 * ``penalized_functional``: ``W_eps + eps^(-sigma) (S_eps - S_target)^2``
 
-``density_fields`` returns per-cell densities whose region sums reproduce
-the energies with identical summands.  Gradients are centered in the
-interior and one-sided second order at faces.  The curvature density is
-the squared defect of the discrete stationarity equation; it is set to
-zero on Dirichlet-constrained face layers, where no equation is imposed
-(the continuum density there sits on a node layer of measure O(h), which
-the cell-sum quadrature is free to drop at its accuracy order).
+``density_fields`` returns per-cell densities whose region sums are the
+energies up to summation order.  Gradients are centered in the interior
+and one-sided second order at faces.  The curvature density is the
+squared defect of the discrete stationarity equation; it is set to zero
+on Dirichlet-constrained face layers, where no equation is imposed (the
+continuum density there sits on a node layer of measure O(h), which the
+cell-sum quadrature is free to drop at its accuracy order).
 
 The densities are evaluated in slabs of at most ``SLAB_NODES`` nodes,
 each a run of axis-0 layers that reads one neighbouring layer on either
 side; only the grid's own first and last layers get the one-sided face
 stencils.  Every node sees the same arithmetic whatever the slab size, so
-the densities are bit-identical to a one-slab evaluation, and the two
-density arrays are the only full-size allocations.  ``W'(s)`` enters the
-curvature density as ``s (s^2 - 1)``, which multiplies instead of taking a
-generic power.
+the densities are bit-identical to a one-slab evaluation.  ``W'(s)``
+enters the curvature density as ``s (s^2 - 1)``, which multiplies instead
+of taking a generic power.
 
-Summation is plain row-major ``np.sum`` over the full density arrays, so
-energies are bit-reproducible for fixed inputs on a given platform.
+Summation order: the energies (``modica_mortola``, ``willmore_eps``,
+``EnergyBreakdown.of`` and its excess mass) never build a full-size
+density array.  Each slab's densities are summed pairwise by ``np.sum``,
+and the per-slab partials are combined with ``math.fsum`` in slab order.
+The slabs are fixed by the grid and ``SLAB_NODES`` alone, so energies are
+bit-reproducible for fixed inputs on a given platform, whatever number of
+threads the slabs are mapped over.  On a grid that fits in one slab they
+equal ``np.sum`` of the ``density_fields`` arrays bit for bit; on larger
+grids the two orders agree to rounding.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from .grid import (
     NeumannZero,
     check_roles,
     default_roles,
-    face_slice,
 )
 
 __all__ = [
@@ -309,52 +314,109 @@ def laplacian(u: ScalarField) -> ScalarField:
 # energies and densities
 # --------------------------------------------------------------------------
 
-#: Nodes per slab of ``_densities``.  The slab-sized temporaries of the
-#: stencils stay small next to the field and mostly in cache.
-SLAB_NODES = 1 << 15
+#: Nodes per slab of the density kernel.  The slab-sized temporaries of
+#: the stencils stay small next to the field and mostly in cache, and each
+#: numpy call on a slab runs long enough for threads mapped over the slabs
+#: to overlap: on a 2-core Xeon, 1 << 15 left a second thread no gain on
+#: the neumann_layer sweep, where 1 << 16 gave most of it.
+SLAB_NODES = 1 << 16
+
+
+def _slabs(u: ScalarField, eps: float) -> list[tuple[int, int]]:
+    """The axis-0 layer ranges (lo, hi) of the density slabs of u; they
+    depend on the grid and ``SLAB_NODES`` only."""
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    _check_face_stencils(u.grid)
+    m = u.grid.shape[0]
+    step = max(1, SLAB_NODES // (u.values.size // m))
+    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
+                    out: tuple | None = None):
+    """(mu, alpha) of ``density_fields`` on the axis-0 layers lo <= i < hi,
+    written into the slab-shaped arrays of out when given."""
+    g, v, roles = u.grid, u.values, u.roles
+    h, c, m = g.spacing, c0(), g.shape[0]
+    mu_out, alpha_out = (None, None) if out is None else out
+    s = v[lo:hi]
+    gsq = _axis_gradient(v, 0, h, lo, hi)
+    gsq *= gsq
+    for a in range(1, g.n):
+        ga = _axis_gradient(s, a, h)
+        gsq += ga * ga
+    # in-place steps, each rounding as in the formulas beside them
+    t = s * s
+    t -= 1.0
+    w = t * t                          # W(s) = t^2 / 4
+    w /= 4.0
+    w /= eps
+    gsq *= eps / 2.0
+    gsq += w                           # (eps/2) |grad u|^2 + W(s)/eps
+    mu = np.divide(gsq, c, out=gsq if mu_out is None else mu_out)
+    del w
+    lap = _axis_second(v, 0, h, roles[(0, LOW)], roles[(0, HIGH)], lo, hi)
+    for a in range(1, g.n):
+        lap += _axis_second(s, a, h, roles[(a, LOW)], roles[(a, HIGH)])
+    t *= s                             # W'(s) = s t
+    t /= eps
+    lap *= eps
+    lap -= t                           # eps lap(u) - W'(s)/eps
+    lap *= lap
+    alpha = np.divide(lap, c * eps, out=lap if alpha_out is None else alpha_out)
+    for (axis, side), role in roles.items():
+        if isinstance(role, (DirichletData, DirichletConstant)):
+            face = 0 if side == LOW else g.shape[axis] - 1
+            if axis > 0:
+                alpha[_at(g.n, axis, face)] = 0.0
+            elif lo <= face < hi:
+                alpha[face - lo] = 0.0
+    return mu, alpha
 
 
 def _densities(u: ScalarField, eps: float):
     """(mu, alpha) arrays of ``density_fields``, evaluated slab by slab."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    g, v, roles = u.grid, u.values, u.roles
-    _check_face_stencils(g)
-    h, c, m = g.spacing, c0(), g.shape[0]
-    mu = np.empty(g.shape)
-    alpha = np.empty(g.shape)
-    step = max(1, SLAB_NODES // (v.size // m))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        s = v[lo:hi]
-        gsq = _axis_gradient(v, 0, h, lo, hi)
-        gsq *= gsq
-        for a in range(1, g.n):
-            ga = _axis_gradient(s, a, h)
-            gsq += ga * ga
-        # in-place steps, each rounding as in the formulas beside them
-        t = s * s
-        t -= 1.0
-        w = t * t                      # W(s) = t^2 / 4
-        w /= 4.0
-        w /= eps
-        gsq *= eps / 2.0
-        gsq += w                       # (eps/2) |grad u|^2 + W(s)/eps
-        np.divide(gsq, c, out=mu[lo:hi])
-        del gsq, w
-        lap = _axis_second(v, 0, h, roles[(0, LOW)], roles[(0, HIGH)], lo, hi)
-        for a in range(1, g.n):
-            lap += _axis_second(s, a, h, roles[(a, LOW)], roles[(a, HIGH)])
-        t *= s                         # W'(s) = s t
-        t /= eps
-        lap *= eps
-        lap -= t                       # eps lap(u) - W'(s)/eps
-        lap *= lap
-        np.divide(lap, c * eps, out=alpha[lo:hi])
-    for (axis, side), role in roles.items():
-        if isinstance(role, (DirichletData, DirichletConstant)):
-            alpha[face_slice(g, axis, side)] = 0.0
+    mu = np.empty(u.grid.shape)
+    alpha = np.empty(u.grid.shape)
+    for lo, hi in _slabs(u, eps):
+        _slab_densities(u, eps, lo, hi, out=(mu[lo:hi], alpha[lo:hi]))
     return mu, alpha
+
+
+def map_ordered(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` threads when there
+    are several items; the result keeps the order of items."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
+def _energy_sums(u: ScalarField, eps: float, theta: float | None = None,
+                 workers: int = 1) -> tuple:
+    """Cell sums of mu and alpha, and of mu over ``{|u| >= theta}`` (None
+    without theta), without a full-size density array.
+
+    Each slab is summed pairwise by ``np.sum``; the slab partials are
+    combined with ``math.fsum`` in slab order, so the result does not depend
+    on ``workers``, the number of threads the slabs are mapped over.
+    """
+    def partials(bounds):
+        lo, hi = bounds
+        mu, alpha = _slab_densities(u, eps, lo, hi)
+        excess = None
+        if theta is not None:
+            s = u.values[lo:hi]
+            excess = np.sum(mu[(s >= theta) | (s <= -theta)])
+        return np.sum(mu), np.sum(alpha), excess
+
+    parts = map_ordered(partials, _slabs(u, eps), workers)
+    mu_sum = math.fsum(p[0] for p in parts)
+    alpha_sum = math.fsum(p[1] for p in parts)
+    excess_sum = None if theta is None else math.fsum(p[2] for p in parts)
+    return mu_sum, alpha_sum, excess_sum
 
 
 def density_fields(u: ScalarField, eps: float):
@@ -365,14 +427,12 @@ def density_fields(u: ScalarField, eps: float):
 
 def modica_mortola(u: ScalarField, eps: float) -> float:
     """Diffuse perimeter ``S_eps(u)``."""
-    mu, _ = _densities(u, eps)
-    return float(np.sum(mu)) * u.grid.cell_measure
+    return _energy_sums(u, eps)[0] * u.grid.cell_measure
 
 
 def willmore_eps(u: ScalarField, eps: float) -> float:
     """Diffuse curvature energy ``W_eps(u)``."""
-    _, alpha = _densities(u, eps)
-    return float(np.sum(alpha)) * u.grid.cell_measure
+    return _energy_sums(u, eps)[1] * u.grid.cell_measure
 
 
 def half_space_energy(u: ScalarField) -> float:
@@ -398,7 +458,11 @@ def penalized_functional(u: ScalarField, eps: float, sigma: float,
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Per-epsilon energy record of one field."""
+    """Per-epsilon energy record of one field.
+
+    ``excess_mass`` is the diffuse mass ``sum of mu over {|u| >= theta}``
+    times the cell measure, set when ``of`` is given a threshold theta.
+    """
 
     epsilon: float
     S_eps: float
@@ -407,25 +471,23 @@ class EnergyBreakdown:
     sigma: float | None = None
     S_target: float | None = None
     F_eps_penalized: float | None = None
+    excess_mass: float | None = None
 
     @classmethod
     def of(cls, u: ScalarField, eps: float, sigma: float | None = None,
-           S_target: float | None = None) -> "EnergyBreakdown":
-        return cls.from_densities(u.grid, *_densities(u, eps), eps, sigma,
-                                  S_target)
-
-    @classmethod
-    def from_densities(cls, grid: Grid, mu: np.ndarray, alpha: np.ndarray,
-                       eps: float, sigma: float | None = None,
-                       S_target: float | None = None) -> "EnergyBreakdown":
-        """The record of a field on grid whose ``density_fields`` at eps
-        hold the values mu and alpha."""
-        s = float(np.sum(mu)) * grid.cell_measure
-        w = float(np.sum(alpha)) * grid.cell_measure
+           S_target: float | None = None, theta: float | None = None,
+           workers: int = 1) -> "EnergyBreakdown":
+        """The record of u at eps, from one pass over the density slabs on
+        up to ``workers`` threads."""
+        mu_sum, alpha_sum, excess = _energy_sums(u, eps, theta, workers)
+        cell = u.grid.cell_measure
+        s = mu_sum * cell
+        w = alpha_sum * cell
         pen = None
         if sigma is not None and S_target is not None:
             pen = w + eps ** (-sigma) * (s - S_target) ** 2
-        return cls(eps, s, w, s + w, sigma, S_target, pen)
+        return cls(eps, s, w, s + w, sigma, S_target, pen,
+                   None if excess is None else excess * cell)
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .energy import (
     ScalarField,
     c0,
     dirichlet_part,
+    map_ordered,
     standard_potential,
     modified_floor_potential,
 )
@@ -256,10 +257,15 @@ def f_of_theta(theta: float, base: BoundaryData, potential: Potential,
     return result.final_energy
 
 
+#: Relative accuracy of the theta root-find; a ``rel_offset`` must stay
+#: strictly inside it.
+THETA_REL_TOL = 5e-3
+
+
 def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
                         potential: Potential, grid: Grid, cfg: SolveConfig,
                         cache: FThetaCache | None = None,
-                        rel_tol: float = 5e-3, rel_offset: float = 0.0,
+                        rel_tol: float = THETA_REL_TOL, rel_offset: float = 0.0,
                         theta_max: float = 1e4) -> float:
     """Theta with ``f(theta) = S * eps^(1-n)`` to relative accuracy rel_tol.
 
@@ -450,12 +456,15 @@ def build_family(kind: str, schedule: EpsilonSchedule, params: dict,
 
 
 def _map_members(fn, eps_list, workers: int):
-    """Order-preserving map over the epsilon list, optionally threaded."""
-    if workers <= 1 or len(eps_list) <= 1:
-        return [fn(e) for e in eps_list]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(workers, len(eps_list))) as pool:
-        return list(pool.map(fn, eps_list))
+    """Order-preserving map over the epsilon list, optionally threaded.
+
+    A function of its own, not an alias of ``map_ordered``:
+    ``perfbench/tracing.py`` wraps it as the span of one family member, and
+    the density slabs, which also go through ``map_ordered``, must not be
+    counted as members.  Each member evaluates its energies with
+    ``workers=1``, so no pool runs inside a pool thread.
+    """
+    return map_ordered(fn, eps_list, workers)
 
 
 def _solve_cfg(cfg: SolveConfig, eps: float, tol_phys: float) -> SolveConfig:

@@ -7,6 +7,8 @@ row-major samples ``<base>.npy``.  Loading restores the field bit-exactly.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 
@@ -18,8 +20,21 @@ from .grid import grid_from_dict, grid_to_dict, roles_from_dict, roles_to_dict
 __all__ = ["save_field", "load_field"]
 
 
-def save_field(field: ScalarField, base_path: str) -> list[str]:
-    """Write ``<base>.json`` + ``<base>.npy``; returns the paths written."""
+def write_hashed(path: str, *chunks) -> str:
+    """Write the byte chunks (bytes or C-contiguous buffers) to path, in
+    order; returns the SHA-256 hex digest of what was written, hashed from
+    memory instead of read back from disk."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def save_field(field: ScalarField, base_path: str) -> dict[str, str]:
+    """Write ``<base>.json`` + ``<base>.npy``; returns ``{path: SHA-256 hex
+    digest}`` of the files written, in that order."""
     header = {
         "format": "phaselab-field-1",
         "grid": grid_to_dict(field.grid),
@@ -29,11 +44,15 @@ def save_field(field: ScalarField, base_path: str) -> list[str]:
     json_path = base_path + ".json"
     npy_path = base_path + ".npy"
     os.makedirs(os.path.dirname(os.path.abspath(json_path)), exist_ok=True)
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    np.save(npy_path, np.ascontiguousarray(field.values, dtype=np.float64))
-    return [json_path, npy_path]
+    text = json.dumps(header, indent=2, sort_keys=True) + "\n"
+    values = np.ascontiguousarray(field.values, dtype=np.float64)
+    # the bytes np.save writes: a version 1.0 header, then the raw samples
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        head, np.lib.format.header_data_from_array_1_0(values))
+    return {json_path: write_hashed(json_path, text.encode("ascii")),
+            npy_path: write_hashed(npy_path, head.getvalue(),
+                                   memoryview(values).cast("B"))}
 
 
 def load_field(base_path: str) -> ScalarField:

@@ -9,16 +9,17 @@ readable artifacts into the run directory:
 * ``fields/``        per-epsilon field files (JSON header + .npy samples)
 * ``summary.json``   assertion records and the config echo
 * ``summary.txt``    one pass/fail line per assertion
-* ``manifest.json``  every emitted file with its SHA-256 hash
+* ``manifest.json``  every emitted file with its SHA-256 hash, taken from
+                     the bytes as they are written
 
-Runs are deterministic for a fixed (config, seed, platform); per-epsilon
-work may run on a small thread pool (capped by the ``PHASELAB_WORKERS``
+Runs are deterministic for a fixed (config, seed, platform); family
+members, or the density slabs of a ``neumann_layer`` member, may run on
+up to ``workers`` threads (``workers: 0`` takes the ``PHASELAB_WORKERS``
 environment variable) while emission stays serialized in epsilon order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diagnostics import (
-    boundary_layer_mass,
     concentration_scan,
     hausdorff_distance,
     hoelder_quotient,
@@ -36,12 +36,11 @@ from .diagnostics import (
     level_set,
     lp_norm,
 )
-from .energy import (EnergyBreakdown, ScalarField, c0, density_fields,
-                     standard_potential)
-from .families import (BUMP_SHAPES, FAMILY_PARAMS, EpsilonSchedule,
-                       build_family, neumann_layer_field)
-from .fieldio import save_field
-from .grid import make_half_space_grid
+from .energy import EnergyBreakdown, ScalarField, c0, standard_potential
+from .families import (BUMP_SHAPES, FAMILY_PARAMS, THETA_REL_TOL,
+                       EpsilonSchedule, build_family, neumann_layer_field)
+from .fieldio import save_field, write_hashed
+from .grid import GridBudgetError, make_half_space_grid
 from .solver import SolveConfig, solve_half_space
 
 __all__ = [
@@ -271,8 +270,16 @@ def validate(config: dict) -> list[str]:
         errors.append("S must be positive")
     if name == "penalty_zero" and p["sigma"] < 0:
         errors.append("sigma must be >= 0")
+    if name == "penalty_zero" and not abs(p["offset_scale"]) < THETA_REL_TOL:
+        # the first member lands at relative offset offset_scale, which the
+        # theta search must resolve inside its accuracy
+        errors.append(f"params.offset_scale must lie strictly between "
+                      f"-{THETA_REL_TOL} and {THETA_REL_TOL}, the relative "
+                      f"accuracy of the theta search; got "
+                      f"{p['offset_scale']!r}")
     for key in ("L", "unit_spacing", "window", "R", "points_per_unit_scale",
-                "base_support", "base_amplitude", "residual_tol"):
+                "base_support", "base_amplitude", "residual_tol",
+                "domain_length", "spacing_per_eps"):
         if key in p and p[key] <= 0:
             errors.append(f"params.{key} must be positive, got {p[key]!r}")
     for key in ("slope_window", "interfaces"):
@@ -292,6 +299,12 @@ def validate(config: dict) -> list[str]:
     if "level_band" in p and not 0.0 < p["level_band"] < 1.0:
         errors.append(f"params.level_band must lie in (0, 1), got "
                       f"{p['level_band']!r}")
+    if name == "tanh_calibration" and not errors:
+        try:
+            _calibration_grid(cfg)
+        except (ValueError, ArithmeticError, GridBudgetError) as exc:
+            errors.append("params.domain_length and params.spacing_per_eps "
+                          f"give no calibration grid at eps {eps[0]!r}: {exc}")
     return errors
 
 
@@ -338,14 +351,22 @@ def _family(cfg, kind, theta_of_eps=None, **extra):
                         workers=cfg["workers"])
 
 
+def _calibration_grid(cfg):
+    """The unit-scale 1D grid of the calibration: the domain and spacing
+    of the config divided by its eps."""
+    p = cfg["params"]
+    eps = cfg["eps_list"][0]
+    spacing = eps / p["spacing_per_eps"]
+    return make_half_space_grid(1, p["domain_length"] / eps, spacing / eps,
+                                1.0)[0]
+
+
 def run_tanh_calibration(cfg):
     p = cfg["params"]
     eps = cfg["eps_list"][0]
-    length = p["domain_length"]
-    spacing = eps / p["spacing_per_eps"]
     x0 = p["interface_position"]
 
-    gu, _ = make_half_space_grid(1, length / eps, spacing / eps, 1.0)
+    gu = _calibration_grid(cfg)
     y = gu.axis_coords(0)
     profile = np.tanh((y - x0 / eps) / math.sqrt(2.0))
     scfg = SolveConfig(residual_tol=1e-10 if eps >= 0.05 else 1e-9)
@@ -637,16 +658,15 @@ def run_neumann_layer(cfg):
                                 interfaces=tuple(p["interfaces"]),
                                 bump_amp=p["bump_amp"],
                                 amp_power=p["amp_power"])
-        mu, alpha = density_fields(u, eps)
-        mass = boundary_layer_mass(u, mu, theta=1.0)
-        masses.append(mass)
-        energy = EnergyBreakdown.from_densities(u.grid, mu.values,
-                                                alpha.values, eps)
-        del mu, alpha    # freed before the next, finer member is built
+        # S_eps, W_eps and the excess mass from one pass over the density
+        # slabs, on the config's threads, with no full-size density array
+        energy = EnergyBreakdown.of(u, eps, theta=1.0, workers=cfg["workers"])
+        masses.append(energy.excess_mass)
+        v = u.values
         rows.append(_row("neumann_layer", n, eps,
                          S_eps=energy.S_eps, W_eps=energy.W_eps,
-                         boundary_layer_mass=mass,
-                         sup_u=float(np.max(np.abs(u.values)))))
+                         boundary_layer_mass=energy.excess_mass,
+                         sup_u=max(float(v.max()), -float(v.min()))))
         if i == len(eps_list) - 1:
             fields.append(("neumann_layer_finest", u))
     if all(m > 0 for m in masses):
@@ -711,20 +731,11 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _write_csv(path, rows):
+def _csv_text(rows) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in CSV_COLUMNS))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return "\n".join(lines) + "\n"
 
 
 def render_summary(summary_doc) -> str:
@@ -757,14 +768,16 @@ def run(config: dict) -> VerificationSummary:
     out = cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     os.makedirs(os.path.join(out, "fields"), exist_ok=True)
-    written = []
+    # each file's digest is taken from the bytes as they are written
+    digests = {}
 
-    csv_path = os.path.join(out, "sweep.csv")
-    _write_csv(csv_path, rows)
-    written.append(csv_path)
+    def write_text(name, text):
+        path = os.path.join(out, name)
+        digests[path] = write_hashed(path, text.encode("utf-8"))
 
+    write_text("sweep.csv", _csv_text(rows))
     for name, fld in fields:
-        written.extend(save_field(fld, os.path.join(out, "fields", name)))
+        digests.update(save_field(fld, os.path.join(out, "fields", name)))
 
     summary_doc = {
         "experiment": cfg["experiment"],
@@ -780,21 +793,13 @@ def run(config: dict) -> VerificationSummary:
                            "perimeter; F_unit is the raw unit-scale energy",
         },
     }
-    spath = os.path.join(out, "summary.json")
-    with open(spath, "w") as fh:
-        json.dump(summary_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(spath)
+    write_text("summary.json",
+               json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
+    write_text("summary.txt", render_summary(summary_doc))
 
-    tpath = os.path.join(out, "summary.txt")
-    with open(tpath, "w") as fh:
-        fh.write(render_summary(summary_doc))
-    written.append(tpath)
-
-    manifest = {"files": {os.path.relpath(f, out): _sha256(f)
-                          for f in sorted(written)}}
-    mpath = os.path.join(out, "manifest.json")
-    with open(mpath, "w") as fh:
+    manifest = {"files": {os.path.relpath(f, out): d
+                          for f, d in digests.items()}}
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary

@@ -80,11 +80,10 @@ def test_boundary_layer_mass_trivials():
     # short domain keeps the discrete samples strictly inside (-1, 1)
     u = tanh_field_1d(length=4.0, x0=2.0)
     assert np.abs(u.values).max() < 1.0
-    mu, _ = density_fields(u, 0.1)
-    assert boundary_layer_mass(u, mu, theta=1.0) == 0.0
-    assert boundary_layer_mass(u, mu, theta=1.5) == 0.0
+    assert boundary_layer_mass(u, 0.1, theta=1.0) == 0.0
+    assert boundary_layer_mass(u, 0.1, theta=1.5) == 0.0
     with pytest.raises(ValueError):
-        boundary_layer_mass(u, mu, theta=0.5)
+        boundary_layer_mass(u, 0.1, theta=0.5)
 
 
 def test_boundary_layer_mass_counts_overshoot():
@@ -92,17 +91,23 @@ def test_boundary_layer_mass_counts_overshoot():
     vals = np.ones(21)
     vals[5:8] = 1.2
     u = ScalarField.from_values(g, vals)
-    mu, _ = density_fields(u, 0.1)
-    assert boundary_layer_mass(u, mu, theta=1.0) > 0.0
+    assert boundary_layer_mass(u, 0.1, theta=1.0) > 0.0
 
 
-def test_boundary_layer_mass_is_the_density_on_the_excess_set():
+def test_boundary_layer_mass_is_the_density_on_the_excess_set(monkeypatch):
+    from phaselab import energy
     from phaselab.families import neumann_layer_field
     u = neumann_layer_field(0.064)
     mu, _ = density_fields(u, 0.064)
     excess = np.abs(u.values) >= 1.0
     want = float(np.sum(mu.values[excess])) * u.grid.cell_measure
-    assert boundary_layer_mass(u, mu) == want > 0.0
+    assert want > 0.0
+    # many slabs: the per-slab sums agree with the full-array sum to rounding
+    assert u.values.size > energy.SLAB_NODES
+    assert boundary_layer_mass(u, 0.064) == pytest.approx(want, rel=1e-13)
+    # one slab: the same summands in the same order, bit for bit
+    monkeypatch.setattr(energy, "SLAB_NODES", u.values.size)
+    assert boundary_layer_mass(u, 0.064) == want
 
 
 # --------------------------------------------------------------------------

@@ -197,13 +197,16 @@ def test_density_fields_reproduce_energies():
     assert alpha.values.min() >= 0.0
 
 
-def test_breakdown_from_densities_matches_of():
+def test_breakdown_of_sums_the_density_fields():
     u = tanh_profile_field(0.1)
     mu, alpha = density_fields(u, 0.1)
-    got = EnergyBreakdown.from_densities(u.grid, mu.values, alpha.values,
-                                         0.1, 1.0, 0.5)
-    assert got == EnergyBreakdown.of(u, 0.1, 1.0, 0.5)
+    h = u.grid.cell_measure
+    s, w = float(np.sum(mu.values)) * h, float(np.sum(alpha.values)) * h
+    got = EnergyBreakdown.of(u, 0.1, 1.0, 0.5)
+    assert got == EnergyBreakdown(0.1, s, w, s + w, 1.0, 0.5,
+                                  w + 0.1 ** -1.0 * (s - 0.5) ** 2)
     assert got.F_eps_penalized is not None
+    assert got.excess_mass is None
 
 
 def test_density_zero_for_constant():
@@ -395,3 +398,58 @@ def test_density_peak_memory_stays_near_the_two_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * u.values.nbytes
+
+
+# --------------------------------------------------------------------------
+# slab-parallel energy reduction
+# --------------------------------------------------------------------------
+
+def _tail_steps(m):
+    """Layers per slab leaving 1-, 2- and 3-layer tail slabs on m layers."""
+    return [k for k in range(2, m) if m % k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("roles", sorted(_ROLE_SETS))
+@pytest.mark.parametrize("shape", [(37,), (13, 9), (11, 6, 5)])
+def test_energy_reduction_matches_density_sums(monkeypatch, shape, roles):
+    from phaselab.diagnostics import region_mass
+    from phaselab.grid import SuperLevel
+    u = _random_field(shape, _ROLE_SETS[roles], seed=2)
+    eps, theta = 0.3, 1.2
+    mu, alpha = density_fields(u, eps)
+    h = u.grid.cell_measure
+    want_s = float(np.sum(mu.values)) * h
+    want_w = float(np.sum(alpha.values)) * h
+    want_x = region_mass(mu, SuperLevel(theta, u.values, u.grid,
+                                        absolute=True))
+    assert want_x > 0.0
+    layer = u.values.size // shape[0]
+    tails = set()
+    for step in _tail_steps(shape[0]):
+        tails.add(shape[0] % step)
+        monkeypatch.setattr(energy_module, "SLAB_NODES", step * layer)
+        got = [EnergyBreakdown.of(u, eps, theta=theta, workers=w)
+               for w in (1, 2, 3)]
+        # the slabs, not the threads, fix the summation order
+        assert got[1] == got[0] == got[2], step
+        assert got[0].S_eps == pytest.approx(want_s, rel=1e-13)
+        assert got[0].W_eps == pytest.approx(want_w, rel=1e-13)
+        assert got[0].excess_mass == pytest.approx(want_x, rel=1e-13)
+        assert modica_mortola(u, eps) == got[0].S_eps
+        assert willmore_eps(u, eps) == got[0].W_eps
+    assert tails == {1, 2, 3}
+
+
+@pytest.mark.parametrize("roles", sorted(_ROLE_SETS))
+def test_energy_reduction_in_one_slab_is_the_full_array_sum(roles):
+    from phaselab.diagnostics import region_mass
+    from phaselab.grid import SuperLevel
+    u = _random_field((31, 29), _ROLE_SETS[roles], seed=3)
+    assert u.values.size <= energy_module.SLAB_NODES
+    mu, alpha = density_fields(u, 0.3)
+    h = u.grid.cell_measure
+    got = EnergyBreakdown.of(u, 0.3, theta=1.0, workers=2)
+    assert got.S_eps == float(np.sum(mu.values)) * h
+    assert got.W_eps == float(np.sum(alpha.values)) * h
+    assert got.excess_mass == region_mass(
+        mu, SuperLevel(1.0, u.values, u.grid, absolute=True))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -106,6 +107,38 @@ def test_family_run_byte_identical_across_workers_and_reruns(tmp_path):
     for name in ("sweep.csv", "manifest.json"):
         first, *rest = [(out / name).read_bytes() for out in outs]
         assert all(r == first for r in rest), name
+
+
+def _assert_manifest_matches_disk(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert set(manifest["files"]) == on_disk - {"manifest.json"}
+    for rel, digest in manifest["files"].items():
+        assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()
+
+
+def test_neumann_run_byte_identical_across_workers_and_reruns(tmp_path):
+    # two members of 301^2 and 601^2 nodes, each spanning several density
+    # slabs, so the slab threads have work to split
+    cfg = {"experiment": "neumann_layer", "eps_list": [0.064, 0.032]}
+    outs = [tmp_path / f"run{i}" for i in range(3)]
+    for out, workers in zip(outs, (1, 2, 1)):
+        run({**cfg, "workers": workers, "output_dir": str(out)})
+    for name in ("sweep.csv", "manifest.json"):
+        first, *rest = [(out / name).read_bytes() for out in outs]
+        assert all(r == first for r in rest), name
+    _assert_manifest_matches_disk(outs[1])
+
+
+def test_manifest_digests_are_the_files_on_disk(tmp_path):
+    out = tmp_path / "cal"
+    run({"experiment": "tanh_calibration", "output_dir": str(out)})
+    _assert_manifest_matches_disk(out)
+    # the field samples are written as np.save writes them
+    fld = load_field(str(out / "fields" / "calibration_relaxed"))
+    np.save(tmp_path / "ref.npy", fld.values)
+    assert ((out / "fields" / "calibration_relaxed.npy").read_bytes()
+            == (tmp_path / "ref.npy").read_bytes())
 
 
 def test_csv_floats_round_trip(tmp_path):
@@ -230,6 +263,11 @@ def test_validate_rejects_unknown_keys(config, key):
     ("hausdorff_levelset", {"residual_tol": 0}, "params.residual_tol"),
     ("hausdorff_levelset", {"level_band": 0.0}, "params.level_band"),
     ("hausdorff_levelset", {"level_band": 1.0}, "params.level_band"),
+    ("tanh_calibration", {"spacing_per_eps": 0}, "params.spacing_per_eps"),
+    ("tanh_calibration", {"domain_length": -1}, "params.domain_length"),
+    ("tanh_calibration", {"domain_length": 10.03}, "params.domain_length"),
+    ("penalty_zero", {"offset_scale": 0.01}, "params.offset_scale"),
+    ("penalty_zero", {"offset_scale": -5e-3}, "params.offset_scale"),
 ])
 def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
                                                   tmp_path, monkeypatch):
