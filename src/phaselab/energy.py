@@ -333,13 +333,10 @@ def _slabs(u: ScalarField, eps: float) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
-def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
-                    out: tuple | None = None):
-    """(mu, alpha) of ``density_fields`` on the axis-0 layers lo <= i < hi,
-    written into the slab-shaped arrays of out when given."""
+def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int):
+    """(mu, alpha) of ``density_fields`` on the axis-0 layers lo <= i < hi."""
     g, v, roles = u.grid, u.values, u.roles
-    h, c, m = g.spacing, c0(), g.shape[0]
-    mu_out, alpha_out = (None, None) if out is None else out
+    h, c = g.spacing, c0()
     s = v[lo:hi]
     gsq = _axis_gradient(v, 0, h, lo, hi)
     gsq *= gsq
@@ -354,7 +351,7 @@ def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
     w /= eps
     gsq *= eps / 2.0
     gsq += w                           # (eps/2) |grad u|^2 + W(s)/eps
-    mu = np.divide(gsq, c, out=gsq if mu_out is None else mu_out)
+    mu = np.divide(gsq, c, out=gsq)
     del w
     lap = _axis_second(v, 0, h, roles[(0, LOW)], roles[(0, HIGH)], lo, hi)
     for a in range(1, g.n):
@@ -364,7 +361,7 @@ def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
     lap *= eps
     lap -= t                           # eps lap(u) - W'(s)/eps
     lap *= lap
-    alpha = np.divide(lap, c * eps, out=lap if alpha_out is None else alpha_out)
+    alpha = np.divide(lap, c * eps, out=lap)
     for (axis, side), role in roles.items():
         if isinstance(role, (DirichletData, DirichletConstant)):
             face = 0 if side == LOW else g.shape[axis] - 1
@@ -380,7 +377,7 @@ def _densities(u: ScalarField, eps: float):
     mu = np.empty(u.grid.shape)
     alpha = np.empty(u.grid.shape)
     for lo, hi in _slabs(u, eps):
-        _slab_densities(u, eps, lo, hi, out=(mu[lo:hi], alpha[lo:hi]))
+        mu[lo:hi], alpha[lo:hi] = _slab_densities(u, eps, lo, hi)
     return mu, alpha
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -428,9 +429,15 @@ def test_energy_reduction_matches_density_sums(monkeypatch, shape, roles):
     for step in _tail_steps(shape[0]):
         tails.add(shape[0] % step)
         monkeypatch.setattr(energy_module, "SLAB_NODES", step * layer)
-        got = [EnergyBreakdown.of(u, eps, theta=theta, workers=w)
-               for w in (1, 2, 3)]
-        # the slabs, not the threads, fix the summation order
+        # more threads than cores, switching as often as the interpreter
+        # allows: the slabs, not the threads, fix the summation order
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [EnergyBreakdown.of(u, eps, theta=theta, workers=w)
+                   for w in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
         assert got[1] == got[0] == got[2], step
         assert got[0].S_eps == pytest.approx(want_s, rel=1e-13)
         assert got[0].W_eps == pytest.approx(want_w, rel=1e-13)
