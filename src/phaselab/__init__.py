@@ -18,8 +18,6 @@ from .energy import (
     laplacian,
     modica_mortola,
     modified_floor_potential,
-    penalized_functional,
-    potential_eval,
     standard_potential,
     willmore_eps,
 )
@@ -54,7 +52,6 @@ from .grid import (
     make_half_space_grid,
     region_cells,
     tail_bound,
-    truncation_radius,
 )
 from .solver import (
     SolveConfig,

@@ -6,8 +6,10 @@ Subcommands:
 * ``phaselab validate <config.json>``  check a config without side effects
 * ``phaselab report <run-dir>``        re-render the summary table
 
-Exit code 0 means every assertion of the run passed.  The environment
-variable ``PHASELAB_WORKERS`` caps the per-epsilon worker count.
+Exit code 0 means every assertion of the run passed, 2 that one failed,
+and 1 that the config is invalid or a solve or search gave up (``error:``
+on stderr).  The environment variable ``PHASELAB_WORKERS`` sets the worker
+count of a config whose ``workers`` is 0 or absent.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import json
 import os
 import sys
 
+from .families import BracketFailureError, ResolutionExhaustedError
 from .runner import EXPERIMENTS, render_summary, run, validate
+from .solver import NonConvergenceError
 
 
 def _load_config(path: str) -> dict:
@@ -60,7 +64,8 @@ def main(argv=None) -> int:
             config["output_dir"] = args.output_dir
         try:
             summary = run(config)
-        except ValueError as exc:
+        except (ValueError, NonConvergenceError, BracketFailureError,
+                ResolutionExhaustedError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         out = config.get("output_dir", "runs/" + config.get("experiment", ""))

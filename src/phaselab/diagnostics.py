@@ -262,10 +262,13 @@ def _offsets(n: int, radius_steps: float, mode: str):
     return sorted(set(out))
 
 
+#: Node pairs above which the "auto" Hoelder scan takes the dyadic ladder.
+PAIR_BUDGET = 2e8
+
+
 def hoelder_quotient(u: ScalarField, eps: float, gamma: float,
                      region: Region | np.ndarray | None = None,
-                     mode: str = "auto",
-                     pair_budget: float = 2e8) -> HoelderProbe:
+                     mode: str = "auto") -> HoelderProbe:
     """Worst quotient ``|u(y) - u(z)| / |y - z|^gamma`` over node pairs at
     distance <= eps with both endpoints in the region.
 
@@ -291,7 +294,7 @@ def hoelder_quotient(u: ScalarField, eps: float, gamma: float,
         return HoelderProbe(gamma, eps, 0.0, None, None, "empty")
     if mode == "auto":
         n_off = (2 * math.floor(radius_steps) + 1) ** g.n / 2
-        mode = "exhaustive" if n_off * mask.sum() <= pair_budget else "dyadic"
+        mode = "exhaustive" if n_off * mask.sum() <= PAIR_BUDGET else "dyadic"
 
     best = 0.0
     best_pair = None

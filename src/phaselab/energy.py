@@ -10,7 +10,10 @@ normalization ``c0 = integral of sqrt(2 W) over (-1, 1) = 2 sqrt(2) / 3``):
   ``W_eps(u) = (1/(c0 eps)) * sum_cells ( eps lap(u) - W'(u)/eps )^2 h^n``
 * ``half_space_energy``: the unit-scale energy
   ``F(u) = sum_cells [ |grad u|^2 / 2 + W(u) ] h^n``  (no 1/c0 factor)
-* ``penalized_functional``: ``W_eps + eps^(-sigma) (S_eps - S_target)^2``
+
+The area-penalized ``W_eps + eps^(-sigma) (S_eps - S)^2`` is formed by its
+one user, the ``penalty_zero`` runner.  ``laplacian`` stays as the
+whole-grid reference that the tests check the slab densities against.
 
 ``density_fields`` returns per-cell densities whose region sums are the
 energies up to summation order.  Gradients are centered in the interior
@@ -62,7 +65,6 @@ __all__ = [
     "Potential",
     "standard_potential",
     "modified_floor_potential",
-    "potential_eval",
     "ScalarField",
     "EnergyBreakdown",
     "c0",
@@ -74,7 +76,6 @@ __all__ = [
     "density_fields",
     "half_space_energy",
     "dirichlet_part",
-    "penalized_functional",
     "barrier_profile",
     "supersolution_margin",
 ]
@@ -143,11 +144,6 @@ def modified_floor_potential(delta: float) -> Potential:
 
 
 STANDARD = Potential()
-
-
-def potential_eval(p: Potential, s):
-    """(W, W', W'') at s."""
-    return p.value(s), p.derivative(s), p.second_derivative(s)
 
 
 # --------------------------------------------------------------------------
@@ -444,15 +440,6 @@ def dirichlet_part(u: ScalarField) -> float:
     return float(np.sum(grad_squared(u))) * u.grid.cell_measure
 
 
-def penalized_functional(u: ScalarField, eps: float, sigma: float,
-                         S_target: float) -> float:
-    """Area-penalized curvature functional
-    ``W_eps(u) + eps^(-sigma) (S_eps(u) - S_target)^2``."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return EnergyBreakdown.of(u, eps, sigma, S_target).F_eps_penalized
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Per-epsilon energy record of one field.
@@ -465,14 +452,10 @@ class EnergyBreakdown:
     S_eps: float
     W_eps: float
     E_eps: float
-    sigma: float | None = None
-    S_target: float | None = None
-    F_eps_penalized: float | None = None
     excess_mass: float | None = None
 
     @classmethod
-    def of(cls, u: ScalarField, eps: float, sigma: float | None = None,
-           S_target: float | None = None, theta: float | None = None,
+    def of(cls, u: ScalarField, eps: float, *, theta: float | None = None,
            workers: int = 1) -> "EnergyBreakdown":
         """The record of u at eps, from one pass over the density slabs on
         up to ``workers`` threads."""
@@ -480,11 +463,7 @@ class EnergyBreakdown:
         cell = u.grid.cell_measure
         s = mu_sum * cell
         w = alpha_sum * cell
-        pen = None
-        if sigma is not None and S_target is not None:
-            pen = w + eps ** (-sigma) * (s - S_target) ** 2
-        return cls(eps, s, w, s + w, sigma, S_target, pen,
-                   None if excess is None else excess * cell)
+        return cls(eps, s, w, s + w, None if excess is None else excess * cell)
 
 
 # --------------------------------------------------------------------------

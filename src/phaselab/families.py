@@ -79,16 +79,15 @@ __all__ = [
 
 #: Every parameter each family kind reads, with its default.  ``n`` is the
 #: dimension and ``residual_tol`` the physical-defect tolerance of the
-#: curvature certificate; ``sigma`` (penalty weight) and ``rel_offsets``
-#: (per-eps mass-target offsets) default to None, which means off.
+#: curvature certificate; ``rel_offsets`` (per-eps mass-target offsets)
+#: defaults to None, which means off.
 FAMILY_PARAMS = {
     "unbounded": {"n": 2, "residual_tol": 1e-6, "L": 0.5,
                   "unit_spacing": 1 / 16, "base_shape": "compact_bump",
                   "base_amplitude": 3.0},
     "boundary_atom": {"n": 2, "residual_tol": 1e-6, "S": 1.0, "L": 1.0,
                       "unit_spacing": 1 / 16, "base_amplitude": 0.5,
-                      "base_support": 4.0, "sigma": None,
-                      "rel_offsets": None},
+                      "base_support": 4.0, "rel_offsets": None},
     "hausdorff_levelset": {"n": 2, "residual_tol": 1e-6, "L": 0.5,
                            "unit_spacing": 1 / 16},
     "hoelder_blowup": {"n": 2, "residual_tol": 1e-6, "window": 12.0,
@@ -265,29 +264,30 @@ THETA_REL_TOL = 5e-3
 def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
                         potential: Potential, grid: Grid, cfg: SolveConfig,
                         cache: FThetaCache | None = None,
-                        rel_tol: float = THETA_REL_TOL, rel_offset: float = 0.0,
+                        rel_offset: float = 0.0,
                         theta_max: float = 1e4) -> float:
-    """Theta with ``f(theta) = S * eps^(1-n)`` to relative accuracy rel_tol.
+    """Theta with ``f(theta) = S * eps^(1-n)`` to relative accuracy
+    ``THETA_REL_TOL``.
 
     ``S`` is a unit-scale energy target (callers aiming at a diffuse-mass
     value multiply by c0 first).  The root is found by bracketing with
     doublings (justified by the growth bound ``f(2 theta) <= 16 f(theta)``)
     followed by a safeguarded secant iteration on the strictly increasing
     cached map.  ``rel_offset`` shifts the target to
-    ``S eps^(1-n) (1 + rel_offset)`` and must stay below rel_tol; it gives
-    penalty-schedule experiments a deterministic landing point inside the
-    contractual tolerance band.
+    ``S eps^(1-n) (1 + rel_offset)`` and must stay below THETA_REL_TOL; it
+    gives penalty-schedule experiments a deterministic landing point inside
+    the contractual tolerance band.
     """
     if S <= 0 or eps <= 0:
         raise ValueError("S and eps must be positive")
-    if abs(rel_offset) >= rel_tol:
-        raise ValueError("rel_offset must be smaller than rel_tol")
+    if abs(rel_offset) >= THETA_REL_TOL:
+        raise ValueError("rel_offset must be smaller than THETA_REL_TOL")
     target_contract = S * eps ** (1 - n)
     target = target_contract * (1.0 + rel_offset)
     if rel_offset:
         inner_tol = max(abs(rel_offset) / 10.0, 1e-12)
     else:
-        inner_tol = rel_tol / 2.0
+        inner_tol = THETA_REL_TOL / 2.0
     cache = cache if cache is not None else FThetaCache()
 
     def f(th):
@@ -330,7 +330,7 @@ def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
         else:
             hi, f_hi = th, f_th
 
-    if abs(f(best_th) - target_contract) > rel_tol * target_contract:
+    if abs(f(best_th) - target_contract) > THETA_REL_TOL * target_contract:
         raise BracketFailureError(
             f"secant landed {abs(f(best_th) - target_contract):.3g} away from "
             f"the target {target_contract:.6g}")
@@ -393,13 +393,12 @@ class CounterexampleFamily:
 
 
 def _member_from_solve(eps: float, parameter, grid: Grid, result: SolveResult,
-                       residual_tol_phys: float, sigma=None, S_target=None,
-                       extra_certs=None) -> FamilyMember:
+                       tol_phys: float, extra_certs=None) -> FamilyMember:
     phys_grid = grid.scaled(eps)
     phys = ScalarField(phys_grid, result.field.values, result.field.roles)
-    energy = EnergyBreakdown.of(phys, eps, sigma, S_target)
+    energy = EnergyBreakdown.of(phys, eps)
     volume = phys_grid.num_nodes * phys_grid.cell_measure
-    w_bound = residual_tol_phys ** 2 * volume / (c0() * eps)
+    w_bound = tol_phys ** 2 * volume / (c0() * eps)
     book = eps ** (grid.n - 1) * result.final_energy / c0()
     certs = {
         "willmore_bound": w_bound,
@@ -507,7 +506,6 @@ def _build_boundary_atom(schedule, params, n, tol_phys, cfg, workers):
     amp = float(params["base_amplitude"])
     support = float(params["base_support"])
     offsets = params["rel_offsets"]
-    sigma = params["sigma"]
     pot = standard_potential()
     eps_arr = schedule.eps_list
     offset_of = {e: (float(offsets[i]) if offsets is not None else 0.0)
@@ -524,7 +522,7 @@ def _build_boundary_atom(schedule, params, n, tol_phys, cfg, workers):
                                  rel_offset=offset_of[eps])
         _, res = member_cache.get(th)
         return _member_from_solve(
-            eps, th, g, res, tol_phys, sigma=sigma, S_target=S,
+            eps, th, g, res, tol_phys,
             extra_certs={"f_pairs": member_cache.pairs(),
                          "trace_norm_sq": _trace_norm_sq(base)})
 
@@ -624,7 +622,11 @@ def seminorm_constant(boundary_dim: int) -> float:
                      f"{boundary_dim}")
 
 
-def h_half_seminorm(bd: BoundaryData, chunk: int = 2048) -> float:
+#: Rows of the pair block summed at once on a two-dimensional face.
+SEMINORM_CHUNK = 2048
+
+
+def h_half_seminorm(bd: BoundaryData) -> float:
     """Squared half-order trace seminorm of compactly supported face data.
 
     Double sum over distinct node pairs of
@@ -647,8 +649,8 @@ def h_half_seminorm(bd: BoundaryData, chunk: int = 2048) -> float:
     vals = bd.samples.ravel()
     total = 0.0
     m = len(vals)
-    for start in range(0, m, chunk):
-        sl = slice(start, min(start + chunk, m))
+    for start in range(0, m, SEMINORM_CHUNK):
+        sl = slice(start, min(start + SEMINORM_CHUNK, m))
         diff = pts[sl, None, :] - pts[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
         dv = vals[sl, None] - vals[None, :]
@@ -684,18 +686,24 @@ def _pair_sum_uniform_1d(vals: np.ndarray, spacing: float, power: int) -> float:
     return float(np.sum(2.0 * s_m / (m * spacing) ** power))
 
 
-def build_oscillating_boundary(S_prime: float, delta: float, grid: Grid,
-                               base_frequency: float = 6.0,
-                               min_nodes_per_wavelength: float = 16.0,
-                               band: float = 1.1) -> BoundaryData:
-    """Oscillatory face data with ``0 <= h <= delta``, support in the unit
-    ball and squared trace seminorm in ``[S_prime, band * S_prime]``.
+#: Start frequency of the oscillating data, the fewest face nodes per
+#: wavelength it may reach, and the relative band its seminorm lands in.
+OSC_BASE_FREQUENCY = 6.0
+OSC_MIN_NODES_PER_WAVELENGTH = 16.0
+OSC_BAND = 1.1
 
-    The oscillation frequency doubles until the discrete seminorm reaches
-    S_prime (vertical growth is capped by delta, so the seminorm is driven
-    by faster oscillations); overshoot is removed by scaling the samples
-    with a constant <= 1.  Raises ResolutionExhaustedError when the face
-    grid cannot resolve the frequency the target would need.
+
+def build_oscillating_boundary(S_prime: float, delta: float,
+                               grid: Grid) -> BoundaryData:
+    """Oscillatory face data with ``0 <= h <= delta``, support in the unit
+    ball and squared trace seminorm in ``[S_prime, OSC_BAND * S_prime]``.
+
+    The oscillation frequency doubles from ``OSC_BASE_FREQUENCY`` until the
+    discrete seminorm reaches S_prime (vertical growth is capped by delta,
+    so the seminorm is driven by faster oscillations); overshoot is removed
+    by scaling the samples with a constant <= 1.  Raises
+    ResolutionExhaustedError when a wavelength the target needs spans fewer
+    than ``OSC_MIN_NODES_PER_WAVELENGTH`` face nodes.
     """
     if S_prime <= 0:
         raise ValueError("S_prime must be positive")
@@ -716,8 +724,8 @@ def build_oscillating_boundary(S_prime: float, delta: float, grid: Grid,
     sh[0] = -1
     x_ax = x0.reshape(sh)
 
-    k = base_frequency
-    k_max = 2.0 * math.pi / (min_nodes_per_wavelength * grid.spacing)
+    k = OSC_BASE_FREQUENCY
+    k_max = 2.0 * math.pi / (OSC_MIN_NODES_PER_WAVELENGTH * grid.spacing)
     while True:
         if k > k_max:
             raise ResolutionExhaustedError(
@@ -735,14 +743,14 @@ def build_oscillating_boundary(S_prime: float, delta: float, grid: Grid,
         k *= 2.0
 
     scale = 1.0
-    if semi > band * S_prime:
-        scale = math.sqrt(0.5 * (1.0 + band) * S_prime / semi)
+    if semi > OSC_BAND * S_prime:
+        scale = math.sqrt(0.5 * (1.0 + OSC_BAND) * S_prime / semi)
         bd = bd.scaled(scale)
         semi = h_half_seminorm(bd)
-    if not (S_prime <= semi <= band * S_prime * (1 + 1e-9)):
+    if not (S_prime <= semi <= OSC_BAND * S_prime * (1 + 1e-9)):
         raise ResolutionExhaustedError(
-            f"could not land the seminorm in [{S_prime}, {band * S_prime}]; "
-            f"got {semi}")
+            f"could not land the seminorm in [{S_prime}, "
+            f"{OSC_BAND * S_prime}]; got {semi}")
     meta = dict(bd.meta)
     meta.update({"seminorm": semi, "scale": scale})
     return BoundaryData(bd.coords, bd.samples, bd.spacing, None, 1.0, meta)

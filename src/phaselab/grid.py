@@ -9,7 +9,8 @@ value.  Fields live on nodes; each node owns a quadrature cell of measure
 discrete integrals used throughout.
 
 Node coordinates are always computed as ``origin + index * spacing`` (one
-multiplication per node, no accumulated summation).
+multiplication per node, no accumulated summation).  ``tail_bound`` stays
+as the reference the tests check the truncation error against.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ __all__ = [
     "half_space_roles",
     "make_half_space_grid",
     "region_cells",
-    "region_cell_count",
     "tail_bound",
-    "truncation_radius",
     "grid_to_dict",
     "grid_from_dict",
     "roles_to_dict",
@@ -155,10 +154,6 @@ class Free:
     pass
 
 
-FaceKey = tuple[int, str]
-FaceRoleMap = dict
-
-
 def default_roles(grid: Grid) -> dict:
     """All faces Free."""
     return {(a, s): Free() for a in range(grid.n) for s in (LOW, HIGH)}
@@ -259,10 +254,6 @@ def region_cells(grid: Grid, region: Region) -> np.ndarray:
     raise TypeError(f"unknown region type {type(region).__name__}")
 
 
-def region_cell_count(grid: Grid, region: Region) -> int:
-    return int(region_cells(grid, region).sum())
-
-
 # --------------------------------------------------------------------------
 # half-space construction and truncation estimates
 # --------------------------------------------------------------------------
@@ -342,32 +333,6 @@ def tail_bound(n: int, R: float, theta: float = 1.0) -> float:
     else:
         raise ValueError(f"n must be 1, 2 or 3, got {n}")
     return max(theta ** 2, theta ** 4) * poly * math.exp(-2.0 * R)
-
-
-def truncation_radius(n: int, theta: float = 1.0, tol: float = 1e-6,
-                      target_energy: float = 1.0) -> float:
-    """Smallest R with ``tail_bound(n, R, theta) < tol * target_energy``.
-
-    Scalar root-find on the explicit tail expression.  A sizing aid for
-    callers choosing a half-space radius by hand: no family or experiment
-    calls it, they take their radius from their own parameters.
-    """
-    goal = tol * target_energy
-    if goal <= 0:
-        raise ValueError("tol * target_energy must be positive")
-
-    def f(R):
-        return math.log(tail_bound(n, R, theta)) - math.log(goal)
-
-    lo, hi = 0.5, 2.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("truncation radius search failed to bracket")
-    if f(lo) <= 0:
-        return lo
-    from scipy.optimize import brentq  # deferred: no experiment calls this
-    return float(brentq(f, lo, hi, xtol=1e-10))
 
 
 # --------------------------------------------------------------------------

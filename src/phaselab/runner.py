@@ -53,10 +53,6 @@ __all__ = [
     "render_summary",
 ]
 
-EXPERIMENTS = ("tanh_calibration", "unbounded", "boundary_atom",
-               "hausdorff_levelset", "hoelder_blowup", "oscillation_atom",
-               "neumann_layer", "penalty_zero")
-
 CSV_COLUMNS = ("experiment", "n", "eps", "theta_or_omega", "F_unit", "S_eps",
                "W_eps", "F_eps_penalized", "sup_u", "mass_total", "mass_in_R1",
                "mass_in_R2", "mass_outside_Reps", "boundary_layer_mass",
@@ -147,6 +143,8 @@ DEFAULTS = {
     },
 }
 
+EXPERIMENTS = tuple(DEFAULTS)
+
 
 def expand_config(config: dict) -> dict:
     """Fill a sparse config with the experiment defaults (deep for params)."""
@@ -175,6 +173,10 @@ _SWEEP_EXPERIMENTS = ("unbounded", "boundary_atom", "hausdorff_levelset",
 _CONFIG_KEYS = ("experiment", "n", "eps_list", "solver", "params",
                 "output_dir", "seed", "workers")
 _SOLVER_KEYS = ("residual_tol", "max_iterations")
+
+# the dimensions an experiment runs in; the others take 1, 2 or 3
+_DIMENSIONS = {"tanh_calibration": (1,), "neumann_layer": (2,),
+               "oscillation_atom": (2, 3)}
 
 
 def _is_number(v) -> bool:
@@ -235,6 +237,13 @@ def validate(config: dict) -> list[str]:
     except (TypeError, ValueError) as exc:
         return [f"config malformed: {exc}"] + unknown
     errors = unknown + _type_errors(name, cfg)
+    workers = config.get("workers", 0)
+    if type(workers) is not int or workers < 0:
+        errors.append("workers must be a non-negative integer (0 takes "
+                      f"PHASELAB_WORKERS), got {workers!r}")
+    if not isinstance(cfg["output_dir"], str):
+        errors.append(f"output_dir must be a path string, got "
+                      f"{cfg['output_dir']!r}")
     if errors:
         return errors
     eps = cfg["eps_list"]
@@ -247,14 +256,19 @@ def validate(config: dict) -> list[str]:
                       "compare the members along the sweep")
     if len(eps) > 1 and not all(b < a for a, b in zip(eps, eps[1:])):
         errors.append("eps must be strictly decreasing")
-    if cfg["n"] not in (1, 2, 3):
-        errors.append(f"n must be 1, 2 or 3, got {cfg['n']!r}")
+    p, n = cfg["params"], cfg["n"]
+    dims = _DIMENSIONS.get(name, (1, 2, 3))
+    if type(n) is not int or n not in dims:
+        errors.append(f"n must be one of {dims} for {name}, got {n!r}")
+    elif name == "unbounded" and not 4 * p["theta_exponent"] < n - 1:
+        errors.append(f"params.theta_exponent must lie below (n - 1) / 4 = "
+                      f"{(n - 1) / 4}, so that eps^(n-1) theta^4 decreases "
+                      f"along the sweep; got {p['theta_exponent']!r}")
     sol = cfg["solver"]
     if sol["residual_tol"] <= 0:
         errors.append("solver.residual_tol must be positive")
     if sol["max_iterations"] < 0:
         errors.append("solver.max_iterations must be non-negative")
-    p = cfg["params"]
     if name == "oscillation_atom":
         from .energy import MAX_FLOOR_DELTA
         if not (0 < p["delta"] < MAX_FLOOR_DELTA):
@@ -267,9 +281,9 @@ def validate(config: dict) -> list[str]:
     if name == "hoelder_blowup" and not (0.0 < p["gamma"] <= 1.0):
         errors.append("gamma must lie in (0, 1]")
     if name in ("boundary_atom", "penalty_zero") and p["S"] <= 0:
-        errors.append("S must be positive")
+        errors.append(f"params.S must be positive, got {p['S']!r}")
     if name == "penalty_zero" and p["sigma"] < 0:
-        errors.append("sigma must be >= 0")
+        errors.append(f"params.sigma must be >= 0, got {p['sigma']!r}")
     if name == "penalty_zero" and not abs(p["offset_scale"]) < THETA_REL_TOL:
         # the first member lands at relative offset offset_scale, which the
         # theta search must resolve inside its accuracy
@@ -319,19 +333,22 @@ def _row(experiment, n, eps, **kw):
     return row
 
 
-def _family_row(experiment, n, member, **extra):
-    e = member.energy
-    return _row(experiment, n, member.eps,
-                theta_or_omega="" if member.parameter is None
-                else member.parameter,
-                F_unit=member.unit_result.final_energy,
-                S_eps=e.S_eps, W_eps=e.W_eps,
-                F_eps_penalized="" if e.F_eps_penalized is None
-                else e.F_eps_penalized,
-                sup_u=member.certificates["sup_u"],
-                residual=member.unit_result.residual,
-                iterations=member.unit_result.iterations,
-                **extra)
+def _family_outputs(cfg, fam, prefix, columns=None):
+    """Sweep rows and fields of a family run: one row per member, whose
+    ``mass_total`` is ``S_eps`` unless its dict in ``columns`` (one per
+    member) sets it, and one field ``<prefix>_eps<i>`` per member."""
+    columns = columns or [{}] * len(fam.members)
+    rows = [_row(cfg["experiment"], cfg["n"], m.eps,
+                 theta_or_omega="" if m.parameter is None else m.parameter,
+                 F_unit=m.unit_result.final_energy,
+                 S_eps=m.energy.S_eps, W_eps=m.energy.W_eps,
+                 sup_u=m.certificates["sup_u"],
+                 residual=m.unit_result.residual,
+                 iterations=m.unit_result.iterations,
+                 **{"mass_total": m.energy.S_eps, **extra})
+            for m, extra in zip(fam.members, columns)]
+    fields = [(f"{prefix}_eps{i}", m.field) for i, m in enumerate(fam.members)]
+    return rows, fields
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +425,6 @@ def run_tanh_calibration(cfg):
 
 def run_unbounded(cfg):
     p = cfg["params"]
-    n = cfg["n"]
     eps_list = cfg["eps_list"]
     thetas = {e: e ** (-p["theta_exponent"]) for e in eps_list}
     fam = _family(cfg, "unbounded", theta_of_eps=thetas)
@@ -440,10 +456,7 @@ def run_unbounded(cfg):
                "curvature energy vanishes for every member",
                max(W), "<=", 1e-6),
     ]
-    rows = [_family_row("unbounded", n, m, mass_total=m.energy.S_eps)
-            for m in fam.members]
-    fields = [(f"unbounded_eps{i}", m.field)
-              for i, m in enumerate(fam.members)]
+    rows, fields = _family_outputs(cfg, fam, "unbounded")
     return rows, assertions, fields
 
 
@@ -494,16 +507,12 @@ def run_boundary_atom(cfg):
     ]
     r1, r2 = (float(p["probe_radii"][0]),
               float(p["probe_radii"][min(1, len(p["probe_radii"]) - 1)]))
-    rows = []
-    for m, crow in zip(fam.members, report.rows):
-        rows.append(_family_row(
-            "boundary_atom", n, m,
-            mass_total=crow.total_mass,
-            mass_in_R1=crow.ball_masses[r1],
-            mass_in_R2=crow.ball_masses[r2],
-            mass_outside_Reps=crow.mass_outside_sqrt_eps))
-    fields = [(f"boundary_atom_eps{i}", m.field)
-              for i, m in enumerate(fam.members)]
+    columns = [{"mass_total": crow.total_mass,
+                "mass_in_R1": crow.ball_masses[r1],
+                "mass_in_R2": crow.ball_masses[r2],
+                "mass_outside_Reps": crow.mass_outside_sqrt_eps}
+               for crow in report.rows]
+    rows, fields = _family_outputs(cfg, fam, "boundary_atom", columns)
     return rows, assertions, fields
 
 
@@ -563,9 +572,7 @@ def run_hausdorff_levelset(cfg):
         _check("hausdorff.willmore_zero", "curvature energies vanish",
                max(m.energy.W_eps for m in fam.members), "<=", 1e-6),
     ]
-    rows = [_family_row("hausdorff_levelset", n, m, mass_total=m.energy.S_eps)
-            for m in fam.members]
-    fields = [(f"hausdorff_eps{i}", m.field) for i, m in enumerate(fam.members)]
+    rows, fields = _family_outputs(cfg, fam, "hausdorff")
     return rows, assertions, fields
 
 
@@ -577,7 +584,7 @@ def run_hoelder_blowup(cfg):
 
     scaled_boundary = []
     interior_raw = []
-    rows = []
+    columns = []
     for m in fam.members:
         g = m.field.grid
         coords_n = g.axis_coords(n - 1)
@@ -590,10 +597,8 @@ def run_hoelder_blowup(cfg):
         qi = hoelder_quotient(m.field, m.eps, gamma, interior, mode="dyadic")
         scaled_boundary.append(m.eps ** gamma * qb.quotient)
         interior_raw.append(qi.quotient)
-        rows.append(_family_row("hoelder_blowup", n, m,
-                                mass_total=m.energy.S_eps,
-                                hoelder_boundary=qb.quotient,
-                                hoelder_interior=qi.quotient))
+        columns.append({"hoelder_boundary": qb.quotient,
+                        "hoelder_interior": qi.quotient})
 
     variation = ((max(interior_raw) - min(interior_raw)) / max(interior_raw)
                  if max(interior_raw) > 0 else 0.0)
@@ -607,13 +612,12 @@ def run_hoelder_blowup(cfg):
         _check("hoelder.willmore_zero", "curvature energies vanish",
                max(m.energy.W_eps for m in fam.members), "<=", 1e-6),
     ]
-    fields = [(f"hoelder_eps{i}", m.field) for i, m in enumerate(fam.members)]
+    rows, fields = _family_outputs(cfg, fam, "hoelder", columns)
     return rows, assertions, fields
 
 
 def run_oscillation_atom(cfg):
     p = cfg["params"]
-    n = cfg["n"]
     fam = _family(cfg, "oscillation_atom")
 
     S_prime, delta = p["S_prime"], p["delta"]
@@ -639,10 +643,7 @@ def run_oscillation_atom(cfg):
         _check("oscillation.willmore_zero", "curvature energies vanish",
                max(m.energy.W_eps for m in fam.members), "<=", 1e-6),
     ]
-    rows = [_family_row("oscillation_atom", n, m, mass_total=m.energy.S_eps)
-            for m in fam.members]
-    fields = [(f"oscillation_eps{i}", m.field)
-              for i, m in enumerate(fam.members)]
+    rows, fields = _family_outputs(cfg, fam, "oscillation")
     return rows, assertions, fields
 
 
@@ -687,12 +688,14 @@ def run_neumann_layer(cfg):
 
 def run_penalty_zero(cfg):
     p = cfg["params"]
-    n = cfg["n"]
     eps_list = cfg["eps_list"]
     eps0 = eps_list[0]
     offsets = [p["offset_scale"] * (e / eps0) for e in eps_list]
     fam = _family(cfg, "boundary_atom", rel_offsets=offsets)
-    pen = [m.energy.F_eps_penalized for m in fam.members]
+    # the area-penalized functional W_eps + eps^(-sigma) (S_eps - S)^2
+    S, sigma = float(p["S"]), p["sigma"]
+    pen = [m.energy.W_eps + m.eps ** (-sigma) * (m.energy.S_eps - S) ** 2
+           for m in fam.members]
     assertions = [
         _check("penalty.monotone",
                "penalized energies decrease strictly along the sweep",
@@ -700,10 +703,8 @@ def run_penalty_zero(cfg):
         _check("penalty.final", "final penalized energy at most 1e-4",
                pen[-1], "<=", 1e-4),
     ]
-    rows = [_family_row("penalty_zero", n, m, mass_total=m.energy.S_eps)
-            for m in fam.members]
-    fields = [(f"penalty_zero_eps{i}", m.field)
-              for i, m in enumerate(fam.members)]
+    columns = [{"F_eps_penalized": f} for f in pen]
+    rows, fields = _family_outputs(cfg, fam, "penalty_zero", columns)
     return rows, assertions, fields
 
 

@@ -42,7 +42,8 @@ stopping rule (``residual_tol``, ``max_iterations``); the start field is
 the ``initial`` argument, an array of nodal values on the grid (default:
 the boundary extension ``far + (trace - far) e^(-x_n)``).  The face data
 replace its face layers, so a previous solution on the same grid is a
-warm start.
+warm start.  ``residual_field`` stays as the reference the tests check the
+solver's residual against.
 """
 
 from __future__ import annotations

@@ -189,3 +189,73 @@ def test_criterion_10_algebraic_properties():
     report(10, "exact algebraic properties", ok,
            f"well={ok_w} seminorm={ok_semi} barrier={ok_super} "
            f"additivity={ok_add} levelsets={ok_level}")
+
+
+# Every assertion of every experiment at its defaults, in order, with its
+# comparator and threshold.  A change to any of them fails here, so a
+# weakened threshold cannot pass unnoticed.
+THRESHOLDS = {
+    "tanh_calibration": [
+        ("calibration.s_eps_sampled", "<=", 1.01),
+        ("calibration.s_eps_sampled_lo", ">=", 0.99),
+        ("calibration.s_eps_relaxed", "<=", 1.01),
+        ("calibration.s_eps_relaxed_lo", ">=", 0.99),
+        ("calibration.w_eps", "<=", 1e-4),
+    ],
+    "unbounded": [
+        ("unbounded.sup_increasing", ">", 0.0),
+        ("unbounded.sup_floor", ">=", 0.0),
+        ("unbounded.mass_decreasing", "<", 0.0),
+        ("unbounded.mass_slope_hi", "<=", 0.7),
+        ("unbounded.mass_slope_lo", ">=", 0.3),
+        ("unbounded.willmore_zero", "<=", 1e-6),
+    ],
+    "boundary_atom": [
+        ("atom.mass_pinned", "<=", 0.02),
+        ("atom.concentration_increasing", ">", 0.0),
+        ("atom.concentration_final", ">=", 0.95),
+        ("atom.tail_decreasing", "<", 0.0),
+        ("atom.tail_final", "<=", 0.05),
+        ("atom.two_sided_bound", "<=", 2e-9),       # 2 solver.residual_tol
+        ("atom.trace_lower_bound", ">=", 0.0),
+        ("atom.willmore_zero", "<=", 1e-6),
+        ("atom.theta_polynomial", "<=", 8.0),
+    ],
+    "hausdorff_levelset": [
+        ("hausdorff.range", "<=", 1e-6),
+        ("hausdorff.level_set_nonempty", ">", 0.0),
+        ("hausdorff.distance", "<=", 0.0),
+        ("hausdorff.mass_to_zero", "<", 0.0),
+        ("hausdorff.willmore_zero", "<=", 1e-6),
+    ],
+    "hoelder_blowup": [
+        ("hoelder.boundary_divergence", ">", 0.0),
+        ("hoelder.interior_stable", "<", 0.2),
+        ("hoelder.willmore_zero", "<=", 1e-6),
+    ],
+    "oscillation_atom": [
+        ("oscillation.seminorm_lo", ">=", 0.1),
+        ("oscillation.seminorm_hi", "<=", 1.1 * 0.1),
+        ("oscillation.floor", ">=", 1.0 - 2.0 * 0.15 - 1e-6),
+        # 0.9 times the seminorm of the constructed data
+        ("oscillation.dirichlet_bound", ">=", 0.09449999999999983),
+        ("oscillation.willmore_zero", "<=", 1e-6),
+    ],
+    "neumann_layer": [
+        ("neumann.layer_exponent", ">=", 1.8),
+        ("neumann.layer_nonempty", ">", 0.0),
+    ],
+    "penalty_zero": [
+        ("penalty.monotone", "<", 0.0),
+        ("penalty.final", "<=", 1e-4),
+    ],
+}
+
+
+def test_every_threshold_is_pinned(acceptance_runs):
+    assert set(THRESHOLDS) == set(acceptance_runs)
+    assert sum(map(len, THRESHOLDS.values())) == 37
+    for name, want in THRESHOLDS.items():
+        summary, _ = acceptance_runs[name]
+        got = [(a.id, a.comparator, a.threshold) for a in summary.assertions]
+        assert got == want, name

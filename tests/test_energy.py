@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -19,8 +20,6 @@ from phaselab.energy import (
     laplacian,
     modica_mortola,
     modified_floor_potential,
-    penalized_functional,
-    potential_eval,
     standard_potential,
     supersolution_margin,
     willmore_eps,
@@ -57,17 +56,21 @@ def test_c0_algebraic_identity():
     assert abs(3.0 * c0() / (2.0 * math.sqrt(2.0)) - 1.0) <= np.finfo(float).eps
 
 
+def _w_wp_wpp(p, s):
+    return p.value(s), p.derivative(s), p.second_derivative(s)
+
+
 def test_standard_potential_values():
     p = standard_potential()
-    assert potential_eval(p, 0.0) == (0.25, 0.0, -1.0)
-    w, wp, wpp = potential_eval(p, 3.0)
+    assert _w_wp_wpp(p, 0.0) == (0.25, 0.0, -1.0)
+    w, wp, wpp = _w_wp_wpp(p, 3.0)
     assert (w, wp) == (16.0, 24.0)
     assert wpp == 26.0
 
 
 def test_modified_floor_branches():
     p = modified_floor_potential(0.05)
-    w, wp, wpp = potential_eval(p, 0.0)
+    w, wp, wpp = _w_wp_wpp(p, 0.0)
     assert w == pytest.approx((0.9 ** 2 - 1) ** 2 / 4.0)
     assert wp == 0.0 and wpp == 0.0
     # agrees with the standard well above the floor
@@ -203,11 +206,12 @@ def test_breakdown_of_sums_the_density_fields():
     mu, alpha = density_fields(u, 0.1)
     h = u.grid.cell_measure
     s, w = float(np.sum(mu.values)) * h, float(np.sum(alpha.values)) * h
-    got = EnergyBreakdown.of(u, 0.1, 1.0, 0.5)
-    assert got == EnergyBreakdown(0.1, s, w, s + w, 1.0, 0.5,
-                                  w + 0.1 ** -1.0 * (s - 0.5) ** 2)
-    assert got.F_eps_penalized is not None
+    got = EnergyBreakdown.of(u, 0.1)
+    assert got == EnergyBreakdown(0.1, s, w, s + w)
     assert got.excess_mass is None
+    # theta and workers are keyword-only
+    with pytest.raises(TypeError):
+        EnergyBreakdown.of(u, 0.1, 1.0)
 
 
 def test_density_zero_for_constant():
@@ -272,22 +276,22 @@ def test_w_scaling_inequality_random():
 
 
 def test_penalized_functional():
+    # the record carries the energies the penalty_zero experiment forms
+    # W_eps + eps^(-sigma) (S_eps - S)^2 from, and no penalty of its own
+    assert [f.name for f in dataclasses.fields(EnergyBreakdown)] == [
+        "epsilon", "S_eps", "W_eps", "E_eps", "excess_mass"]
     g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    ones = field_on(g, np.ones(g.shape))
+    br = EnergyBreakdown.of(field_on(g, np.ones(g.shape)), 0.1)
     # S_eps = W_eps = 0, so the penalty term carries everything
-    val = penalized_functional(ones, 0.1, 1.0, 1.0)
-    assert val == pytest.approx(10.0, rel=1e-12)
-    assert penalized_functional(ones, 0.1, 1.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        penalized_functional(ones, 0.1, -1.0, 0.0)
+    assert (br.S_eps, br.W_eps) == (0.0, 0.0)
+    assert br.W_eps + 0.1 ** -1.0 * (br.S_eps - 1.0) ** 2 == pytest.approx(
+        10.0, rel=1e-12)
 
 
 def test_energy_breakdown_identity():
     u = tanh_profile_field(0.1)
-    br = EnergyBreakdown.of(u, 0.1, sigma=1.0, S_target=1.0)
+    br = EnergyBreakdown.of(u, 0.1)
     assert br.E_eps == br.S_eps + br.W_eps
-    assert br.F_eps_penalized == pytest.approx(
-        br.W_eps + 10.0 * (br.S_eps - 1.0) ** 2, rel=1e-9)
 
 
 def test_supersolution_certificate():

@@ -15,11 +15,9 @@ from phaselab.grid import (
     WholeDomain,
     half_space_roles,
     make_half_space_grid,
-    region_cell_count,
     roles_to_dict,
     region_cells,
     tail_bound,
-    truncation_radius,
 )
 
 
@@ -75,7 +73,7 @@ def test_region_basics():
     g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
     assert region_cells(g, WholeDomain()).all()
     # radius-0 ball is empty even with an on-node center
-    assert region_cell_count(g, Ball((0.0, 1.0), 0.0)) == 0
+    assert region_cells(g, Ball((0.0, 1.0), 0.0)).sum() == 0
     ones = np.ones(g.shape)
     assert region_cells(g, SuperLevel(0.5, ones, g)).all()
     other = Grid(g.shape, g.spacing, (5.0, 5.0))
@@ -100,8 +98,8 @@ def test_partition_and_double_complement():
         center = (float(rng.uniform(-4, 4)), float(rng.uniform(0, 4)))
         radius = float(rng.uniform(0.1, 3.0))
         region = Ball(center, radius)
-        a = region_cell_count(g, region)
-        b = region_cell_count(g, Complement(region))
+        a = region_cells(g, region).sum()
+        b = region_cells(g, Complement(region)).sum()
         assert a + b == g.num_nodes
         twice = region_cells(g, Complement(Complement(region)))
         assert np.array_equal(twice, region_cells(g, region))
@@ -114,7 +112,7 @@ def test_refinement_consistency():
     errors = []
     for spacing in (0.2, 0.1, 0.05, 0.025):
         g, _ = make_half_space_grid(2, 4.0, spacing, 1.0)
-        vol = region_cell_count(g, ball) * g.cell_measure
+        vol = region_cells(g, ball).sum() * g.cell_measure
         errors.append(abs(vol - exact))
     for h, err in zip((0.2, 0.1, 0.05, 0.025), errors):
         assert err <= 2.5 * h * 0.8          # C * spacing with C ~ perimeter
@@ -126,13 +124,7 @@ def test_tail_bound_vs_quadrature(n):
         oracle = 2.0 * quad(lambda r: np.exp(-2 * r) * r ** (n - 1),
                             R, np.inf)[0]
         assert tail_bound(n, R) == pytest.approx(oracle, rel=1e-9)
-
-
-def test_truncation_radius_root_find():
-    # spec-style instance: theta = 10, tolerance 1e-6 in dimension 2
-    theta, tol = 10.0, 1e-6
-    R = truncation_radius(2, theta=theta, tol=tol)
-    quad_tail = 2.0 * quad(lambda r: np.exp(-2 * r) * r, R, np.inf)[0]
-    assert theta ** 4 * quad_tail < tol * 1.0000001
-    assert tail_bound(2, R, theta) == pytest.approx(tol, rel=1e-6)
-    assert tail_bound(2, 0.9 * R, theta) > tol
+        # max(theta^2, theta^4) scaling of the bump factor
+        unit = tail_bound(n, R)
+        assert tail_bound(n, R, 10.0) == pytest.approx(1e4 * unit, rel=1e-14)
+        assert tail_bound(n, R, 0.5) == pytest.approx(0.25 * unit, rel=1e-14)

@@ -38,7 +38,7 @@ def test_validate_oscillation_delta_gate():
     ("penalty_zero", "boundary_atom")])
 def test_runner_family_defaults_are_the_family_table(experiment, kind):
     # every family key a config may set defaults to the family's own value;
-    # the off-by-default switches (sigma, rel_offsets) are the runners' to set
+    # the off-by-default switch (rel_offsets) is the runners' to set
     table = FAMILY_PARAMS[kind]
     params = DEFAULTS[experiment]["params"]
     assert DEFAULTS[experiment]["n"] == table["n"]
@@ -268,6 +268,17 @@ def test_validate_rejects_unknown_keys(config, key):
     ("tanh_calibration", {"domain_length": 10.03}, "params.domain_length"),
     ("penalty_zero", {"offset_scale": 0.01}, "params.offset_scale"),
     ("penalty_zero", {"offset_scale": -5e-3}, "params.offset_scale"),
+    ("penalty_zero", {"sigma": -1}, "params.sigma"),
+    ("unbounded", {"theta_exponent": 0.3}, "params.theta_exponent"),
+    # a top-level key: the config without its params in place of the name
+    ({"experiment": "unbounded", "n": 1}, {}, "params.theta_exponent"),
+    ({"experiment": "oscillation_atom", "n": 1}, {}, "n"),
+    ({"experiment": "tanh_calibration", "n": 2}, {}, "n"),
+    ({"experiment": "neumann_layer", "n": 3}, {}, "n"),
+    ({"experiment": "tanh_calibration", "workers": -2}, {}, "workers"),
+    ({"experiment": "tanh_calibration", "workers": 2.7}, {}, "workers"),
+    ({"experiment": "tanh_calibration", "workers": True}, {}, "workers"),
+    ({"experiment": "tanh_calibration", "output_dir": 5}, {}, "output_dir"),
 ])
 def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
                                                   tmp_path, monkeypatch):
@@ -276,11 +287,54 @@ def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started on an invalid config")
     monkeypatch.setattr(_DirichletProblem, "__init__", no_solve)
-    cfg = {"experiment": experiment, "params": params}
+    top = experiment if isinstance(experiment, dict) else {
+        "experiment": experiment}
+    cfg = {**top, "params": params}
     errs = validate(cfg)
     assert len(errs) == 1 and errs[0].startswith(key + " ")
     with pytest.raises(ValueError, match="invalid config: " + key):
-        run({**cfg, "output_dir": str(tmp_path)})
+        run({"output_dir": str(tmp_path), **cfg})
+
+
+def test_shipped_configs_and_benchmark_runs_validate():
+    # the benchmark runs every workload config through run(); a key that
+    # validate stops accepting would fail every benchmark operation
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    configs = {}
+    for name in sorted(os.listdir(os.path.join(root, "configs"))):
+        if name.endswith(".json"):
+            with open(os.path.join(root, "configs", name)) as fh:
+                configs[name] = json.load(fh)
+    with open(os.path.join(root, "perfbench", "workloads.json")) as fh:
+        for workload, spec in json.load(fh).items():
+            for i, cfg in enumerate(spec.get("runs", [])):
+                configs[f"{workload}[{i}]"] = cfg
+    assert len(configs) == 13
+    for name, cfg in configs.items():
+        assert validate(cfg) == [], name
+
+
+def test_penalty_rows_carry_the_penalized_functional(acceptance_runs):
+    _, out = acceptance_runs["penalty_zero"]
+    p = json.loads((out / "summary.json").read_text())["config"]["params"]
+    lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        eps, S, W = (float(row[c]) for c in ("eps", "S_eps", "W_eps"))
+        assert float(row["F_eps_penalized"]) == (
+            W + eps ** -p["sigma"] * (S - p["S"]) ** 2)
+
+
+def test_cli_run_reports_a_solve_that_gives_up(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "unbounded", "params": {"L": 0.2},
+        "solver": {"max_iterations": 0},
+        "output_dir": str(tmp_path / "out")}))
+    assert cli_main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: no convergence")
 
 
 def test_validate_rejects_negative_max_iterations():
