@@ -228,38 +228,26 @@ def interior_region_mask(grid: Grid, margin: float) -> np.ndarray:
     return mask
 
 
-def _offsets(n: int, radius_steps: float, mode: str):
-    """Integer node offsets with euclidean length <= radius_steps, one per
-    +-pair (lexicographically positive representative)."""
+def _offsets(n: int, radius_steps: float, mode: str) -> np.ndarray:
+    """(k, n) array of the integer node offsets with euclidean length <=
+    radius_steps, one per +-pair (lexicographically positive
+    representative), in lexicographic order."""
     box = int(math.floor(radius_steps))
     r2 = radius_steps * radius_steps
+    # the cube of offsets (the unit cube for the dyadic directions) in
+    # row-major order, which is lexicographic order
+    span = box if mode == "exhaustive" else 1
+    cube = np.indices((2 * span + 1,) * n).reshape(n, -1).T - span
+    # keep o > 0 lexicographically: its first nonzero entry is positive
+    lead = cube[np.arange(len(cube)), np.argmax(cube != 0, axis=1)]
+    dirs = cube[lead > 0]
     if mode == "exhaustive":
-        out = []
-        for off in np.ndindex(*((2 * box + 1,) * n)):
-            o = tuple(v - box for v in off)
-            if all(v == 0 for v in o):
-                continue
-            if o <= tuple([0] * n):     # lexicographic dedup of +-o
-                continue
-            if sum(v * v for v in o) <= r2:
-                out.append(o)
-        return out
-    # dyadic ladder: axis and diagonal directions at power-of-two multiples
-    dirs = []
-    for off in np.ndindex(*((3,) * n)):
-        o = tuple(v - 1 for v in off)
-        if all(v == 0 for v in o) or o <= tuple([0] * n):
-            continue
-        dirs.append(o)
-    out = []
-    k = 1
-    while k <= box:
-        for d in dirs:
-            o = tuple(k * v for v in d)
-            if sum(v * v for v in o) <= r2:
-                out.append(o)
-        k *= 2
-    return sorted(set(out))
+        return dirs[np.sum(dirs * dirs, axis=1) <= r2]
+    # dyadic ladder: axis and diagonal directions at the power-of-two
+    # multiples k = 1, 2, 4, ... <= box
+    ks = 2 ** np.arange(box.bit_length())
+    ladder = (ks[:, None, None] * dirs).reshape(-1, n)
+    return np.unique(ladder[np.sum(ladder * ladder, axis=1) <= r2], axis=0)
 
 
 #: Node pairs above which the "auto" Hoelder scan takes the dyadic ladder.
@@ -275,7 +263,8 @@ def hoelder_quotient(u: ScalarField, eps: float, gamma: float,
     The scan enumerates integer node offsets inside the eps-ball
     (exhaustive by default; a dyadic offset ladder is used when the
     exhaustive pair count would exceed the budget, and the mode actually
-    used is reported on the probe).
+    used is reported on the probe).  Ties go to the lexicographically
+    first offset, then to the first node in row-major order.
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
@@ -296,15 +285,26 @@ def hoelder_quotient(u: ScalarField, eps: float, gamma: float,
         n_off = (2 * math.floor(radius_steps) + 1) ** g.n / 2
         mode = "exhaustive" if n_off * mask.sum() <= PAIR_BUDGET else "dyadic"
 
+    # both endpoints of every pair lie in the bounding box of the mask, so
+    # the scan runs on that box alone
+    box = []
+    for a in range(g.n):
+        others = tuple(b for b in range(g.n) if b != a)
+        hit = np.flatnonzero(mask.any(axis=others))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    box = tuple(box)
+    mask = mask[box]
+    vals = u.values[box]
+    offsets = _offsets(g.n, radius_steps, mode)
+    # an offset at least as long as the box along some axis joins no pair
+    offsets = offsets[np.all(np.abs(offsets) < mask.shape, axis=1)]
     best = 0.0
     best_pair = None
     best_dist = None
-    vals = u.values
-    for off in _offsets(g.n, radius_steps, mode):
+    for off in offsets.tolist():
         src = []
         dst = []
-        for a, o in enumerate(off):
-            m = g.shape[a]
+        for o, m in zip(off, mask.shape):
             if o >= 0:
                 src.append(slice(0, m - o))
                 dst.append(slice(o, m))
@@ -323,8 +323,10 @@ def hoelder_quotient(u: ScalarField, eps: float, gamma: float,
             best = q
             flat = int(np.argmax(diff))
             idx = np.unravel_index(flat, diff.shape)
-            y_idx = tuple(i + (s.start or 0) for i, s in zip(idx, src))
-            z_idx = tuple(i + (s.start or 0) for i, s in zip(idx, dst))
+            y_idx = tuple(i + s.start + b.start
+                          for i, s, b in zip(idx, src, box))
+            z_idx = tuple(i + s.start + b.start
+                          for i, s, b in zip(idx, dst, box))
             origin = np.asarray(g.origin)
             best_pair = (tuple(origin + np.asarray(y_idx) * g.spacing),
                          tuple(origin + np.asarray(z_idx) * g.spacing))

@@ -786,25 +786,48 @@ def neumann_layer_field(eps: float, L: float = 2.4,
                  - 1.0)
 
     # The bumps vanish off their discs, where a full-grid sum would add
-    # exactly zero: evaluate them on the bounding box of the discs only.
+    # exactly zero: evaluate each one on the bounding box of its own disc
+    # and add it in place, so no temporary is larger than a disc's box.
     zc = 0.5 * (z1 + z2)
-    discs = ((L / 3.0, 0.3), (2.0 * L / 3.0, 0.35))
-    ix = np.flatnonzero(np.any([np.abs(x - cx) < w for cx, w in discs],
-                               axis=0))
-    iz = np.flatnonzero(np.abs(z - zc) < max(w for _, w in discs))
-    if ix.size and iz.size:
-        box = (slice(ix[0], ix[-1] + 1), slice(iz[0], iz[-1] + 1))
-        X, Z = x[box[0], None], z[None, box[1]]
 
-        def plateau_bump(cx, w):
-            r2 = ((X - cx) ** 2 + (Z - zc) ** 2) / w ** 2
-            out = np.zeros_like(r2)
-            ins = r2 < 1.0
-            out[ins] = np.exp(1.0 - 1.0 / (1.0 - r2[ins]))
-            return out
+    def plateau_bump(box, cx, w):
+        # exp(1 - 1/(1 - r^2)) inside the disc, zero outside, built in the
+        # storage of r^2 so that one box-size array is live
+        bump = (x[box[0], None] - cx) ** 2 + (z[None, box[1]] - zc) ** 2
+        bump /= w ** 2
+        ins = bump < 1.0
+        inside = np.exp(1.0 - 1.0 / (1.0 - bump[ins]))
+        bump.fill(0.0)
+        bump[ins] = inside
+        return bump
 
-        amp = bump_amp * eps ** amp_power
-        values[box] += amp * (plateau_bump(*discs[0])
-                              + 0.7 * plateau_bump(*discs[1]))
+    # (centre x, radius, weight) of each disc
+    discs = ((L / 3.0, 0.3, 1.0), (2.0 * L / 3.0, 0.35, 0.7))
+    terms = []
+    for cx, w, weight in discs:
+        ix = np.flatnonzero(np.abs(x - cx) < w)
+        iz = np.flatnonzero(np.abs(z - zc) < w)
+        if ix.size and iz.size:
+            box = (slice(ix[0], ix[-1] + 1), slice(iz[0], iz[-1] + 1))
+            term = plateau_bump(box, cx, w)
+            term *= weight
+            terms.append((box, term))
+    if len(terms) == 2:
+        # where the boxes meet, sum the two bumps before scaling, as the
+        # formula amp * (b0 + 0.7 b1) does, and add that sum only once
+        (b0, t0), (b1, t1) = terms
+        ov = tuple(slice(max(p.start, q.start), min(p.stop, q.stop))
+                   for p, q in zip(b0, b1))
+        if all(s.start < s.stop for s in ov):
+            in0 = tuple(slice(s.start - p.start, s.stop - p.start)
+                        for s, p in zip(ov, b0))
+            in1 = tuple(slice(s.start - q.start, s.stop - q.start)
+                        for s, q in zip(ov, b1))
+            t0[in0] += t1[in1]
+            t1[in1] = 0.0
+    amp = bump_amp * eps ** amp_power
+    for box, term in terms:
+        term *= amp
+        values[box] += term
     roles = {(a, s): NeumannZero() for a in range(2) for s in ("low", "high")}
     return ScalarField(g, values, roles)

@@ -158,7 +158,7 @@ def expand_config(config: dict) -> dict:
                    **config.get("solver", {})},
         "params": {**base.get("params", {}), **config.get("params", {})},
         "output_dir": config.get("output_dir", "runs/" + str(name)),
-        "seed": int(config.get("seed", 0)),
+        "seed": config.get("seed", 0),
         "workers": int(config.get("workers", 0)) or None,
     }
     return out
@@ -174,9 +174,12 @@ _CONFIG_KEYS = ("experiment", "n", "eps_list", "solver", "params",
                 "output_dir", "seed", "workers")
 _SOLVER_KEYS = ("residual_tol", "max_iterations")
 
-# the dimensions an experiment runs in; the others take 1, 2 or 3
+# the dimensions an experiment runs in; the others take 1, 2 or 3.  At
+# n = 1 the hausdorff_levelset and hoelder_blowup data pin the whole face
+# to -1, so the one interface floats between the faces and the solve stalls
 _DIMENSIONS = {"tanh_calibration": (1,), "neumann_layer": (2,),
-               "oscillation_atom": (2, 3)}
+               "oscillation_atom": (2, 3), "hausdorff_levelset": (2, 3),
+               "hoelder_blowup": (2, 3)}
 
 
 def _is_number(v) -> bool:
@@ -241,6 +244,8 @@ def validate(config: dict) -> list[str]:
     if type(workers) is not int or workers < 0:
         errors.append("workers must be a non-negative integer (0 takes "
                       f"PHASELAB_WORKERS), got {workers!r}")
+    if type(cfg["seed"]) is not int:
+        errors.append(f"seed must be an integer, got {cfg['seed']!r}")
     if not isinstance(cfg["output_dir"], str):
         errors.append(f"output_dir must be a path string, got "
                       f"{cfg['output_dir']!r}")
@@ -670,6 +675,8 @@ def run_neumann_layer(cfg):
                          sup_u=max(float(v.max()), -float(v.min()))))
         if i == len(eps_list) - 1:
             fields.append(("neumann_layer_finest", u))
+        # drop this member's field before the next, finer one is built
+        del u, v
     if all(m > 0 for m in masses):
         exponent = float(np.polyfit(np.log(eps_list), np.log(masses), 1)[0])
     else:

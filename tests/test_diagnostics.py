@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from phaselab.diagnostics import (
+    PAIR_BUDGET,
     EmptySetError,
+    HoelderProbe,
+    _offsets,
     boundary_layer_mass,
     hausdorff_distance,
     hoelder_quotient,
@@ -21,6 +24,7 @@ from phaselab.grid import (
     GridMismatchError,
     WholeDomain,
     make_half_space_grid,
+    region_cells,
 )
 
 
@@ -279,6 +283,146 @@ def test_interior_region_mask_margins():
     X, Z = g.meshgrid()
     inside = (X > 0.25) & (X < 1.75) & (Z > 0.25) & (Z < 1.75)
     assert np.array_equal(mask, inside)
+
+
+def _reference_offsets(n, radius_steps, mode):
+    """Node offsets as enumerated one by one before the numpy build."""
+    box = int(math.floor(radius_steps))
+    r2 = radius_steps * radius_steps
+    if mode == "exhaustive":
+        out = []
+        for off in np.ndindex(*((2 * box + 1,) * n)):
+            o = tuple(v - box for v in off)
+            if o > (0,) * n and sum(v * v for v in o) <= r2:
+                out.append(o)
+        return out
+    dirs = [o for o in (tuple(v - 1 for v in off)
+                        for off in np.ndindex(*((3,) * n)))
+            if o > (0,) * n]
+    out = set()
+    k = 1
+    while k <= box:
+        out.update(o for o in (tuple(k * v for v in d) for d in dirs)
+                   if sum(v * v for v in o) <= r2)
+        k *= 2
+    return sorted(out)
+
+
+def _reference_hoelder_probe(u, eps, gamma, mask, mode="auto"):
+    """The Hoelder scan over the whole grid: every offset slices, masks and
+    differences full-size arrays."""
+    g = u.grid
+    radius_steps = eps / g.spacing * (1 + 1e-12)
+    if radius_steps < 1.0:
+        return HoelderProbe(gamma, eps, 0.0, None, None, "empty")
+    if mode == "auto":
+        n_off = (2 * math.floor(radius_steps) + 1) ** g.n / 2
+        mode = ("exhaustive" if n_off * mask.sum() <= PAIR_BUDGET
+                else "dyadic")
+    best, best_pair, best_dist = 0.0, None, None
+    vals = u.values
+    for off in _reference_offsets(g.n, radius_steps, mode):
+        src = tuple(slice(0, m - o) if o >= 0 else slice(-o, m)
+                    for o, m in zip(off, g.shape))
+        dst = tuple(slice(o, m) if o >= 0 else slice(0, m + o)
+                    for o, m in zip(off, g.shape))
+        pm = mask[src] & mask[dst]
+        if not pm.any():
+            continue
+        diff = np.abs(vals[dst] - vals[src])
+        diff[~pm] = 0.0
+        dist = g.spacing * math.sqrt(sum(o * o for o in off))
+        q = float(diff.max()) / dist ** gamma
+        if q > best:
+            best = q
+            idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
+            origin = np.asarray(g.origin)
+            best_pair = tuple(
+                tuple(origin + np.asarray([i + s.start for i, s in
+                                           zip(idx, sl)]) * g.spacing)
+                for sl in (src, dst))
+            best_dist = dist
+    return HoelderProbe(gamma, eps, best, best_pair, best_dist, mode)
+
+
+def _probe_field(n, seed):
+    """A smooth field with small noise on [0, 1]^n, 13 to 31 nodes a side
+    (13 to 19 in 3D)."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(v) for v in rng.integers(13, 32 if n < 3 else 20,
+                                                  size=n))
+    h = 1.0 / (max(shape) - 1)
+    g = Grid(shape, h, (0.0,) * n)
+    coords = g.meshgrid() if n > 1 else (g.axis_coords(0),)
+    vals = np.sin(3.0 * coords[0]) * np.exp(-coords[-1])
+    vals += 1e-3 * rng.standard_normal(shape)
+    return ScalarField.from_values(g, vals)
+
+
+def _probe_masks(g):
+    coords = g.meshgrid() if g.n > 1 else (g.axis_coords(0),)
+    low = coords[-1] <= coords[-1].min() + 2.5 * g.spacing
+    high = coords[0] >= coords[0].max() - 1.5 * g.spacing
+    centre = tuple(0.5 * g.extent(a)[1] for a in range(g.n))
+    return {"whole": np.ones(g.shape, dtype=bool),
+            "low_strip": low, "high_strip": high,
+            "interior": interior_region_mask(g, 3.0 * g.spacing),
+            "ball": region_cells(g, Ball(centre, 0.3)),
+            "two_corners": (coords[0] < 0.2) & (coords[-1] < 0.2)
+                           | (coords[0] > 0.8) & (coords[-1] > 0.8)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["exhaustive", "dyadic", "auto"])
+def test_hoelder_box_scan_equals_full_grid_scan(n, mode):
+    for seed in range(2):
+        u = _probe_field(n, seed)
+        g = u.grid
+        for name, mask in _probe_masks(g).items():
+            for steps in (0.5, 1.0, 2.0, 3.5, 6.0):
+                eps = steps * g.spacing
+                want = _reference_hoelder_probe(u, eps, 0.5, mask, mode)
+                assert hoelder_quotient(u, eps, 0.5, mask, mode) == want, \
+                    (seed, name, steps)
+        ball = Ball(tuple(0.4 for _ in range(n)), 0.25)
+        assert hoelder_quotient(u, 4 * g.spacing, 1.0, ball, mode) == \
+            _reference_hoelder_probe(u, 4 * g.spacing, 1.0,
+                                     region_cells(g, ball), mode)
+
+
+@pytest.mark.parametrize("rows", [slice(0, 3), slice(5, 9)])
+def test_hoelder_ties_keep_the_first_offset_and_first_node(rows):
+    # u = x on unit spacing: offsets (1, 0) and (2, 0) both give quotient
+    # exactly 1 at every node, so the lexicographically first offset and
+    # the first masked node in row-major order must win
+    g = Grid((10, 12), 1.0, (0.0, 0.0))
+    X, _ = g.meshgrid()
+    u = ScalarField.from_values(g, X.copy())
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[rows, 4:10] = True
+    probe = hoelder_quotient(u, 2.0, 1.0, mask, mode="exhaustive")
+    assert probe == _reference_hoelder_probe(u, 2.0, 1.0, mask, "exhaustive")
+    assert probe.quotient == 1.0 and probe.pair_distance == 1.0
+    first = float(rows.start)
+    assert probe.pair == ((first, 4.0), (first + 1.0, 4.0))
+
+
+def test_offsets_pinned():
+    assert _offsets(2, 2.5, "exhaustive").tolist() == [
+        [0, 1], [0, 2], [1, -2], [1, -1], [1, 0], [1, 1], [1, 2],
+        [2, -1], [2, 0], [2, 1]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_offsets_match_the_one_by_one_enumeration(n):
+    radii = (np.arange(0.5, 27.01, 0.5) if n < 3
+             else (0.5, 1.0, 1.5, 2.5, 4.0, 7.5, 13.5))
+    for radius in radii:
+        for mode in ("exhaustive", "dyadic"):
+            got = _offsets(n, radius, mode)
+            assert got.shape[1] == n
+            assert [tuple(o) for o in got.tolist()] == \
+                _reference_offsets(n, radius, mode), (radius, mode)
 
 
 def test_region_mass_bounded_by_total():

@@ -366,6 +366,19 @@ def test_neumann_layer_field_bitwise_equals_full_grid_formula(kwargs):
     assert got.tobytes() == _reference_neumann_layer_values(**kwargs).tobytes()
 
 
+def test_neumann_layer_field_peak_memory_is_near_the_field():
+    # each bump is built on its own disc's box and added in place, so the
+    # build holds little beyond the field itself
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        u = neumann_layer_field(0.008)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * u.values.nbytes
+
+
 def test_oscillation_truncation_stability():
     # no decay rate is available for oscillatory data, so the doubling
     # check is empirical: growing the solve domain around the same trace
