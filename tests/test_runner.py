@@ -275,12 +275,12 @@ def test_validate_rejects_unknown_keys(config, key):
     ({"experiment": "oscillation_atom", "n": 1}, {}, "n"),
     ({"experiment": "tanh_calibration", "n": 2}, {}, "n"),
     ({"experiment": "neumann_layer", "n": 3}, {}, "n"),
-    ({"experiment": "hausdorff_levelset", "n": 1}, {}, "n"),
-    ({"experiment": "hoelder_blowup", "n": 1}, {}, "n"),
     ({"experiment": "tanh_calibration", "workers": -2}, {}, "workers"),
     ({"experiment": "tanh_calibration", "workers": 2.7}, {}, "workers"),
     ({"experiment": "tanh_calibration", "workers": True}, {}, "workers"),
     ({"experiment": "tanh_calibration", "output_dir": 5}, {}, "output_dir"),
+    ({"experiment": "hausdorff_levelset", "n": 1}, {}, "n"),
+    ({"experiment": "hoelder_blowup", "n": 1}, {}, "n"),
     ({"experiment": "tanh_calibration", "seed": 2.7}, {}, "seed"),
     ({"experiment": "tanh_calibration", "seed": True}, {}, "seed"),
     ({"experiment": "tanh_calibration", "seed": "3"}, {}, "seed"),
