@@ -7,9 +7,9 @@ Subcommands:
 * ``phaselab report <run-dir>``        re-render the summary table
 
 Exit code 0 means every assertion of the run passed, 2 that one failed,
-and 1 that the config is invalid or a solve or search gave up (``error:``
-on stderr).  The environment variable ``PHASELAB_WORKERS`` sets the worker
-count of a config whose ``workers`` is 0 or absent.
+and 1 that the config file is missing, is not a JSON object or is invalid,
+or that a solve or search gave up (``error:`` on stderr; a config error
+names the file).
 """
 
 from __future__ import annotations
@@ -20,13 +20,24 @@ import os
 import sys
 
 from .families import BracketFailureError, ResolutionExhaustedError
-from .runner import EXPERIMENTS, render_summary, run, validate
+from .runner import EXPERIMENTS, expand_config, render_summary, run, validate
 from .solver import NonConvergenceError
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _read_config(path: str, output_dir: str | None = None):
+    """The config in a JSON file, with ``output_dir`` in place of its own
+    when given, and what stops it from running: the file, its JSON or the
+    errors of ``validate``."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        return None, [exc.strerror]
+    except ValueError as exc:
+        return None, [str(exc)]
+    if output_dir and isinstance(config, dict):
+        config["output_dir"] = output_dir
+    return config, validate(config)
 
 
 def main(argv=None) -> int:
@@ -49,26 +60,26 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        errors = validate(_load_config(args.config))
+    if args.command in ("validate", "run"):
+        config, errors = _read_config(
+            args.config, getattr(args, "output_dir", None))
+        for e in errors:
+            print(f"error: {args.config}: {e}", file=sys.stderr)
         if errors:
-            for e in errors:
-                print(f"error: {e}", file=sys.stderr)
             return 1
+
+    if args.command == "validate":
         print("ok")
         return 0
 
     if args.command == "run":
-        config = _load_config(args.config)
-        if args.output_dir:
-            config["output_dir"] = args.output_dir
         try:
             summary = run(config)
         except (ValueError, NonConvergenceError, BracketFailureError,
                 ResolutionExhaustedError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        out = config.get("output_dir", "runs/" + config.get("experiment", ""))
+        out = expand_config(config)["output_dir"]
         with open(os.path.join(out, "summary.json")) as fh:
             print(render_summary(json.load(fh)), end="")
         return 0 if summary.passed else 2

@@ -268,6 +268,9 @@ def hoelder_quotient(u: ScalarField, eps: float, gamma: float,
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    if mode not in ("auto", "exhaustive", "dyadic"):
+        raise ValueError("mode must be 'auto', 'exhaustive' or 'dyadic', "
+                         f"got {mode!r}")
     g = u.grid
     if region is None:
         mask = np.ones(g.shape, dtype=bool)

@@ -12,10 +12,10 @@ readable artifacts into the run directory:
 * ``manifest.json``  every emitted file with its SHA-256 hash, taken from
                      the bytes as they are written
 
-Runs are deterministic for a fixed (config, seed, platform); family
-members, or the density slabs of a ``neumann_layer`` member, may run on
-up to ``workers`` threads (``workers: 0`` takes the ``PHASELAB_WORKERS``
-environment variable) while emission stays serialized in epsilon order.
+Runs are deterministic for a fixed config and platform; family members,
+or the density slabs of a ``neumann_layer`` member, may run on up to
+``workers`` threads (a positive integer, default 1) while emission stays
+serialized in epsilon order.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ from .diagnostics import (
     level_set,
     lp_norm,
 )
-from .energy import EnergyBreakdown, ScalarField, c0, standard_potential
+from .energy import (MAX_FLOOR_DELTA, EnergyBreakdown, ScalarField, c0,
+                     standard_potential)
 from .families import (BUMP_SHAPES, FAMILY_PARAMS, THETA_REL_TOL,
                        EpsilonSchedule, build_family, neumann_layer_field)
 from .fieldio import save_field, write_hashed
@@ -104,7 +106,7 @@ def _family_keys(kind: str) -> dict:
 DEFAULTS = {
     "tanh_calibration": {
         "n": 1, "eps_list": [0.1],
-        "params": {"domain_length": 10.0, "spacing_per_eps": 8,
+        "params": {"domain_length": 10.0, "spacing_per_eps": 8.0,
                    "interface_position": 5.0},
     },
     "unbounded": {
@@ -147,32 +149,68 @@ EXPERIMENTS = tuple(DEFAULTS)
 
 
 def expand_config(config: dict) -> dict:
-    """Fill a sparse config with the experiment defaults (deep for params)."""
-    name = config.get("experiment")
-    base = DEFAULTS.get(name, {})
-    out = {
-        "experiment": name,
-        "n": config.get("n", base.get("n", 2)),
-        "eps_list": list(config.get("eps_list", base.get("eps_list", []))),
-        "solver": {"residual_tol": 1e-9, "max_iterations": 400,
-                   **config.get("solver", {})},
-        "params": {**base.get("params", {}), **config.get("params", {})},
-        "output_dir": config.get("output_dir", "runs/" + str(name)),
-        "seed": config.get("seed", 0),
-        "workers": int(config.get("workers", 0)) or None,
-    }
-    return out
+    """A config that ``validate`` accepts, with the experiment defaults in
+    place of the keys it omits (of its solver and params blocks too); of
+    ``{"experiment": name}``, every key a config may set."""
+    name = config["experiment"]
+    base = {"experiment": name, **DEFAULTS[name],
+            "solver": {"residual_tol": 1e-9, "max_iterations": 400},
+            "output_dir": "runs/" + name, "seed": 0, "workers": 1}
+    return {**base, **config, **{b: {**base[b], **config.get(b, {})}
+                                 for b in ("solver", "params")}}
 
+
+@dataclass(frozen=True)
+class _Interval:
+    """The numbers from ``low`` to ``high``; ``ends`` closes an end with
+    "[" or "]" and opens it with "(" or ")", as the interval is printed."""
+
+    low: float
+    high: float
+    ends: str = "()"
+    why: str = ""
+
+    def __contains__(self, x) -> bool:
+        lo, hi = self.ends
+        return ((self.low < x or (lo == "[" and x == self.low))
+                and (x < self.high or (hi == "]" and x == self.high)))
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.low:g}, {self.high:g}{self.ends[1]}"
+
+
+_POSITIVE, _NON_NEGATIVE = _Interval(0, math.inf), _Interval(0, math.inf, "[)")
+_ONE_OR_MORE = _Interval(1, math.inf, "[)")
+
+#: The rule of each key that is checked alone, by its full key: the
+#: interval a number lies in (a list: its number of entries), or the
+#: strings it may be.  Each value also has the type of its default.
+_RULES = {
+    "eps_list": _ONE_OR_MORE,
+    "workers": _ONE_OR_MORE,
+    "solver.residual_tol": _POSITIVE,
+    "solver.max_iterations": _NON_NEGATIVE,
+    **{"params." + key: _POSITIVE for key in (
+        "L", "unit_spacing", "window", "R", "points_per_unit_scale",
+        "base_support", "base_amplitude", "residual_tol", "domain_length",
+        "spacing_per_eps", "S", "S_prime")},
+    "params.sigma": _NON_NEGATIVE,
+    "params.gamma": _Interval(0, 1, "(]"),
+    "params.level_band": _Interval(0, 1),
+    "params.delta": _Interval(0, MAX_FLOOR_DELTA, why="below its top the "
+                              "clamped potential keeps a monotone derivative"),
+    "params.offset_scale": _Interval(-THETA_REL_TOL, THETA_REL_TOL, why="the "
+                                     "theta search resolves no larger offset"),
+    "params.slope_window": _Interval(2, 2, "[]"),
+    "params.interfaces": _Interval(2, 2, "[]"),
+    "params.probe_radii": _ONE_OR_MORE,
+    "params.base_shape": BUMP_SHAPES,
+}
 
 # experiments whose assertions compare consecutive members or fit a slope
 # over the sweep, which takes at least two eps values
 _SWEEP_EXPERIMENTS = ("unbounded", "boundary_atom", "hausdorff_levelset",
                       "hoelder_blowup", "neumann_layer", "penalty_zero")
-
-# the keys a config and its solver block may set (params: those of DEFAULTS)
-_CONFIG_KEYS = ("experiment", "n", "eps_list", "solver", "params",
-                "output_dir", "seed", "workers")
-_SOLVER_KEYS = ("residual_tol", "max_iterations")
 
 # the dimensions an experiment runs in; the others take 1, 2 or 3.  At
 # n = 1 the hausdorff_levelset and hoelder_blowup data pin the whole face
@@ -183,141 +221,82 @@ _DIMENSIONS = {"tanh_calibration": (1,), "neumann_layer": (2,),
 
 
 def _is_number(v) -> bool:
+    # compared, not converted: an int beyond the float range stays an error
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
-def _unknown_keys(name: str, config: dict) -> list[str]:
-    """Keys of the config, its solver and its params that the experiment
-    does not read; a block that is not a mapping is reported as malformed."""
-    allowed = ((config, _CONFIG_KEYS, ""),
-               (config.get("solver"), _SOLVER_KEYS, "solver."),
-               (config.get("params"), DEFAULTS[name]["params"], "params."))
-    return [f"unknown key {prefix}{key}; expected one of {sorted(keys)}"
-            for section, keys, prefix in allowed if isinstance(section, dict)
-            for key in section if key not in keys]
+def _value_errors(key: str, value, default) -> list[str]:
+    """What is wrong with one value alone: a type other than its default's
+    (an integer, a finite number, a list of finite numbers or a string), or
+    a value that breaks its rule in ``_RULES``."""
+    if isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        kind = "a list of finite numbers"
+    elif isinstance(default, int):
+        ok, kind = type(value) is int, "an integer"
+    else:
+        ok, kind = _is_number(value), "a finite number"
+    if not ok:
+        return [f"{key} must be {kind}, got {value!r}"]
+    rule, is_list = _RULES.get(key), isinstance(value, list)
+    if rule is None or (len(value) if is_list else value) in rule:
+        return []
+    if not isinstance(rule, _Interval):
+        return [f"{key} must be one of {rule}, got {value!r}"]
+    what = "have a number of entries in" if is_list else "lie in"
+    why = f"; {rule.why}" if rule.why else ""
+    return [f"{key} must {what} {rule}, got {value!r}{why}"]
 
 
-def _type_errors(name: str, cfg: dict) -> list[str]:
-    """Values whose type differs from what the experiment expects: numbers
-    where the default is a number, lists of numbers where the default is a
-    list, strings where it is a string."""
-    errors = []
-    if not all(_is_number(e) for e in cfg["eps_list"]):
-        errors.append("eps_list entries must be finite numbers")
-    sol = cfg["solver"]
-    if not _is_number(sol["residual_tol"]):
-        errors.append("solver.residual_tol must be a finite number, got "
-                      f"{sol['residual_tol']!r}")
-    if not (isinstance(sol["max_iterations"], int)
-            and not isinstance(sol["max_iterations"], bool)):
-        errors.append("solver.max_iterations must be an integer, got "
-                      f"{sol['max_iterations']!r}")
-    for key, default in DEFAULTS[name]["params"].items():
-        value = cfg["params"][key]
-        if isinstance(default, str):
-            ok, kind = isinstance(value, str), "a string"
-        elif isinstance(default, list):
-            ok = isinstance(value, list) and all(_is_number(v) for v in value)
-            kind = "a list of finite numbers"
-        else:
-            ok, kind = _is_number(value), "a finite number"
-        if not ok:
-            errors.append(f"params.{key} must be {kind}, got {value!r}")
-    return errors
-
-
-def validate(config: dict) -> list[str]:
-    """Pure validation; returns a list of error messages (empty when ok)."""
-    errors = []
+def validate(config) -> list[str]:
+    """Pure validation; returns a list of error messages (empty when ok).
+    Each key of the raw config, its solver and its params is checked alone
+    first; the checks that compare keys run once every key passes."""
+    if not isinstance(config, dict):
+        return [f"config must be a JSON object, got {type(config).__name__}"]
     name = config.get("experiment")
     if name not in EXPERIMENTS:
-        errors.append(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
-        return errors
-    unknown = _unknown_keys(name, config)
-    try:
-        cfg = expand_config(config)
-    except (TypeError, ValueError) as exc:
-        return [f"config malformed: {exc}"] + unknown
-    errors = unknown + _type_errors(name, cfg)
-    workers = config.get("workers", 0)
-    if type(workers) is not int or workers < 0:
-        errors.append("workers must be a non-negative integer (0 takes "
-                      f"PHASELAB_WORKERS), got {workers!r}")
-    if type(cfg["seed"]) is not int:
-        errors.append(f"seed must be an integer, got {cfg['seed']!r}")
-    if not isinstance(cfg["output_dir"], str):
-        errors.append(f"output_dir must be a path string, got "
-                      f"{cfg['output_dir']!r}")
+        return [f"experiment must be one of {EXPERIMENTS}, got {name!r}"]
+    base = expand_config({"experiment": name})
+    errors = []
+    for prefix, block, defaults in (
+            ("", config, base),
+            ("solver.", config.get("solver", {}), base["solver"]),
+            ("params.", config.get("params", {}), base["params"])):
+        if not isinstance(block, dict):
+            errors.append(f"{prefix[:-1]} must be an object, got {block!r}")
+            continue
+        for key, value in block.items():
+            if key not in defaults:
+                errors.append(f"unknown key {prefix}{key}; expected one of "
+                              f"{sorted(defaults)}")
+            elif not isinstance(defaults[key], dict):
+                errors += _value_errors(prefix + key, value, defaults[key])
     if errors:
         return errors
-    eps = cfg["eps_list"]
-    if not eps:
-        errors.append("eps_list must be non-empty")
-    if any(e <= 0 for e in eps):
-        errors.append("eps values must be positive")
+    cfg = expand_config(config)
+    eps, p, n = cfg["eps_list"], cfg["params"], cfg["n"]
     if len(eps) == 1 and name in _SWEEP_EXPERIMENTS:
         errors.append(f"{name} needs at least 2 eps values: its assertions "
                       "compare the members along the sweep")
-    if len(eps) > 1 and not all(b < a for a, b in zip(eps, eps[1:])):
-        errors.append("eps must be strictly decreasing")
-    p, n = cfg["params"], cfg["n"]
+    if not all(a > b for a, b in zip(eps, eps[1:] + [0])):
+        errors.append(f"eps_list must be positive and strictly decreasing, "
+                      f"got {eps!r}")
     dims = _DIMENSIONS.get(name, (1, 2, 3))
-    if type(n) is not int or n not in dims:
+    if n not in dims:
         errors.append(f"n must be one of {dims} for {name}, got {n!r}")
     elif name == "unbounded" and not 4 * p["theta_exponent"] < n - 1:
         errors.append(f"params.theta_exponent must lie below (n - 1) / 4 = "
                       f"{(n - 1) / 4}, so that eps^(n-1) theta^4 decreases "
                       f"along the sweep; got {p['theta_exponent']!r}")
-    sol = cfg["solver"]
-    if sol["residual_tol"] <= 0:
-        errors.append("solver.residual_tol must be positive")
-    if sol["max_iterations"] < 0:
-        errors.append("solver.max_iterations must be non-negative")
-    if name == "oscillation_atom":
-        from .energy import MAX_FLOOR_DELTA
-        if not (0 < p["delta"] < MAX_FLOOR_DELTA):
-            errors.append(
-                f"oscillation_atom delta must lie in (0, {MAX_FLOOR_DELTA:.4f}) "
-                "so the clamped potential keeps a monotone derivative; got "
-                f"{p['delta']}")
-        if p["S_prime"] <= 0:
-            errors.append("oscillation_atom S_prime must be positive")
-    if name == "hoelder_blowup" and not (0.0 < p["gamma"] <= 1.0):
-        errors.append("gamma must lie in (0, 1]")
-    if name in ("boundary_atom", "penalty_zero") and p["S"] <= 0:
-        errors.append(f"params.S must be positive, got {p['S']!r}")
-    if name == "penalty_zero" and p["sigma"] < 0:
-        errors.append(f"params.sigma must be >= 0, got {p['sigma']!r}")
-    if name == "penalty_zero" and not abs(p["offset_scale"]) < THETA_REL_TOL:
-        # the first member lands at relative offset offset_scale, which the
-        # theta search must resolve inside its accuracy
-        errors.append(f"params.offset_scale must lie strictly between "
-                      f"-{THETA_REL_TOL} and {THETA_REL_TOL}, the relative "
-                      f"accuracy of the theta search; got "
-                      f"{p['offset_scale']!r}")
-    for key in ("L", "unit_spacing", "window", "R", "points_per_unit_scale",
-                "base_support", "base_amplitude", "residual_tol",
-                "domain_length", "spacing_per_eps"):
-        if key in p and p[key] <= 0:
-            errors.append(f"params.{key} must be positive, got {p[key]!r}")
-    for key in ("slope_window", "interfaces"):
-        if key in p and len(p[key]) != 2:
-            errors.append(f"params.{key} must have exactly 2 entries, got "
-                          f"{p[key]!r}")
-    if "base_shape" in p and p["base_shape"] not in BUMP_SHAPES:
-        errors.append(f"params.base_shape must be one of {BUMP_SHAPES}, got "
-                      f"{p['base_shape']!r}")
-    if "probe_radii" in p:
-        if not p["probe_radii"]:
-            errors.append("params.probe_radii must be non-empty")
-        elif p["concentration_radius"] not in p["probe_radii"]:
-            errors.append("params.concentration_radius must be one of "
-                          f"params.probe_radii {p['probe_radii']!r}, got "
-                          f"{p['concentration_radius']!r}")
-    if "level_band" in p and not 0.0 < p["level_band"] < 1.0:
-        errors.append(f"params.level_band must lie in (0, 1), got "
-                      f"{p['level_band']!r}")
+    if "probe_radii" in p and (p["concentration_radius"]
+                               not in p["probe_radii"]):
+        errors.append("params.concentration_radius must be one of "
+                      f"params.probe_radii {p['probe_radii']!r}, got "
+                      f"{p['concentration_radius']!r}")
     if name == "tanh_calibration" and not errors:
         try:
             _calibration_grid(cfg)
@@ -767,8 +746,6 @@ def run(config: dict) -> VerificationSummary:
     if errors:
         raise ValueError("invalid config: " + "; ".join(errors))
     cfg = expand_config(config)
-    if cfg["workers"] is None:
-        cfg["workers"] = int(os.environ.get("PHASELAB_WORKERS", "1"))
 
     rows, assertions, fields = RUNNERS[cfg["experiment"]](cfg)
     summary = VerificationSummary.of(cfg["experiment"], assertions)

@@ -277,6 +277,15 @@ def test_hoelder_region_restriction_and_modes():
         hoelder_quotient(u, 0.2, 0.5, np.zeros(g.shape, dtype=bool))
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.01])
+def test_hoelder_rejects_an_unknown_mode(eps):
+    # also below one grid step, where the scan returns before it starts
+    g = Grid((21,), 0.05, (0.0,))
+    u = ScalarField.from_values(g, g.axis_coords(0))
+    with pytest.raises(ValueError, match="'auto', 'exhaustive' or 'dyadic'"):
+        hoelder_quotient(u, eps, 0.5, mode="foo")
+
+
 def test_interior_region_mask_margins():
     g = Grid((21, 21), 0.1, (0.0, 0.0))
     mask = interior_region_mask(g, 0.25)

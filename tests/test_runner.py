@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from phaselab.cli import main as cli_main
 from phaselab.families import FAMILY_PARAMS
 from phaselab.fieldio import load_field, save_field
-from phaselab.runner import (CSV_COLUMNS, DEFAULTS, expand_config, run,
-                             validate)
+from phaselab.runner import (_RULES, CSV_COLUMNS, DEFAULTS, EXPERIMENTS,
+                             expand_config, run, validate)
 
 
 def test_validate_unknown_experiment():
@@ -186,6 +187,32 @@ def test_cli_validate_and_report(tmp_path, capsys):
     assert cli_main(["report", str(tmp_path / "missing")]) == 1
 
 
+@pytest.mark.parametrize("text, reason", [
+    (None, "No such file or directory"),
+    ('{"experiment": ', "Expecting value"),
+    ("[1, 2]", "config must be a JSON object, got list"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_reports_a_bad_config_file(command, text, reason, tmp_path,
+                                       capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli_main([command, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
+
+
+def test_cli_run_writes_to_the_default_output_dir(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"experiment": "tanh_calibration"}))
+    assert cli_main(["run", "cfg.json"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "experiment: tanh_calibration\noverall: PASS")
+    assert (tmp_path / "runs" / "tanh_calibration" / "summary.json").exists()
+
+
 def test_run_exit_code_on_failed_assertion(tmp_path, capsys):
     # an over-strict exponent floor makes the neumann experiment fail;
     # the run must emit artifacts, report FAIL and exit with code 2
@@ -204,8 +231,10 @@ def test_run_exit_code_on_failed_assertion(tmp_path, capsys):
 
 
 def test_validate_malformed_config():
+    # the raw value is checked before anything is expanded, so the error
+    # names the key instead of what int() says about it
     errs = validate({"experiment": "boundary_atom", "workers": "three"})
-    assert errs and "malformed" in errs[0]
+    assert errs == ["workers must be an integer, got 'three'"]
 
 
 @pytest.mark.parametrize("config, key", [
@@ -284,6 +313,13 @@ def test_validate_rejects_unknown_keys(config, key):
     ({"experiment": "tanh_calibration", "seed": 2.7}, {}, "seed"),
     ({"experiment": "tanh_calibration", "seed": True}, {}, "seed"),
     ({"experiment": "tanh_calibration", "seed": "3"}, {}, "seed"),
+    ({"experiment": "tanh_calibration", "workers": "x"}, {}, "workers"),
+    ({"experiment": "tanh_calibration", "workers": [1]}, {}, "workers"),
+    ({"experiment": "tanh_calibration", "workers": 0}, {}, "workers"),
+    ({"experiment": "tanh_calibration", "eps_list": 5}, {}, "eps_list"),
+    ({"experiment": "tanh_calibration"}, 5, "params"),
+    ({"experiment": "tanh_calibration", "solver": [1]}, {}, "solver"),
+    ("boundary_atom", {"L": 10 ** 400}, "params.L"),
 ])
 def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
                                                   tmp_path, monkeypatch):
@@ -345,7 +381,7 @@ def test_cli_run_reports_a_solve_that_gives_up(tmp_path, capsys):
 def test_validate_rejects_negative_max_iterations():
     errs = validate({"experiment": "boundary_atom",
                      "solver": {"max_iterations": -1}})
-    assert errs == ["solver.max_iterations must be non-negative"]
+    assert errs == ["solver.max_iterations must lie in [0, inf), got -1"]
 
 
 def test_import_loads_no_unused_scipy_subpackages():
@@ -383,8 +419,9 @@ _json_values = st.recursive(
        params=st.dictionaries(st.sampled_from(sorted(
            {k for d in DEFAULTS.values() for k in d["params"]}
            | {"unit_spacng"})), _json_values),
-       extra=st.dictionaries(st.sampled_from(["seed", "solvr"]),
-                             st.integers()))
+       extra=st.dictionaries(st.sampled_from(["seed", "solvr", "workers",
+                                              "n", "output_dir"]),
+                             _json_values))
 def test_validate_never_raises(experiment, eps_list, solver, params, extra):
     errs = validate({"experiment": experiment, "eps_list": eps_list,
                      "solver": solver, "params": params, **extra})
@@ -404,4 +441,44 @@ def test_load_field_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         load_field(str(base))
 
+
+def test_validate_rejects_a_non_object_config(tmp_path):
+    assert validate([1]) == ["config must be a JSON object, got list"]
+    with pytest.raises(ValueError, match="invalid config: config must be"):
+        run([1])
+
+
+def _rule_cases():
+    """(key, value, accepted) at each finite end of each interval of the
+    rules table, and at each string a choice rule admits and one it does
+    not; for a list key the value is the number of entries."""
+    for key, rule in _RULES.items():
+        if isinstance(rule, tuple):
+            yield from ((key, choice, True) for choice in rule)
+            yield key, "no such choice", False
+            continue
+        ends = dict(((rule.low, rule.ends[0] == "["),
+                     (rule.high, rule.ends[1] == "]")))
+        for end, closed in ends.items():
+            if math.isfinite(end):
+                yield key, end, closed
+
+
+@pytest.mark.parametrize("key, value, accepted", list(_rule_cases()))
+def test_every_rule_admits_its_closed_ends_only(key, value, accepted):
+    # the first experiment that has the key; a list key takes that many
+    # entries of its default
+    block, _, name = key.rpartition(".")
+    keys = {e: expand_config({"experiment": e}) for e in EXPERIMENTS}
+    keys = {e: cfg[block] if block else cfg for e, cfg in keys.items()}
+    experiment = next(e for e in EXPERIMENTS if name in keys[e])
+    if isinstance(keys[experiment][name], list):
+        value = (keys[experiment][name] * value)[:value]
+    cfg = {"experiment": experiment,
+           **({block: {name: value}} if block else {name: value})}
+    errs = validate(cfg)
+    if accepted:
+        assert errs == []
+    else:
+        assert len(errs) == 1 and errs[0].startswith(key + " ")
 
