@@ -17,19 +17,21 @@ whole-grid reference that the tests check the slab densities against.
 
 ``density_fields`` returns per-cell densities whose region sums are the
 energies up to summation order.  Gradients are centered in the interior
-and one-sided second order at faces.  The curvature density is the
-squared defect of the discrete stationarity equation; it is set to zero
-on Dirichlet-constrained face layers, where no equation is imposed (the
-continuum density there sits on a node layer of measure O(h), which the
-cell-sum quadrature is free to drop at its accuracy order).
+and one-sided second order at faces.  Second differences are centered in
+the interior; a NeumannZero face closes them with the mirror ghost, and a
+Dirichlet face layer gets none.  The curvature density is the squared
+defect of the discrete stationarity equation; it is set to zero on
+Dirichlet face layers, where no equation is imposed (the continuum
+density there sits on a node layer of measure O(h), which the cell-sum
+quadrature is free to drop at its accuracy order).
 
 The densities are evaluated in slabs of at most ``SLAB_NODES`` nodes,
 each a run of axis-0 layers that reads one neighbouring layer on either
-side; only the grid's own first and last layers get the one-sided face
-stencils.  Every node sees the same arithmetic whatever the slab size, so
-the densities are bit-identical to a one-slab evaluation.  ``W'(s)``
-enters the curvature density as ``s (s^2 - 1)``, which multiplies instead
-of taking a generic power.
+side; only the grid's own first and last layers get the face closures.
+Every node sees the same arithmetic whatever the slab size, so the
+densities are bit-identical to a one-slab evaluation.  ``W'(s)`` enters
+the curvature density as ``s (s^2 - 1)``, which multiplies instead of
+taking a generic power.
 
 Summation order: the energies (``modica_mortola``, ``willmore_eps``,
 ``EnergyBreakdown.of`` and its excess mass) never build a full-size
@@ -58,7 +60,6 @@ from .grid import (
     Grid,
     NeumannZero,
     check_roles,
-    default_roles,
 )
 
 __all__ = [
@@ -69,7 +70,6 @@ __all__ = [
     "EnergyBreakdown",
     "c0",
     "laplacian",
-    "gradient",
     "grad_squared",
     "modica_mortola",
     "willmore_eps",
@@ -152,8 +152,10 @@ STANDARD = Potential()
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Nodal samples of a scalar function together with the face roles used
-    when evaluating boundary-aware operators."""
+    """Nodal samples of a scalar function together with its face roles:
+    every face is Dirichlet (``DirichletData`` or ``DirichletConstant``) or
+    ``NeumannZero``, and the role sets the face closure of ``laplacian``
+    and the curvature density."""
 
     grid: Grid
     values: np.ndarray
@@ -167,11 +169,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite everywhere")
         check_roles(self.grid, self.roles)
-
-    @classmethod
-    def from_values(cls, grid: Grid, values, roles: dict | None = None):
-        return cls(grid, np.asarray(values, dtype=float),
-                   default_roles(grid) if roles is None else roles)
 
     def with_values(self, values) -> "ScalarField":
         return ScalarField(self.grid, values, self.roles)
@@ -220,14 +217,10 @@ def _axis_gradient(values: np.ndarray, axis: int, h: float,
     return g
 
 
-def gradient(u: ScalarField) -> list[np.ndarray]:
-    """Per-axis gradient samples of the field."""
-    return [_axis_gradient(u.values, a, u.grid.spacing) for a in range(u.grid.n)]
-
-
 def grad_squared(u: ScalarField) -> np.ndarray:
     out = np.zeros(u.grid.shape)
-    for g in gradient(u):
+    for a in range(u.grid.n):
+        g = _axis_gradient(u.values, a, u.grid.spacing)
         out += g * g
     return out
 
@@ -269,9 +262,9 @@ def _axis_second(values: np.ndarray, axis: int, h: float, role_low,
     Interior nodes use the standard centered stencil on the stored values
     (prescribed boundary values enter automatically through the face
     layers).  At a NeumannZero face the missing neighbor is the mirror
-    ghost; at Dirichlet and Free faces a one-sided second-order stencil
-    (exact on cubics) is used.  As in ``_axis_gradient``, only the grid's
-    own faces get a face closure.
+    ghost, ``(2 u1 - 2 u0) / h^2``; a Dirichlet face layer carries no
+    equation and reads 0.  As in ``_axis_gradient``, only the grid's own
+    faces get a face closure.
     """
     at = partial(_at, values.ndim, axis)
     m, hi, d = _layer_block(values, axis, lo, hi)
@@ -282,23 +275,17 @@ def _axis_second(values: np.ndarray, axis: int, h: float, role_low,
                           out=d[at(slice(a - lo, b - lo))])
     for face, step, role in ((0, 1, role_low), (m - 1, -1, role_high)):
         if lo <= face < hi:
-            u0, u1, u2, u3 = (values[at(face + k * step)] for k in range(4))
             if isinstance(role, NeumannZero):
+                u0, u1 = values[at(face)], values[at(face + step)]
                 d[at(face - lo)] = (2.0 * u1 - 2.0 * u0) / h2
             else:
-                d[at(face - lo)] = (2.0 * u0 - 5.0 * u1 + 4.0 * u2 - u3) / h2
+                d[at(face - lo)] = 0.0
     return d
 
 
-def _check_face_stencils(grid: Grid) -> None:
-    if any(m < 4 for m in grid.shape):
-        raise ValueError("laplacian needs at least 4 nodes per axis for the "
-                         "one-sided face stencils")
-
-
 def laplacian(u: ScalarField) -> ScalarField:
-    """Five/seven-point Laplacian with role-aware face closures."""
-    _check_face_stencils(u.grid)
+    """Three/five/seven-point Laplacian; at a NeumannZero face the mirror
+    closure, and 0 on Dirichlet face layers, as in ``residual_field``."""
     out = np.zeros(u.grid.shape)
     for a in range(u.grid.n):
         out += _axis_second(u.values, a, u.grid.spacing,
@@ -323,7 +310,6 @@ def _slabs(u: ScalarField, eps: float) -> list[tuple[int, int]]:
     depend on the grid and ``SLAB_NODES`` only."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    _check_face_stencils(u.grid)
     m = u.grid.shape[0]
     step = max(1, SLAB_NODES // (u.values.size // m))
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]

@@ -26,7 +26,6 @@ __all__ = [
     "DirichletData",
     "DirichletConstant",
     "NeumannZero",
-    "Free",
     "WholeDomain",
     "Ball",
     "SuperLevel",
@@ -149,22 +148,15 @@ class NeumannZero:
     pass
 
 
-@dataclass(frozen=True)
-class Free:
-    pass
-
-
-def default_roles(grid: Grid) -> dict:
-    """All faces Free."""
-    return {(a, s): Free() for a in range(grid.n) for s in (LOW, HIGH)}
-
-
 def check_roles(grid: Grid, roles: dict) -> None:
-    """Every face has exactly one role and data shapes match the face."""
+    """Every face has exactly one role, Dirichlet or NeumannZero, and data
+    shapes match the face."""
     expected = {(a, s) for a in range(grid.n) for s in (LOW, HIGH)}
     if set(roles) != expected:
         raise ValueError(f"roles must cover exactly the faces {sorted(expected)}")
     for (axis, _side), role in roles.items():
+        if not isinstance(role, (DirichletData, DirichletConstant, NeumannZero)):
+            raise TypeError(f"unknown role {role!r}")
         if isinstance(role, DirichletData):
             face_shape = tuple(m for a, m in enumerate(grid.shape) if a != axis)
             if role.samples.shape != face_shape:
@@ -365,8 +357,6 @@ def roles_to_dict(roles: dict) -> dict:
                         "samples": role.samples.ravel().tolist()}
         elif isinstance(role, NeumannZero):
             out[key] = {"role": "neumann_zero"}
-        elif isinstance(role, Free):
-            out[key] = {"role": "free"}
         else:
             raise TypeError(f"unknown role {role!r}")
     return out
@@ -385,8 +375,6 @@ def roles_from_dict(d: dict) -> dict:
             roles[face] = DirichletData(samples)
         elif kind == "neumann_zero":
             roles[face] = NeumannZero()
-        elif kind == "free":
-            roles[face] = Free()
         else:
             raise ValueError(f"unknown role kind {kind!r}")
     return roles

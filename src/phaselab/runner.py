@@ -292,6 +292,9 @@ def validate(config) -> list[str]:
         errors.append(f"params.theta_exponent must lie below (n - 1) / 4 = "
                       f"{(n - 1) / 4}, so that eps^(n-1) theta^4 decreases "
                       f"along the sweep; got {p['theta_exponent']!r}")
+    if "probe_radii" in p and not all(r > 0 for r in p["probe_radii"]):
+        errors.append("params.probe_radii entries must be positive, got "
+                      f"{p['probe_radii']!r}")
     if "probe_radii" in p and (p["concentration_radius"]
                                not in p["probe_radii"]):
         errors.append("params.concentration_radius must be one of "

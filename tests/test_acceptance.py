@@ -173,10 +173,13 @@ def test_criterion_10_algebraic_properties():
     # region additivity and level-set monotonicity
     from phaselab.diagnostics import level_set, region_mass
     from phaselab.energy import ScalarField, density_fields
-    from phaselab.grid import Ball, Complement, WholeDomain, Grid as G2
+    from phaselab.grid import (Ball, Complement, NeumannZero, WholeDomain,
+                               Grid as G2)
     g = G2((41, 41), 0.1, (-2.0, -2.0))
     X, Z = g.meshgrid()
-    fld = ScalarField.from_values(g, np.tanh((1 - np.hypot(X, Z)) / 0.2))
+    fld = ScalarField(g, np.tanh((1 - np.hypot(X, Z)) / 0.2),
+                      {(a, s): NeumannZero() for a in range(2)
+                       for s in ("low", "high")})
     mu, _ = density_fields(fld, 0.14)
     ball = Ball((0.0, 0.0), 1.0)
     ok_add = (region_mass(mu, ball) + region_mass(mu, Complement(ball))

@@ -22,10 +22,18 @@ from phaselab.grid import (
     Complement,
     Grid,
     GridMismatchError,
+    NeumannZero,
     WholeDomain,
     make_half_space_grid,
     region_cells,
 )
+
+
+def neumann_box(grid, values):
+    """A field on a box whose faces are all zero-Neumann."""
+    return ScalarField(grid, values, {(a, s): NeumannZero()
+                                      for a in range(grid.n)
+                                      for s in ("low", "high")})
 
 
 def tanh_field_1d(eps=0.1, x0=5.0, length=10.0, div=8):
@@ -33,7 +41,7 @@ def tanh_field_1d(eps=0.1, x0=5.0, length=10.0, div=8):
     m = round(length / spacing)
     g = Grid((m + 1,), length / m, (0.0,))
     vals = np.tanh((g.axis_coords(0) - x0) / (math.sqrt(2.0) * eps))
-    return ScalarField.from_values(g, vals)
+    return neumann_box(g, vals)
 
 
 def tanh_circle_2d(eps=0.1, r0=1.0, L=3.0, div=8):
@@ -43,7 +51,7 @@ def tanh_circle_2d(eps=0.1, r0=1.0, L=3.0, div=8):
     X, Z = g.meshgrid()
     r = np.sqrt(X ** 2 + Z ** 2)
     vals = np.tanh((r0 - r) / (math.sqrt(2.0) * eps))
-    return ScalarField.from_values(g, vals)
+    return neumann_box(g, vals)
 
 
 # --------------------------------------------------------------------------
@@ -94,7 +102,7 @@ def test_boundary_layer_mass_counts_overshoot():
     g = Grid((21,), 0.1, (0.0,))
     vals = np.ones(21)
     vals[5:8] = 1.2
-    u = ScalarField.from_values(g, vals)
+    u = neumann_box(g, vals)
     assert boundary_layer_mass(u, 0.1, theta=1.0) > 0.0
 
 
@@ -120,7 +128,7 @@ def test_boundary_layer_mass_is_the_density_on_the_excess_set(monkeypatch):
 
 def test_level_set_constant_is_empty():
     g = Grid((11, 11), 0.1, (0.0, 0.0))
-    u = ScalarField.from_values(g, np.ones(g.shape))
+    u = neumann_box(g, np.ones(g.shape))
     cells = level_set(u, (-0.5, 0.5))
     assert cells.is_empty
 
@@ -194,7 +202,7 @@ def test_hausdorff_symmetry_triangle():
 def test_hausdorff_empty_input():
     with pytest.raises(EmptySetError):
         hausdorff_distance(np.zeros((0, 2)), np.array([[0.0, 0.0]]))
-    u = ScalarField.from_values(Grid((11,), 0.1, (0.0,)), np.ones(11))
+    u = neumann_box(Grid((11,), 0.1, (0.0,)), np.ones(11))
     empty = level_set(u, (-0.5, 0.5))
     with pytest.raises(EmptySetError):
         hausdorff_distance(empty, np.array([[0.0]]))
@@ -207,7 +215,7 @@ def test_hausdorff_empty_input():
 def test_lp_norm_unit_field():
     # 10 nodes at spacing 0.1 carry unit total measure
     g = Grid((10,), 0.1, (0.0,))
-    u = ScalarField.from_values(g, np.ones(10))
+    u = neumann_box(g, np.ones(10))
     for p in (1, 2, 4):
         assert lp_norm(u, p) == pytest.approx(1.0, rel=1e-14)
     assert lp_norm(u, "inf") == 1.0
@@ -216,7 +224,7 @@ def test_lp_norm_unit_field():
 def test_lp_norm_monotone_in_p():
     g = Grid((10,), 0.1, (0.0,))
     rng = np.random.default_rng(5)
-    u = ScalarField.from_values(g, rng.uniform(-2, 2, 10))
+    u = neumann_box(g, rng.uniform(-2, 2, 10))
     norms = [lp_norm(u, p) for p in (1, 2, 4, 8)]
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
     assert lp_norm(u, np.inf) >= norms[-1] - 1e-12
@@ -224,7 +232,7 @@ def test_lp_norm_monotone_in_p():
 
 def test_lp_norm_validation():
     g = Grid((10,), 0.1, (0.0,))
-    u = ScalarField.from_values(g, np.ones(10))
+    u = neumann_box(g, np.ones(10))
     with pytest.raises(ValueError):
         lp_norm(u, 0.5)
 
@@ -235,7 +243,7 @@ def test_lp_norm_validation():
 
 def test_hoelder_constant_zero():
     g = Grid((21, 21), 0.05, (0.0, 0.0))
-    u = ScalarField.from_values(g, np.full(g.shape, 0.7))
+    u = neumann_box(g, np.full(g.shape, 0.7))
     probe = hoelder_quotient(u, 0.2, 0.5)
     assert probe.quotient == 0.0
 
@@ -243,7 +251,7 @@ def test_hoelder_constant_zero():
 def test_hoelder_linear_gamma_one():
     m = 3.7
     g = Grid((41,), 0.05, (0.0,))
-    u = ScalarField.from_values(g, m * g.axis_coords(0))
+    u = neumann_box(g, m * g.axis_coords(0))
     probe = hoelder_quotient(u, 0.3, 1.0)
     assert probe.quotient == pytest.approx(m, rel=1e-12)
     assert probe.pair is not None
@@ -252,7 +260,7 @@ def test_hoelder_linear_gamma_one():
 def test_hoelder_linear_gamma_half_attained_at_scale():
     m = 2.0
     g = Grid((81,), 0.05, (0.0,))
-    u = ScalarField.from_values(g, m * g.axis_coords(0))
+    u = neumann_box(g, m * g.axis_coords(0))
     eps = 0.4
     probe = hoelder_quotient(u, eps, 0.5)
     # for a linear field the quotient m * d^(1/2) peaks at the widest pair
@@ -264,7 +272,7 @@ def test_hoelder_linear_gamma_half_attained_at_scale():
 def test_hoelder_region_restriction_and_modes():
     g = Grid((41, 41), 0.05, (0.0, 0.0))
     X, Z = g.meshgrid()
-    u = ScalarField.from_values(g, np.sin(4 * X) * np.exp(-Z))
+    u = neumann_box(g, np.sin(4 * X) * np.exp(-Z))
     interior = interior_region_mask(g, 0.3)
     assert interior.any() and not interior.all()
     q_ex = hoelder_quotient(u, 0.2, 0.5, interior, mode="exhaustive")
@@ -281,7 +289,7 @@ def test_hoelder_region_restriction_and_modes():
 def test_hoelder_rejects_an_unknown_mode(eps):
     # also below one grid step, where the scan returns before it starts
     g = Grid((21,), 0.05, (0.0,))
-    u = ScalarField.from_values(g, g.axis_coords(0))
+    u = neumann_box(g, g.axis_coords(0))
     with pytest.raises(ValueError, match="'auto', 'exhaustive' or 'dyadic'"):
         hoelder_quotient(u, eps, 0.5, mode="foo")
 
@@ -365,7 +373,7 @@ def _probe_field(n, seed):
     coords = g.meshgrid() if n > 1 else (g.axis_coords(0),)
     vals = np.sin(3.0 * coords[0]) * np.exp(-coords[-1])
     vals += 1e-3 * rng.standard_normal(shape)
-    return ScalarField.from_values(g, vals)
+    return neumann_box(g, vals)
 
 
 def _probe_masks(g):
@@ -406,7 +414,7 @@ def test_hoelder_ties_keep_the_first_offset_and_first_node(rows):
     # the first masked node in row-major order must win
     g = Grid((10, 12), 1.0, (0.0, 0.0))
     X, _ = g.meshgrid()
-    u = ScalarField.from_values(g, X.copy())
+    u = neumann_box(g, X.copy())
     mask = np.zeros(g.shape, dtype=bool)
     mask[rows, 4:10] = True
     probe = hoelder_quotient(u, 2.0, 1.0, mask, mode="exhaustive")
@@ -454,7 +462,7 @@ def test_concentration_scan_constant_family():
     for eps in (0.2, 0.1):
         g = Grid((17, 9), 0.25, (-2.0, 0.0))
         members.append(SimpleNamespace(
-            eps=eps, field=ScalarField.from_values(g, np.ones(g.shape))))
+            eps=eps, field=neumann_box(g, np.ones(g.shape))))
     report = concentration_scan(SimpleNamespace(members=members),
                                 (0.0, 0.0), radii=(0.5, 1.0))
     for row in report.rows:

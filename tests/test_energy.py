@@ -26,7 +26,6 @@ from phaselab.energy import (
 )
 from phaselab.grid import (
     DirichletConstant,
-    Free,
     Grid,
     NeumannZero,
     WholeDomain,
@@ -35,8 +34,11 @@ from phaselab.grid import (
 )
 
 
-def field_on(grid, values, roles=None):
-    return ScalarField.from_values(grid, values, roles)
+def neumann_box(grid, values):
+    """A field on a box whose faces are all zero-Neumann."""
+    return ScalarField(grid, values, {(a, s): NeumannZero()
+                                      for a in range(grid.n)
+                                      for s in ("low", "high")})
 
 
 # --------------------------------------------------------------------------
@@ -95,37 +97,44 @@ def test_floor_delta_bound():
 
 def test_laplacian_constant_zero():
     g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    u = field_on(g, np.ones(g.shape))
+    u = ScalarField(g, np.ones(g.shape), roles)
     assert np.allclose(laplacian(u).values, 0.0, atol=1e-12)
 
 
 def test_laplacian_exact_on_quadratic():
+    # exact at interior nodes; a Dirichlet face layer carries no equation
     g = Grid((41,), 0.05, (0.0,))
     x = g.axis_coords(0)
-    u = field_on(g, x * x)
-    lap = laplacian(u).values
-    assert np.allclose(lap, 2.0, atol=1e-9)
+    roles = {(0, "low"): DirichletConstant(0.0),
+             (0, "high"): DirichletConstant(4.0)}
+    lap = laplacian(ScalarField(g, x * x, roles)).values
+    assert np.allclose(lap[1:-1], 2.0, atol=1e-9)
+    assert lap[0] == lap[-1] == 0.0
 
 
 def test_laplacian_sine_accuracy():
     g = Grid((629,), 0.01, (0.0,))
     x = g.axis_coords(0)
-    u = field_on(g, np.sin(x))
+    u = neumann_box(g, np.sin(x))
     err = np.abs(laplacian(u).values[1:-1] + np.sin(x)[1:-1])
     assert err.max() <= 1e-4
 
 
-def test_laplacian_neumann_mirror():
-    # even profile about the face: mirror closure reproduces the second
-    # derivative exactly for quadratics
-    g = Grid((21,), 0.1, (0.0,))
-    roles = {(0, "low"): NeumannZero(), (0, "high"): NeumannZero()}
-    x = g.axis_coords(0)
-    u = ScalarField(g, x * x - 2.0 * x, roles)  # derivative -2 at x=0 -> not mirror
-    v = ScalarField(g, (x - 1.0) ** 2, roles)   # derivative 0 at x=1... interior
-    w = ScalarField(g, x * x, roles)            # derivative 0 at x=0
-    assert laplacian(w).values[0] == pytest.approx(2.0, abs=1e-9)
-    assert laplacian(v).values[-1] != 0.0
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_laplacian_neumann_mirror(n):
+    # at both faces of every axis, the closure is the centred second
+    # difference of the field's even reflection across the face node
+    shape = (7, 6, 5)[:n]
+    g = Grid(shape, 0.1, (0.0,) * n)
+    u = neumann_box(g, np.random.default_rng(n).uniform(-1.5, 1.5, shape))
+    padded = np.pad(u.values, 1, mode="reflect")
+    want = np.zeros(shape)
+    for a in range(n):
+        inner = [slice(1, -1)] * n
+        inner[a] = slice(None)
+        want += np.diff(padded, 2, axis=a)[tuple(inner)] / g.spacing ** 2
+    np.testing.assert_allclose(laplacian(u).values, want, rtol=1e-13,
+                               atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -143,8 +152,8 @@ def tanh_profile_field(eps, spacing_div=8, length=10.0, x0=5.0):
 
 
 def test_modica_mortola_constant_zero():
-    g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    assert modica_mortola(field_on(g, np.ones(g.shape)), 0.1) == 0.0
+    g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
+    assert modica_mortola(ScalarField(g, np.ones(g.shape), roles), 0.1) == 0.0
 
 
 def test_modica_mortola_tanh_calibration():
@@ -162,10 +171,10 @@ def test_modica_mortola_tanh_calibration():
 
 def test_energy_scaling_change_of_variables():
     # S_eps of the rescaled field equals eps^(n-1) F(unit)/c0 exactly
-    g, roles_src = make_half_space_grid(2, 3.0, 0.25, 1.0)
+    g, roles = make_half_space_grid(2, 3.0, 0.25, 1.0)
     x, z = g.meshgrid()
     vals = 1.0 + np.exp(-(x ** 2 + (z - 0.5) ** 2))
-    u_unit = field_on(g, vals)
+    u_unit = ScalarField(g, vals, roles)
     for eps in (0.5, 0.1):
         gp = g.scaled(eps)
         u_eps = ScalarField(gp, vals, u_unit.roles)
@@ -175,9 +184,10 @@ def test_energy_scaling_change_of_variables():
 
 
 def test_willmore_constant_zero():
-    g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
+    g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
     for v in (1.0, -1.0):
-        assert willmore_eps(field_on(g, v * np.ones(g.shape)), 0.2) == 0.0
+        assert willmore_eps(ScalarField(g, v * np.ones(g.shape), roles),
+                            0.2) == 0.0
 
 
 def test_willmore_mismatch_monotone():
@@ -215,8 +225,8 @@ def test_breakdown_of_sums_the_density_fields():
 
 
 def test_density_zero_for_constant():
-    g, _ = make_half_space_grid(1, 5.0, 0.25, 1.0)
-    mu, alpha = density_fields(field_on(g, np.ones(g.shape)), 0.1)
+    g, roles = make_half_space_grid(1, 5.0, 0.25, 1.0)
+    mu, alpha = density_fields(ScalarField(g, np.ones(g.shape), roles), 0.1)
     assert not mu.values.any()
     assert not alpha.values.any()
 
@@ -257,10 +267,10 @@ def test_half_space_energy_mollifier_bump():
         return 0.5 * hprime(r) ** 2 + ((1 + h) ** 2 - 1) ** 2 / 4.0
 
     oracle = np.pi * quad(lambda r: dens(r)[0] * r, 0, 1, limit=200)[0]
-    g, _ = make_half_space_grid(2, 4.0, 1 / 32, 1.0)
+    g, roles = make_half_space_grid(2, 4.0, 1 / 32, 1.0)
     x, z = g.meshgrid()
     vals = 1.0 + hfun(np.sqrt(x ** 2 + z ** 2))
-    F = half_space_energy(field_on(g, vals))
+    F = half_space_energy(ScalarField(g, vals, roles))
     assert F > 0
     assert F == pytest.approx(oracle, rel=0.05)
 
@@ -280,8 +290,8 @@ def test_penalized_functional():
     # W_eps + eps^(-sigma) (S_eps - S)^2 from, and no penalty of its own
     assert [f.name for f in dataclasses.fields(EnergyBreakdown)] == [
         "epsilon", "S_eps", "W_eps", "E_eps", "excess_mass"]
-    g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    br = EnergyBreakdown.of(field_on(g, np.ones(g.shape)), 0.1)
+    g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
+    br = EnergyBreakdown.of(ScalarField(g, np.ones(g.shape), roles), 0.1)
     # S_eps = W_eps = 0, so the penalty term carries everything
     assert (br.S_eps, br.W_eps) == (0.0, 0.0)
     assert br.W_eps + 0.1 ** -1.0 * (br.S_eps - 1.0) ** 2 == pytest.approx(
@@ -305,7 +315,7 @@ def test_supersolution_certificate():
         m = round(4.0 / spacing)
         gg = Grid((m + 1, m + 1), spacing, (1.0, 1.0))
         psi, lap_exact, _ = barrier_profile(gg)
-        u = field_on(gg, psi)
+        u = neumann_box(gg, psi)
         err = np.abs(laplacian(u).values - lap_exact)
         x, z = gg.meshgrid()
         probe = (x >= 2.0) & (x <= 4.0) & (z >= 2.0) & (z <= 4.0)
@@ -329,8 +339,8 @@ def test_region_additivity():
 
 
 def test_half_space_energy_constant_is_zero():
-    g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    assert half_space_energy(field_on(g, np.ones(g.shape))) == 0.0
+    g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
+    assert half_space_energy(ScalarField(g, np.ones(g.shape), roles)) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -340,9 +350,8 @@ def test_half_space_energy_constant_is_zero():
 _ROLE_SETS = {
     "dirichlet": lambda a, s: DirichletConstant(1.0),
     "neumann": lambda a, s: NeumannZero(),
-    "free": lambda a, s: Free(),
-    "mixed": lambda a, s: (DirichletConstant(-1.0), NeumannZero(),
-                           Free())[(2 * a + (s == "high")) % 3],
+    "mixed": lambda a, s: (DirichletConstant(-1.0),
+                           NeumannZero())[(a + (s == "high")) % 2],
 }
 
 
@@ -355,7 +364,7 @@ def _random_field(shape, roles, seed=0):
 
 
 @pytest.mark.parametrize("roles", sorted(_ROLE_SETS))
-@pytest.mark.parametrize("shape", [(37,), (13, 9), (11, 6, 5)])
+@pytest.mark.parametrize("shape", [(37,), (13, 9), (11, 6, 5), (3, 5)])
 def test_slab_densities_bitwise_equal_one_slab(monkeypatch, shape, roles):
     u = _random_field(shape, _ROLE_SETS[roles])
     mu1, alpha1 = energy_module._densities(u, 0.3)
@@ -394,7 +403,7 @@ def test_slab_densities_match_whole_grid_operators(monkeypatch, roles):
 def test_density_peak_memory_stays_near_the_two_outputs():
     g = Grid((1001, 1001), 0.01, (0.0, 0.0))
     x, y = g.meshgrid()
-    u = field_on(g, np.tanh((x - 5.0) / 0.2) + 0.1 * np.sin(y))
+    u = neumann_box(g, np.tanh((x - 5.0) / 0.2) + 0.1 * np.sin(y))
     del x, y
     tracemalloc.start()
     try:
@@ -415,7 +424,7 @@ def _tail_steps(m):
 
 
 @pytest.mark.parametrize("roles", sorted(_ROLE_SETS))
-@pytest.mark.parametrize("shape", [(37,), (13, 9), (11, 6, 5)])
+@pytest.mark.parametrize("shape", [(37,), (13, 9), (11, 6, 5), (3, 5)])
 def test_energy_reduction_matches_density_sums(monkeypatch, shape, roles):
     from phaselab.diagnostics import region_mass
     from phaselab.grid import SuperLevel
@@ -448,7 +457,8 @@ def test_energy_reduction_matches_density_sums(monkeypatch, shape, roles):
         assert got[0].excess_mass == pytest.approx(want_x, rel=1e-13)
         assert modica_mortola(u, eps) == got[0].S_eps
         assert willmore_eps(u, eps) == got[0].W_eps
-    assert tails == {1, 2, 3}
+    # three layers admit only 2-layer slabs with a 1-layer tail
+    assert tails == ({1} if shape[0] == 3 else {1, 2, 3})
 
 
 @pytest.mark.parametrize("roles", sorted(_ROLE_SETS))

@@ -13,6 +13,7 @@ from phaselab.grid import (
     GridMismatchError,
     SuperLevel,
     WholeDomain,
+    check_roles,
     half_space_roles,
     make_half_space_grid,
     roles_to_dict,
@@ -46,6 +47,16 @@ def test_half_space_grid_roles_match_the_role_builder(n):
     built = half_space_roles(g, np.zeros(g.shape[:-1]), 0.5)
     assert list(roles_to_dict(roles).items()) \
         == list(roles_to_dict(built).items())
+
+
+def test_check_roles_admits_only_dirichlet_and_neumann_zero():
+    # the curvature density zeroes Dirichlet faces and mirrors the rest,
+    # which is right only for these two kinds of face
+    g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
+    check_roles(g, roles)
+    roles[(0, "high")] = object()
+    with pytest.raises(TypeError, match="unknown role"):
+        check_roles(g, roles)
 
 
 def test_node_coords_by_multiplication():

@@ -153,12 +153,25 @@ def test_csv_floats_round_trip(tmp_path):
     assert repr(s) == row["S_eps"]
 
 
-def test_field_io_roundtrip(tmp_path):
-    from phaselab.energy import ScalarField
+def _half_space_faces():
     from phaselab.grid import DirichletData, make_half_space_grid
     g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    data = np.linspace(0, 1, g.shape[0])
-    roles[(1, "low")] = DirichletData(data)
+    roles[(1, "low")] = DirichletData(np.linspace(0, 1, g.shape[0]))
+    return g, roles
+
+
+def _neumann_faces():
+    from phaselab.grid import Grid, NeumannZero
+    g = Grid((9, 7), 0.25, (0.0, -1.0))
+    return g, {(a, s): NeumannZero() for a in range(2) for s in ("low", "high")}
+
+
+@pytest.mark.parametrize("faces", [_half_space_faces, _neumann_faces],
+                         ids=["half_space", "neumann"])
+def test_field_io_roundtrip(tmp_path, faces):
+    from phaselab.energy import ScalarField
+    from phaselab.grid import DirichletData
+    g, roles = faces()
     rng = np.random.default_rng(0)
     fld = ScalarField(g, rng.standard_normal(g.shape), roles)
     base = str(tmp_path / "f")
@@ -166,8 +179,27 @@ def test_field_io_roundtrip(tmp_path):
     back = load_field(base)
     assert back.grid == g
     assert np.array_equal(back.values, fld.values)
-    assert np.array_equal(back.roles[(1, "low")].samples, data)
-    assert back.roles[(0, "high")] == roles[(0, "high")]
+    assert back.roles.keys() == roles.keys()
+    for face, role in roles.items():
+        assert type(back.roles[face]) is type(role)
+        if isinstance(role, DirichletData):
+            assert np.array_equal(back.roles[face].samples, role.samples)
+        else:
+            assert back.roles[face] == role
+
+
+def test_load_field_rejects_a_free_face(tmp_path):
+    from phaselab.energy import ScalarField
+    g, roles = _half_space_faces()
+    base = str(tmp_path / "f")
+    save_field(ScalarField(g, np.ones(g.shape), roles), base)
+    with open(base + ".json") as fh:
+        header = json.load(fh)
+    header["faces"]["0:high"] = {"role": "free"}
+    with open(base + ".json", "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(ValueError, match="unknown role kind 'free'"):
+        load_field(base)
 
 
 def test_cli_validate_and_report(tmp_path, capsys):
@@ -320,6 +352,10 @@ def test_validate_rejects_unknown_keys(config, key):
     ({"experiment": "tanh_calibration"}, 5, "params"),
     ({"experiment": "tanh_calibration", "solver": [1]}, {}, "solver"),
     ("boundary_atom", {"L": 10 ** 400}, "params.L"),
+    ("boundary_atom", {"L": 0.5, "unit_spacing": 0.125,
+                       "probe_radii": [0.25, -0.1]}, "params.probe_radii"),
+    ("boundary_atom", {"L": 0.5, "unit_spacing": 0.125,
+                       "probe_radii": [0.25, 0.0]}, "params.probe_radii"),
 ])
 def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
                                                   tmp_path, monkeypatch):

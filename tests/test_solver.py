@@ -120,8 +120,8 @@ def test_energy_bound_against_extension():
 
 
 def test_residual_field_trivial_and_contract():
-    g, _ = make_half_space_grid(2, 6.0, 0.25, 1.0)
-    ones = ScalarField.from_values(g, np.ones(g.shape))
+    g, roles = make_half_space_grid(2, 6.0, 0.25, 1.0)
+    ones = ScalarField(g, np.ones(g.shape), roles)
     assert not residual_field(ones, P).values.any()
     h = exp_base(g.axis_coords(0))
     cfg = SolveConfig(residual_tol=1e-8)
@@ -135,11 +135,12 @@ def test_residual_field_trivial_and_contract():
 def test_residual_supersolution_sign():
     # the explicit barrier is a discrete supersolution away from the origin:
     # -lap(psi) + W'(psi) >= -O(h^2)
-    from phaselab.grid import Grid
+    from phaselab.grid import Grid, NeumannZero
     from phaselab.energy import barrier_profile
     g = Grid((61, 61), 0.1, (1.0, 1.0))
     psi, _, _ = barrier_profile(g)
-    u = ScalarField.from_values(g, psi)
+    u = ScalarField(g, psi, {(a, s): NeumannZero() for a in range(2)
+                             for s in ("low", "high")})
     r = residual_field(u, P).values[1:-1, 1:-1]
     assert r.min() >= -1e-3
 

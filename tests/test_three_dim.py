@@ -49,10 +49,10 @@ def test_3d_half_space_solve_acceptance_size():
 
 
 def test_3d_energy_scaling_identity():
-    g, _ = make_half_space_grid(3, 2.0, 0.25, 1.0)
+    g, roles = make_half_space_grid(3, 2.0, 0.25, 1.0)
     x, y, z = g.meshgrid()
     vals = 1.0 + np.exp(-(x ** 2 + y ** 2 + (z - 0.5) ** 2))
-    u = ScalarField.from_values(g, vals)
+    u = ScalarField(g, vals, roles)
     eps = 0.25
     u_eps = ScalarField(g.scaled(eps), vals, u.roles)
     assert modica_mortola(u_eps, eps) == pytest.approx(
@@ -62,10 +62,10 @@ def test_3d_energy_scaling_identity():
 
 
 def test_3d_regions_and_levels():
-    g, _ = make_half_space_grid(3, 2.0, 0.25, 1.0)
+    g, roles = make_half_space_grid(3, 2.0, 0.25, 1.0)
     x, y, z = g.meshgrid()
-    u = ScalarField.from_values(
-        g, np.tanh((1.0 - np.sqrt(x ** 2 + y ** 2 + z ** 2)) / 0.3))
+    u = ScalarField(
+        g, np.tanh((1.0 - np.sqrt(x ** 2 + y ** 2 + z ** 2)) / 0.3), roles)
     cells = level_set(u, (-0.25, 0.25))
     assert not cells.is_empty
     radii = np.linalg.norm(cells.centers(), axis=1)
@@ -74,9 +74,9 @@ def test_3d_regions_and_levels():
 
 
 def test_3d_hoelder_offsets():
-    g, _ = make_half_space_grid(3, 2.0, 0.25, 1.0)
+    g, roles = make_half_space_grid(3, 2.0, 0.25, 1.0)
     x, y, z = g.meshgrid()
-    u = ScalarField.from_values(g, 0.5 * x + 0.25 * y)
+    u = ScalarField(g, 0.5 * x + 0.25 * y, roles)
     # eps admits the (2, 1, 0) offset aligned with the gradient direction,
     # so the Lipschitz rate sqrt(0.5^2 + 0.25^2) is attained exactly
     probe = hoelder_quotient(u, 0.25 * np.sqrt(5.0) + 1e-9, 1.0)
