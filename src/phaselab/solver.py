@@ -32,8 +32,12 @@ orthonormal type-I discrete sine transform diagonalizes ``A`` exactly
 Newton systems ``(A + diag(max(W'', 0))) d = -r`` are solved by ``cg``,
 phaselab's own preconditioned conjugate-gradient loop (SciPy's recurrence,
 bit for bit, on plain callables), at relative tolerance ``LINEAR_RTOL``,
-preconditioned by the DST solve of ``A + mean(diag) I``; only should CG
-fail is ``A`` assembled as a sparse matrix, for a direct factorization.
+preconditioned by the DST solve of ``A + mean(diag) I`` in float32
+(inexact preconditioning, Golub & Ye 1999: CG's float64 recurrence and
+stopping test fix the accuracy of the Newton step, the preconditioner
+only its iteration count); only should CG fail is ``A`` assembled as a
+sparse matrix, for a direct factorization.  The semi-implicit step, which
+updates the iterate directly, keeps the exact float64 DST solve.
 Newton steps start after ``NEWTON_BURN_IN`` semi-implicit iterations.
 The stopping rule is the sup-norm residual on interior nodes.
 
@@ -149,9 +153,10 @@ class _DirichletProblem:
         self.inner = tuple(slice(1, -1) for _ in grid.shape)
         self.n_int = int(np.prod(self.int_shape))
         self.eigenvalues = self._eigenvalues()
-        # s + eigenvalues of the last shift s that shifted_solve was given
-        self._shift = None
-        self._shifted = None
+        # dtype -> (s, s + eigenvalues in dtype) for the last shift s that
+        # shifted_solve was given in that dtype; the semi-implicit shift and
+        # the Newton preconditioner's shift alternate, one per dtype
+        self._shifted = {}
         # zero-bordered buffer that matvec writes the interior vector into
         self._buf = np.zeros(grid.shape)
         self._work = np.empty(self.int_shape)
@@ -204,20 +209,34 @@ class _DirichletProblem:
             total += 0.5 * float(np.sum(d * d))
         return total * self.grid.cell_measure
 
-    def shifted_solve(self, s: float, rhs: np.ndarray) -> np.ndarray:
-        """Exact solve of (s I + A) x = rhs by fast diagonalization."""
-        if s != self._shift:
-            self._shift, self._shifted = s, s + self.eigenvalues
-        r = dstn(rhs.reshape(self.int_shape), type=1, norm="ortho")
-        r /= self._shifted
+    def shifted_solve(self, s: float, rhs: np.ndarray,
+                      dtype=np.float64) -> np.ndarray:
+        """Solve (s I + A) x = rhs by fast diagonalization, with both
+        transforms and the division in ``dtype``: exact to rounding in
+        float64, to float32 rounding in float32.  Returns float64."""
+        shift, shifted = self._shifted.get(dtype, (None, None))
+        if s != shift:
+            shifted = (s + self.eigenvalues).astype(dtype, copy=False)
+            self._shifted[dtype] = (s, shifted)
+        r = dstn(rhs.reshape(self.int_shape).astype(dtype, copy=False),
+                 type=1, norm="ortho")
+        r /= shifted
         x = idstn(r, type=1, norm="ortho", overwrite_x=True)
-        return x.ravel()
+        return x.ravel().astype(np.float64, copy=False)
 
     def newton_solve(self, w2: np.ndarray, rhs: np.ndarray,
                      rtol: float) -> np.ndarray:
         """Solve (A + diag(max(w2, 0))) x = rhs by CG at relative tolerance
         ``rtol``, preconditioned by the DST solve of A + mean(diag) I; a
-        sparse direct solve takes over if CG does not converge."""
+        sparse direct solve takes over if CG does not converge.
+
+        The preconditioner is applied in float32, where the transforms move
+        half the bytes and run faster than in float64.  CG needs from it only an
+        approximation of the inverse system matrix, and float32 rounding
+        perturbs that approximation by about 1e-7 relative (inexact
+        preconditioning, Golub & Ye 1999).  The recurrence, the residual and
+        the stopping test stay in float64, so ``x`` meets ``rtol`` as
+        before; the rounding may cost an extra CG iteration."""
         d = np.maximum(w2, 0.0)
 
         def matvec(v):
@@ -227,7 +246,7 @@ class _DirichletProblem:
 
         shift = float(np.mean(d))
         x, info = cg(matvec, rhs, rtol,
-                     lambda v: self.shifted_solve(shift, v))
+                     lambda v: self.shifted_solve(shift, v, np.float32))
         if info != 0:
             x = splu((self.sparse_matrix() + sp.diags(d)).tocsc()).solve(rhs)
         return x

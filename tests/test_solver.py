@@ -296,13 +296,15 @@ def test_newton_cg_matches_sparse_direct(n, R, spacing):
 
 def _scipy_newton_cg(prob, w2, rhs, rtol):
     """The Newton solve in its former form: SciPy's cg on two
-    LinearOperators; returns (x, info, iterations)."""
+    LinearOperators, with newton_solve's float32 preconditioner; returns
+    (x, info, iterations)."""
     from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
     d = np.maximum(w2, 0.0)
     shape = (prob.n_int, prob.n_int)
     op = LinearOperator(shape, matvec=lambda v: prob.matvec(v) + d * v)
     shift = float(np.mean(d))
-    M = LinearOperator(shape, matvec=lambda v: prob.shifted_solve(shift, v))
+    M = LinearOperator(shape, matvec=lambda v: prob.shifted_solve(
+        shift, v, np.float32))
     steps = []
     x, info = scipy_cg(op, rhs, rtol=rtol, atol=0.0, M=M,
                        callback=lambda xk: steps.append(1))
@@ -322,7 +324,8 @@ def test_cg_matches_scipy_cg_bitwise(n, R, spacing, monkeypatch):
     calls = []
     solve = _DirichletProblem.shifted_solve
     monkeypatch.setattr(_DirichletProblem, "shifted_solve",
-                        lambda self, s, v: calls.append(s) or solve(self, s, v))
+                        lambda self, s, v, *dtype: calls.append(dtype)
+                        or solve(self, s, v, *dtype))
     results = []
     cg = solver_mod.cg
     monkeypatch.setattr(solver_mod, "cg",
@@ -331,8 +334,69 @@ def test_cg_matches_scipy_cg_bitwise(n, R, spacing, monkeypatch):
     (x_cg, info), = results
     assert info == info_ref == 0
     assert np.array_equal(x_cg, x_ref) and np.array_equal(x, x_ref)
-    # one preconditioner application per CG iteration, none to probe
-    assert steps > 0 and len(calls) == steps
+    # one float32 preconditioner application per CG iteration, none to probe
+    assert steps > 0 and calls == [(np.float32,)] * steps
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS)
+def test_newton_preconditioner_is_shifted_solve_to_float32_rounding(
+        n, R, spacing, monkeypatch):
+    import phaselab.solver as solver_mod
+    prob = _problem(n, R, spacing)
+    rng = np.random.default_rng(60 + n)
+    rhs = rng.standard_normal(prob.n_int)
+    w2 = rng.uniform(-1.0, 66.0, prob.n_int)
+    # the preconditioner callable that newton_solve hands to cg
+    handed = []
+    cg = solver_mod.cg
+    monkeypatch.setattr(solver_mod, "cg",
+                        lambda *a: handed.append(a[3]) or cg(*a))
+    prob.newton_solve(w2, rhs, LINEAR_RTOL)
+    (psolve,) = handed
+    shift = float(np.mean(np.maximum(w2, 0.0)))
+    v = rng.standard_normal(prob.n_int)
+    x = psolve(v)
+    exact = prob.shifted_solve(shift, v)
+    assert x.dtype == np.float64 and x.shape == exact.shape
+    assert np.linalg.norm(x - exact) <= 1e-5 * np.linalg.norm(exact)
+
+
+def _atom_like_solve(n):
+    """A boundary-atom-like solve in 2D (the finest atom_sweep grid, theta 4)
+    or the 3D half-space solve of the halfspace_3d benchmark workload."""
+    from phaselab.families import _half_space_unit_grid, bump
+    if n == 2:
+        g = _half_space_unit_grid(2, 10.0, 0.125)
+        data = bump(g, 4.0, "exp_decay", amplitude=0.5, width=4.0)
+        cfg = SolveConfig(residual_tol=5e-8)
+    else:
+        g, _ = make_half_space_grid(3, 4.0, 0.25, 1.0)
+        data = bump(g, 1.5, "exp_decay", amplitude=0.5, width=4.0)
+        cfg = SolveConfig(residual_tol=1e-8)
+    return solve_half_space(data.samples, 1.0, P, g, cfg), cfg
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_float32_preconditioner_leaves_the_solve_unchanged(n, monkeypatch):
+    import phaselab.solver as solver_mod
+    cg_calls = []
+    cg = solver_mod.cg
+    monkeypatch.setattr(solver_mod, "cg",
+                        lambda *a: cg_calls.append(1) or cg(*a))
+    res32, cfg = _atom_like_solve(n)
+    newton32 = len(cg_calls)
+    solve = _DirichletProblem.shifted_solve
+    monkeypatch.setattr(_DirichletProblem, "shifted_solve",
+                        lambda self, s, v, *dtype: solve(self, s, v))
+    res64, _ = _atom_like_solve(n)
+    assert res32.converged and res64.converged
+    # the burn-in steps are semi-implicit, in exact float64 in both solves
+    burn_in = solver_mod.NEWTON_BURN_IN + 1
+    assert res32.energy_trace[:burn_in] == res64.energy_trace[:burn_in]
+    assert res32.iterations == res64.iterations
+    assert newton32 > 0 and len(cg_calls) == 2 * newton32
+    assert np.max(np.abs(res32.field.values - res64.field.values)) \
+        <= 10 * cfg.residual_tol
 
 
 def test_cg_reports_iterations_without_convergence():
