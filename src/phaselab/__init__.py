@@ -43,16 +43,7 @@ from .diagnostics import (
     region_mass,
 )
 from .fieldio import load_field, save_field
-from .grid import (
-    Ball,
-    Complement,
-    Grid,
-    SuperLevel,
-    WholeDomain,
-    make_half_space_grid,
-    region_cells,
-    tail_bound,
-)
+from .grid import Grid, make_half_space_grid, tail_bound
 from .solver import (
     SolveConfig,
     SolveResult,

@@ -4,7 +4,9 @@ Hoelder quotients for epsilon-indexed families.
 All analyses are read-only evaluations of the localized density fields;
 weak-* statements like "the mass measure degenerates to an atom" are
 operationalized as concentration ratios of ball masses and total-mass
-trends over the sweep.
+trends over the sweep.  A region is a boolean node mask of the grid's
+shape (a ball is ``grid.node_radii(center) < radius``); any other mask
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyBreakdown, ScalarField, density_fields
-from .grid import Ball, Complement, Grid, Region, region_cells
+from .grid import Grid
 
 __all__ = [
     "EmptySetError",
@@ -39,9 +41,21 @@ class EmptySetError(ValueError):
     meaningful status and must be handled explicitly by the caller."""
 
 
-def region_mass(density: ScalarField, region: Region) -> float:
-    """Sum of the density over region cells times the cell measure."""
-    mask = region_cells(density.grid, region)
+def _check_mask(grid: Grid, mask) -> np.ndarray:
+    """``mask``, once it is a boolean array of the grid's shape."""
+    if (not isinstance(mask, np.ndarray) or mask.dtype != bool
+            or mask.shape != grid.shape):
+        raise ValueError(
+            f"a region must be a boolean node mask of the grid shape "
+            f"{grid.shape}, got {getattr(mask, 'dtype', type(mask).__name__)} "
+            f"of shape {getattr(mask, 'shape', None)}")
+    return mask
+
+
+def region_mass(density: ScalarField, mask: np.ndarray) -> float:
+    """Sum of the density over the nodes of a boolean mask of the grid's
+    shape, times the cell measure."""
+    mask = _check_mask(density.grid, mask)
     return float(np.sum(density.values[mask])) * density.grid.cell_measure
 
 
@@ -80,9 +94,11 @@ def concentration_scan(family, x0, radii) -> ConcentrationReport:
 
     For every member and probe radius R, reports the mass in the physical
     ball B_R(x0), its ratio to the total mass, and the mass outside the
-    shrinking ball of radius sqrt(eps) (the scaled blow-up window).  The
-    atom estimate is the widest-ball mass of the finest member, the
-    closest finite-eps stand-in for the limiting point mass.
+    shrinking ball of radius sqrt(eps) (the scaled blow-up window).  Ball
+    membership is strict, ``|x - x0| < R`` at the nodes, and the outside
+    is its exact negation.  The atom estimate is the widest-ball mass of
+    the finest member, the closest finite-eps stand-in for the limiting
+    point mass.
     """
     x0 = tuple(float(v) for v in x0)
     radii = tuple(sorted(float(r) for r in radii))
@@ -91,13 +107,14 @@ def concentration_scan(family, x0, radii) -> ConcentrationReport:
         u = member.field
         mu, _ = density_fields(u, member.eps)
         total = float(np.sum(mu.values)) * u.grid.cell_measure
+        r = u.grid.node_radii(x0)
         balls = {}
         ratios = {}
         for R in radii:
-            m = region_mass(mu, Ball(x0, R))
+            m = region_mass(mu, r < R)
             balls[R] = m
             ratios[R] = m / total if total > 0 else 0.0
-        outside = region_mass(mu, Complement(Ball(x0, math.sqrt(member.eps))))
+        outside = region_mass(mu, ~(r < math.sqrt(member.eps)))
         rows.append(ConcentrationRow(member.eps, total, balls, ratios, outside))
     atom = rows[-1].ball_masses[radii[-1]] if rows else 0.0
     return ConcentrationReport(x0, radii, tuple(rows), atom)
@@ -255,10 +272,11 @@ PAIR_BUDGET = 2e8
 
 
 def hoelder_quotient(u: ScalarField, eps: float, gamma: float,
-                     region: Region | np.ndarray | None = None,
+                     mask: np.ndarray | None = None,
                      mode: str = "auto") -> HoelderProbe:
     """Worst quotient ``|u(y) - u(z)| / |y - z|^gamma`` over node pairs at
-    distance <= eps with both endpoints in the region.
+    distance <= eps with both endpoints in ``mask``, a boolean node mask of
+    the grid's shape (None: the whole grid).
 
     The scan enumerates integer node offsets inside the eps-ball
     (exhaustive by default; a dyadic offset ladder is used when the
@@ -272,12 +290,7 @@ def hoelder_quotient(u: ScalarField, eps: float, gamma: float,
         raise ValueError("mode must be 'auto', 'exhaustive' or 'dyadic', "
                          f"got {mode!r}")
     g = u.grid
-    if region is None:
-        mask = np.ones(g.shape, dtype=bool)
-    elif isinstance(region, np.ndarray):
-        mask = region
-    else:
-        mask = region_cells(g, region)
+    mask = np.ones(g.shape, dtype=bool) if mask is None else _check_mask(g, mask)
     if not mask.any():
         raise ValueError("hoelder probe region is empty")
 

@@ -474,12 +474,12 @@ def barrier_profile(grid: Grid):
     return 1.0 + e, lap, wp
 
 
-def supersolution_margin(grid: Grid, min_radius: float = 1.0) -> float:
-    """Minimum of ``W'(psi) - lap(psi)`` over nodes with ``|x| >= min_radius``
+def supersolution_margin(grid: Grid) -> float:
+    """Minimum of ``W'(psi) - lap(psi)`` over nodes with ``|x| >= 1``
     (analytic formulas).  Nonnegative means the barrier certificate holds."""
     r = grid.node_radii()
     _, lap, wp = barrier_profile(grid)
-    sel = r >= min_radius
+    sel = r >= 1.0
     if not sel.any():
-        raise ValueError("no nodes at or beyond min_radius")
+        raise ValueError("no nodes at or beyond radius 1")
     return float(np.min((wp - lap)[sel]))

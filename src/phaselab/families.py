@@ -65,7 +65,6 @@ __all__ = [
     "ResolutionExhaustedError",
     "bump",
     "f_of_theta",
-    "FThetaCache",
     "find_theta_for_mass",
     "build_family",
     "h_half_seminorm",
@@ -207,52 +206,28 @@ def bump(grid: Grid, theta: float, shape: str = "exp_decay",
 # the map theta -> F(u_theta)
 # --------------------------------------------------------------------------
 
-class FThetaCache:
-    """Insert-only cache of (theta, energy, solve) triples.  Each family
-    member or mass search owns its cache, so it is never shared across
-    threads."""
-
-    def __init__(self):
-        self._entries: dict[float, tuple[float, SolveResult]] = {}
-
-    def get(self, theta: float):
-        return self._entries.get(theta)
-
-    def insert(self, theta: float, energy: float, result: SolveResult):
-        self._entries.setdefault(theta, (energy, result))
-
-    def nearest(self, theta: float):
-        if not self._entries:
-            return None
-        key = min(self._entries, key=lambda t: abs(t - theta))
-        return self._entries[key][1]
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return sorted((t, e) for t, (e, _) in self._entries.items())
-
-
 def f_of_theta(theta: float, base: BoundaryData, potential: Potential,
                grid: Grid, cfg: SolveConfig,
-               cache: FThetaCache | None = None) -> float:
+               cache: dict[float, SolveResult] | None = None) -> float:
     """Minimal unit-scale energy for boundary data ``theta * base``.
 
-    Solves are warm-started from the nearest cached theta when a cache is
-    supplied; the (theta, f) pair is recorded there.
+    ``cache`` maps each theta solved so far to its solve.  When one is
+    supplied, a cached theta is not solved again, a new one is
+    warm-started from the nearest cached theta, and its solve is recorded.
+    Each family member or mass search owns its cache, so it is never
+    shared across threads.
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     initial = None
-    if cache is not None:
-        hit = cache.get(theta)
-        if hit is not None:
-            return hit[0]
-        warm = cache.nearest(theta)
-        if warm is not None:
-            initial = warm.field.values
+    if cache:
+        if theta in cache:
+            return cache[theta].final_energy
+        initial = cache[min(cache, key=lambda t: abs(t - theta))].field.values
     result = solve_half_space(theta * base.samples, 1.0, potential, grid, cfg,
                               initial=initial)
     if cache is not None:
-        cache.insert(theta, result.final_energy, result)
+        cache[theta] = result
     return result.final_energy
 
 
@@ -263,7 +238,7 @@ THETA_REL_TOL = 5e-3
 
 def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
                         potential: Potential, grid: Grid, cfg: SolveConfig,
-                        cache: FThetaCache | None = None,
+                        cache: dict[float, SolveResult] | None = None,
                         rel_offset: float = 0.0,
                         theta_max: float = 1e4) -> float:
     """Theta with ``f(theta) = S * eps^(1-n)`` to relative accuracy
@@ -288,7 +263,7 @@ def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
         inner_tol = max(abs(rel_offset) / 10.0, 1e-12)
     else:
         inner_tol = THETA_REL_TOL / 2.0
-    cache = cache if cache is not None else FThetaCache()
+    cache = cache if cache is not None else {}
 
     def f(th):
         return f_of_theta(th, base, potential, grid, cfg, cache)
@@ -515,15 +490,15 @@ def _build_boundary_atom(schedule, params, n, tol_phys, cfg, workers):
         # the theta -> energy cache is grid-specific, hence per member
         g = _half_space_unit_grid(n, L / eps, hu)
         base = bump(g, 1.0, shape="exp_decay", amplitude=amp, width=support)
-        member_cache = FThetaCache()
+        member_cache = {}
         th = find_theta_for_mass(c0() * S, eps, n, base, pot, g,
                                  _solve_cfg(cfg, eps, tol_phys),
                                  cache=member_cache,
                                  rel_offset=offset_of[eps])
-        _, res = member_cache.get(th)
         return _member_from_solve(
-            eps, th, g, res, tol_phys,
-            extra_certs={"f_pairs": member_cache.pairs(),
+            eps, th, g, member_cache[th], tol_phys,
+            extra_certs={"f_pairs": sorted((t, r.final_energy)
+                                           for t, r in member_cache.items()),
                          "trace_norm_sq": _trace_norm_sq(base)})
 
     members = _map_members(build_one, eps_arr, workers)

@@ -16,7 +16,7 @@ as the reference the tests check the truncation error against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -26,16 +26,10 @@ __all__ = [
     "DirichletData",
     "DirichletConstant",
     "NeumannZero",
-    "WholeDomain",
-    "Ball",
-    "SuperLevel",
-    "Complement",
     "GridBudgetError",
-    "GridMismatchError",
     "face_radii",
     "half_space_roles",
     "make_half_space_grid",
-    "region_cells",
     "tail_bound",
     "grid_to_dict",
     "grid_from_dict",
@@ -52,10 +46,6 @@ DEFAULT_CELL_BUDGET = 8_000_000
 
 class GridBudgetError(RuntimeError):
     """Requested grid exceeds the configured cell budget."""
-
-
-class GridMismatchError(ValueError):
-    """A region or field refers to a different grid than the one supplied."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +95,16 @@ class Grid:
         return np.meshgrid(*(self.axis_coords(a) for a in range(self.n)), indexing="ij")
 
     def node_radii(self, center: Iterable[float] | None = None) -> np.ndarray:
-        """Euclidean distance of every node from ``center`` (default: 0)."""
+        """Euclidean distance of every node from ``center`` (default: 0).
+
+        A region is a boolean node mask.  The ball of radius R about
+        ``center`` is ``node_radii(center) < R``: membership is strict, so
+        a radius-0 ball is empty even when its center lies on a node.
+        """
         center = np.zeros(self.n) if center is None else np.asarray(center, dtype=float)
+        if center.shape != (self.n,):
+            raise ValueError(f"center has shape {center.shape}, the grid "
+                             f"needs shape ({self.n},)")
         r2 = np.zeros(self.shape)
         for a, x in enumerate(self.meshgrid()):
             r2 += (x - center[a]) ** 2
@@ -181,69 +179,6 @@ def apply_dirichlet(values: np.ndarray, grid: Grid, roles: dict) -> np.ndarray:
         elif isinstance(role, DirichletData):
             out[sl] = role.samples
     return out
-
-
-# --------------------------------------------------------------------------
-# regions
-# --------------------------------------------------------------------------
-# Membership is decided at cell centers, i.e. at nodes.  Ball membership is
-# strict (distance < radius), so a radius-0 ball is empty even when its
-# center lies exactly on a node.
-
-@dataclass(frozen=True)
-class WholeDomain:
-    pass
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: tuple[float, ...]
-    radius: float
-
-
-@dataclass(frozen=True)
-class SuperLevel:
-    """Nodes where the field value (or |value|) is >= threshold."""
-
-    threshold: float
-    values: np.ndarray = field(repr=False)
-    grid: Grid
-    absolute: bool = False
-
-
-@dataclass(frozen=True)
-class Complement:
-    region: object
-
-
-Region = object
-
-
-def region_cells(grid: Grid, region: Region) -> np.ndarray:
-    """Boolean node mask of the region (cell-center membership rule).
-
-    Deterministic for fixed inputs.  ``Complement`` is exact negation, so
-    ``|cells(A)| + |cells(Complement(A))|`` always equals the node count.
-    """
-    if isinstance(region, WholeDomain):
-        return np.ones(grid.shape, dtype=bool)
-    if isinstance(region, Complement):
-        return ~region_cells(grid, region.region)
-    if isinstance(region, Ball):
-        center = np.asarray(region.center, dtype=float)
-        if center.shape != (grid.n,):
-            raise GridMismatchError(
-                f"region center has dimension {center.shape}, grid has n={grid.n}")
-        return grid.node_radii(center) < region.radius
-    if isinstance(region, SuperLevel):
-        if region.grid != grid:
-            raise GridMismatchError("SuperLevel region references a different grid")
-        t, vals = region.threshold, region.values
-        if region.absolute:
-            # |v| >= t, without a full-size float temporary for |v|
-            return (vals >= t) | (vals <= -t)
-        return vals >= t
-    raise TypeError(f"unknown region type {type(region).__name__}")
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,16 +18,7 @@ from phaselab.diagnostics import (
     region_mass,
 )
 from phaselab.energy import ScalarField, density_fields, modica_mortola
-from phaselab.grid import (
-    Ball,
-    Complement,
-    Grid,
-    GridMismatchError,
-    NeumannZero,
-    WholeDomain,
-    make_half_space_grid,
-    region_cells,
-)
+from phaselab.grid import Grid, NeumannZero, make_half_space_grid
 
 
 def neumann_box(grid, values):
@@ -61,30 +53,59 @@ def tanh_circle_2d(eps=0.1, r0=1.0, L=3.0, div=8):
 def test_region_mass_whole_equals_energy():
     u = tanh_field_1d()
     mu, _ = density_fields(u, 0.1)
-    assert region_mass(mu, WholeDomain()) == modica_mortola(u, 0.1)
+    assert region_mass(mu, np.ones(u.grid.shape, dtype=bool)) \
+        == modica_mortola(u, 0.1)
 
 
 def test_region_mass_grid_mismatch():
+    # a 2D ball on a 1D grid is refused when its radii are taken
     u = tanh_field_1d()
     mu, _ = density_fields(u, 0.1)
-    with pytest.raises(GridMismatchError):
-        region_mass(mu, Ball((0.0, 0.0), 1.0))
+    with pytest.raises(ValueError, match=r"needs shape \(1,\)"):
+        mu.grid.node_radii((0.0, 0.0))
+    with pytest.raises(ValueError, match=r"grid shape \(801,\)"):
+        region_mass(mu, np.ones((801, 1), dtype=bool))
+
+
+@pytest.mark.parametrize("mask", [
+    np.ones((41, 21), dtype=bool), np.ones((61, 61), dtype=bool),
+    np.ones((41, 41, 1), dtype=bool), np.ones((41, 41)),
+    np.ones((41, 41), dtype=int), [[True] * 41] * 41,
+], ids=["narrow", "wide", "extra_axis", "float", "int", "list"])
+def test_malformed_masks_are_rejected(mask):
+    # the message names the grid's shape and the mask's
+    g = Grid((41, 41), 0.05, (0.0, 0.0))
+    u = neumann_box(g, np.sin(4 * g.meshgrid()[0]))
+    mu, _ = density_fields(u, 0.1)
+    shape = re.escape(str(getattr(mask, "shape", None)))
+    pattern = rf"grid shape \(41, 41\), got .* of shape {shape}"
+    with pytest.raises(ValueError, match=pattern):
+        region_mass(mu, mask)
+    with pytest.raises(ValueError, match=pattern):
+        hoelder_quotient(u, 0.2, 0.5, mask)
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 7.0), (0.0,), ((0.0, 0.0),)])
+def test_node_radii_rejects_a_center_of_the_wrong_length(center):
+    g = Grid((41, 41), 0.05, (0.0, 0.0))
+    with pytest.raises(ValueError, match=r"the grid needs shape \(2,\)"):
+        g.node_radii(center)
 
 
 def test_partition_additivity():
     u = tanh_circle_2d()
     mu, _ = density_fields(u, 0.1)
-    ball = Ball((0.0, 0.0), 1.0)
-    total = region_mass(mu, WholeDomain())
-    assert region_mass(mu, ball) + region_mass(mu, Complement(ball)) \
+    ball = u.grid.node_radii((0.0, 0.0)) < 1.0
+    total = region_mass(mu, np.ones(u.grid.shape, dtype=bool))
+    assert region_mass(mu, ball) + region_mass(mu, ~ball) \
         == pytest.approx(total, rel=1e-13)
 
 
 def test_annulus_far_from_interface_carries_no_mass():
     u = tanh_circle_2d(eps=0.1, r0=1.0)
     mu, _ = density_fields(u, 0.1)
-    total = region_mass(mu, WholeDomain())
-    inner = region_mass(mu, Ball((0.0, 0.0), 2.0))
+    total = region_mass(mu, np.ones(u.grid.shape, dtype=bool))
+    inner = region_mass(mu, u.grid.node_radii((0.0, 0.0)) < 2.0)
     assert (total - inner) / total <= 1e-6
 
 
@@ -384,7 +405,7 @@ def _probe_masks(g):
     return {"whole": np.ones(g.shape, dtype=bool),
             "low_strip": low, "high_strip": high,
             "interior": interior_region_mask(g, 3.0 * g.spacing),
-            "ball": region_cells(g, Ball(centre, 0.3)),
+            "ball": g.node_radii(centre) < 0.3,
             "two_corners": (coords[0] < 0.2) & (coords[-1] < 0.2)
                            | (coords[0] > 0.8) & (coords[-1] > 0.8)}
 
@@ -401,10 +422,9 @@ def test_hoelder_box_scan_equals_full_grid_scan(n, mode):
                 want = _reference_hoelder_probe(u, eps, 0.5, mask, mode)
                 assert hoelder_quotient(u, eps, 0.5, mask, mode) == want, \
                     (seed, name, steps)
-        ball = Ball(tuple(0.4 for _ in range(n)), 0.25)
+        ball = g.node_radii((0.4,) * n) < 0.25
         assert hoelder_quotient(u, 4 * g.spacing, 1.0, ball, mode) == \
-            _reference_hoelder_probe(u, 4 * g.spacing, 1.0,
-                                     region_cells(g, ball), mode)
+            _reference_hoelder_probe(u, 4 * g.spacing, 1.0, ball, mode)
 
 
 @pytest.mark.parametrize("rows", [slice(0, 3), slice(5, 9)])
@@ -445,12 +465,12 @@ def test_offsets_match_the_one_by_one_enumeration(n):
 def test_region_mass_bounded_by_total():
     u = tanh_circle_2d()
     mu, _ = density_fields(u, 0.1)
-    total = region_mass(mu, WholeDomain())
+    total = region_mass(mu, np.ones(u.grid.shape, dtype=bool))
     rng = np.random.default_rng(9)
     for _ in range(6):
-        ball = Ball((float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))),
-                    float(rng.uniform(0.1, 4.0)))
-        m = region_mass(mu, ball)
+        r = u.grid.node_radii((float(rng.uniform(-3, 3)),
+                               float(rng.uniform(-3, 3))))
+        m = region_mass(mu, r < float(rng.uniform(0.1, 4.0)))
         assert 0.0 <= m <= total * (1 + 1e-12)
 
 

@@ -9,7 +9,6 @@ from phaselab.families import (
     BoundaryData,
     BracketFailureError,
     EpsilonSchedule,
-    FThetaCache,
     ResolutionExhaustedError,
     build_family,
     build_oscillating_boundary,
@@ -92,7 +91,7 @@ def test_f_two_sided_and_trace_bounds():
     g = small_grid(R=6.0, hu=0.125)
     base = bump(g, 1.0, shape="exp_decay", amplitude=0.5, width=5.0)
     cfg = SolveConfig(residual_tol=1e-9)
-    cache = FThetaCache()
+    cache = {}
     thetas = [1.0, 2.0, 4.0]
     fs = {th: f_of_theta(th, base, P, g, cfg, cache) for th in thetas}
     trace_sq = float(np.sum(base.samples ** 2)) * g.spacing
@@ -106,14 +105,14 @@ def test_f_two_sided_and_trace_bounds():
             assert fs[t2] <= max(r ** 2, r ** 4) * fs[t1] * (1 + 1e-9)
     # strict monotone growth
     assert fs[1.0] < fs[2.0] < fs[4.0]
-    assert len(cache.pairs()) == 3
+    assert sorted(cache) == thetas
 
 
 def test_find_theta_roundtrip_and_self_consistency():
     g = small_grid(R=5.0, hu=0.25)
     base = bump(g, 1.0, shape="exp_decay", amplitude=0.5, width=4.0)
     cfg = SolveConfig(residual_tol=1e-9)
-    cache = FThetaCache()
+    cache = {}
     f2 = f_of_theta(2.0, base, P, g, cfg, cache)
     eps, n = 0.5, 2
     th = find_theta_for_mass(f2 * eps ** (n - 1), eps, n, base, P, g, cfg,

@@ -3,21 +3,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from phaselab.diagnostics import region_mass
+from phaselab.energy import EnergyBreakdown, ScalarField, density_fields
 from phaselab.grid import (
-    Ball,
-    Complement,
     DirichletConstant,
     DirichletData,
     Grid,
     GridBudgetError,
-    GridMismatchError,
-    SuperLevel,
-    WholeDomain,
+    NeumannZero,
     check_roles,
     half_space_roles,
     make_half_space_grid,
     roles_to_dict,
-    region_cells,
     tail_bound,
 )
 
@@ -82,48 +79,36 @@ def test_construction_errors():
 
 def test_region_basics():
     g, _ = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    assert region_cells(g, WholeDomain()).all()
-    # radius-0 ball is empty even with an on-node center
-    assert region_cells(g, Ball((0.0, 1.0), 0.0)).sum() == 0
-    ones = np.ones(g.shape)
-    assert region_cells(g, SuperLevel(0.5, ones, g)).all()
-    other = Grid(g.shape, g.spacing, (5.0, 5.0))
-    with pytest.raises(GridMismatchError):
-        region_cells(g, SuperLevel(0.5, ones, other))
+    # ball membership is strict: a radius-0 ball is empty even with an
+    # on-node center
+    assert (g.node_radii((0.0, 1.0)) < 0.0).sum() == 0
+    assert (g.node_radii((0.0, 1.0)) < 0.25).sum() == 1
+    assert np.array_equal(g.node_radii(), g.node_radii((0.0, 0.0)))
 
 
 @pytest.mark.parametrize("threshold", [-0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
 def test_absolute_superlevel_matches_abs(threshold):
+    # the energy pass selects {|u| >= theta} without a temporary for |u|;
+    # its excess mass must be the mass over exactly that mask
     g = Grid((4, 5), 0.1, (0.0, 0.0))
     vals = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0,
                      -np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
                      *np.linspace(-1.5, 1.5, 10)]).reshape(g.shape)
-    got = region_cells(g, SuperLevel(threshold, vals, g, absolute=True))
-    assert np.array_equal(got, np.abs(vals) >= threshold)
-
-
-def test_partition_and_double_complement():
-    g, _ = make_half_space_grid(2, 4.0, 0.5, 1.0)
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        center = (float(rng.uniform(-4, 4)), float(rng.uniform(0, 4)))
-        radius = float(rng.uniform(0.1, 3.0))
-        region = Ball(center, radius)
-        a = region_cells(g, region).sum()
-        b = region_cells(g, Complement(region)).sum()
-        assert a + b == g.num_nodes
-        twice = region_cells(g, Complement(Complement(region)))
-        assert np.array_equal(twice, region_cells(g, region))
+    u = ScalarField(g, vals, {(a, s): NeumannZero() for a in range(2)
+                              for s in ("low", "high")})
+    mu, _ = density_fields(u, 0.3)
+    assert np.all(mu.values > 0.0)
+    got = EnergyBreakdown.of(u, 0.3, theta=threshold).excess_mass
+    assert got == region_mass(mu, np.abs(vals) >= threshold)
 
 
 def test_refinement_consistency():
     # volume of a fixed ball region converges at first order in the spacing
-    ball = Ball((0.0, 1.0), 0.8)
     exact = np.pi * 0.8 ** 2
     errors = []
     for spacing in (0.2, 0.1, 0.05, 0.025):
         g, _ = make_half_space_grid(2, 4.0, spacing, 1.0)
-        vol = region_cells(g, ball).sum() * g.cell_measure
+        vol = (g.node_radii((0.0, 1.0)) < 0.8).sum() * g.cell_measure
         errors.append(abs(vol - exact))
     for h, err in zip((0.2, 0.1, 0.05, 0.025), errors):
         assert err <= 2.5 * h * 0.8          # C * spacing with C ~ perimeter
