@@ -12,26 +12,27 @@ normalization ``c0 = integral of sqrt(2 W) over (-1, 1) = 2 sqrt(2) / 3``):
   ``F(u) = sum_cells [ |grad u|^2 / 2 + W(u) ] h^n``  (no 1/c0 factor)
 
 The area-penalized ``W_eps + eps^(-sigma) (S_eps - S)^2`` is formed by its
-one user, the ``penalty_zero`` runner.  ``laplacian`` stays as the
-whole-grid reference that the tests check the slab densities against.
+one user, the ``penalty_zero`` runner.  ``grad_squared`` and ``laplacian``
+stay as the whole-grid references that the tests check the slab densities
+against.
 
-``density_fields`` returns per-cell densities whose region sums are the
-energies up to summation order.  Gradients are centered in the interior
-and one-sided second order at faces.  Second differences are centered in
-the interior; a NeumannZero face closes them with the mirror ghost, and a
-Dirichlet face layer gets none.  The curvature density is the squared
-defect of the discrete stationarity equation; it is set to zero on
-Dirichlet face layers, where no equation is imposed (the continuum
-density there sits on a node layer of measure O(h), which the cell-sum
-quadrature is free to drop at its accuracy order).
+Every stencil is built from two unscaled per-axis primitives,
+``centred_difference`` and ``neighbour_sum``; the solver's operator and
+residual use the same neighbour sum.  ``density_fields`` returns per-cell
+densities whose region sums are the energies up to summation order.  The
+curvature density is the squared defect of the discrete stationarity
+equation; it is set to zero on Dirichlet face layers, where no equation
+is imposed (the continuum density there sits on a node layer of measure
+O(h), which the cell-sum quadrature is free to drop at its accuracy
+order).
 
 The densities are evaluated in slabs of at most ``SLAB_NODES`` nodes,
 each a run of axis-0 layers that reads one neighbouring layer on either
 side; only the grid's own first and last layers get the face closures.
-Every node sees the same arithmetic whatever the slab size, so the
-densities are bit-identical to a one-slab evaluation.  ``W'(s)`` enters
-the curvature density as ``s (s^2 - 1)``, which multiplies instead of
-taking a generic power.
+Each slab takes one pass per primitive and axis and one multiply by a
+folded constant per density term (see ``_slab_densities``).  Every node sees
+the same arithmetic whatever the slab size, so the densities are
+bit-identical to a one-slab evaluation.
 
 Summation order: the energies (``modica_mortola``, ``willmore_eps``,
 ``EnergyBreakdown.of`` and its excess mass) never build a full-size
@@ -52,15 +53,7 @@ from functools import partial
 
 import numpy as np
 
-from .grid import (
-    LOW,
-    HIGH,
-    DirichletConstant,
-    DirichletData,
-    Grid,
-    NeumannZero,
-    check_roles,
-)
+from .grid import LOW, HIGH, Grid, NeumannZero, check_roles
 
 __all__ = [
     "Potential",
@@ -166,7 +159,11 @@ class ScalarField:
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(self.values)):
+        # a finite sum proves every value finite; only an infinite or NaN
+        # sum (also from finite values that overflow) needs the node check
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(self.values)
+        if not (np.isfinite(total) or np.isfinite(self.values).all()):
             raise ValueError("field values must be finite everywhere")
         check_roles(self.grid, self.roles)
 
@@ -184,112 +181,81 @@ def _at(ndim: int, axis: int, index) -> tuple:
     return tuple(idx)
 
 
-def _layer_block(values: np.ndarray, axis: int, lo: int, hi: int | None):
-    """Number of layers along axis, the end hi, and an empty output for the
-    layers lo <= i < hi."""
+def centred_difference(values: np.ndarray, axis: int, out: np.ndarray,
+                       lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Write the unscaled centred difference ``u[i+1] - u[i-1]`` along axis
+    at the layers lo <= i < hi (default: all) into out; ``1/(2h)`` times it
+    is the gradient component.  At the grid's own first and last layers it
+    becomes the one-sided ``+-(4 u1 - 3 u0 - u2)``, u_k being the k-th layer
+    inward; a block's edge layers read their neighbours from ``values``."""
+    at = partial(_at, values.ndim, axis)
     m = values.shape[axis]
     hi = m if hi is None else hi
-    shape = list(values.shape)
-    shape[axis] = hi - lo
-    return m, hi, np.empty(shape)
-
-
-def _axis_gradient(values: np.ndarray, axis: int, h: float,
-                   lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Centered differences in the interior, one-sided second order at the
-    two face layers, on the layers lo <= i < hi along axis (default: all).
-
-    Only the grid's own first and last layers get the face stencil; a
-    block's edge layers read their neighbours from ``values``.
-    """
-    at = partial(_at, values.ndim, axis)
-    m, hi, g = _layer_block(values, axis, lo, hi)
     a, b = max(lo, 1), min(hi, m - 1)
     if a < b:
-        mid = g[at(slice(a - lo, b - lo))]
         np.subtract(values[at(slice(a + 1, b + 1))],
-                    values[at(slice(a - 1, b - 1))], out=mid)
-        mid /= 2.0 * h
-    for face, step, sign in ((0, 1, +1.0), (m - 1, -1, -1.0)):
+                    values[at(slice(a - 1, b - 1))],
+                    out=out[at(slice(a - lo, b - lo))])
+    for face, step, sign in ((0, 1, 1.0), (m - 1, -1, -1.0)):
         if lo <= face < hi:
             u0, u1, u2 = (values[at(face + k * step)] for k in range(3))
-            g[at(face - lo)] = sign * (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * h)
-    return g
+            out[at(face - lo)] = sign * (4.0 * u1 - 3.0 * u0 - u2)
+    return out
+
+
+def neighbour_sum(values: np.ndarray, axis: int, out: np.ndarray,
+                  lo: int = 0, hi: int | None = None, roles=None) -> None:
+    """Add the unscaled neighbour sum ``u[i+1] + u[i-1]`` along axis at the
+    layers lo <= i < hi (default: all) into out; the sums over the axes,
+    less ``2n u``, over h^2 are the discrete Laplacian.  At the grid's own
+    faces the face roles close it: the mirror ghost gives ``2 u1`` at a
+    NeumannZero face, and a Dirichlet face layer reads ``2 u0``, so that
+    the axis adds nothing to the Laplacian of a layer with no equation.
+    Layers in 1..m-2 need no roles."""
+    at = partial(_at, values.ndim, axis)
+    m = values.shape[axis]
+    hi = m if hi is None else hi
+    a, b = max(lo, 1), min(hi, m - 1)
+    if a < b:
+        mid = out[at(slice(a - lo, b - lo))]
+        mid += values[at(slice(a + 1, b + 1))]
+        mid += values[at(slice(a - 1, b - 1))]
+    for face, step, side in ((0, 1, LOW), (m - 1, -1, HIGH)):
+        if lo <= face < hi:
+            role = roles[(axis, side)]
+            ghost = face + step if isinstance(role, NeumannZero) else face
+            out[at(face - lo)] += 2.0 * values[at(ghost)]
+
+
+def interior_neighbour_sum(values: np.ndarray, out: np.ndarray) -> None:
+    """Add the neighbour sums of all axes at the interior nodes (1..m-2 on
+    every axis) into the interior-shaped out; the face layers enter only as
+    neighbours."""
+    inner = tuple(slice(1, m - 1) for m in values.shape)
+    for a, m in enumerate(values.shape):
+        neighbour_sum(values[inner[:a] + (slice(None),) + inner[a + 1:]], a,
+                      out, 1, m - 1)
 
 
 def grad_squared(u: ScalarField) -> np.ndarray:
-    out = np.zeros(u.grid.shape)
+    """``|grad u|^2`` at every node, from ``centred_difference`` on each
+    axis."""
+    out, g = np.zeros(u.grid.shape), np.empty(u.grid.shape)
     for a in range(u.grid.n):
-        g = _axis_gradient(u.values, a, u.grid.spacing)
-        out += g * g
+        out += np.square(centred_difference(u.values, a, g), out=g)
+    out *= 0.25 / (u.grid.spacing * u.grid.spacing)
     return out
-
-
-def second_difference(values: np.ndarray, axis: int, h: float, lo: int,
-                      hi: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The centred second difference ``(u[i+1] - 2 u[i] + u[i-1]) / h^2``
-    along axis at the layers lo <= i < hi (1 <= lo, hi <= m - 1), written
-    in place into out (allocated when None)."""
-    at = partial(_at, values.ndim, axis)
-    out = np.multiply(values[at(slice(lo, hi))], 2.0, out=out)
-    np.subtract(values[at(slice(lo + 1, hi + 1))], out, out=out)
-    out += values[at(slice(lo - 1, hi - 1))]
-    out /= h * h
-    return out
-
-
-def interior_laplacian(values: np.ndarray, h: float,
-                       work: np.ndarray | None = None) -> np.ndarray:
-    """Centred Laplacian at the interior nodes (1..m-2 on every axis), with
-    the face layers entering only as neighbours; ``work`` is an optional
-    interior-shaped buffer for the per-axis terms."""
-    inner = tuple(slice(1, m - 1) for m in values.shape)
-    out = None
-    for a, m in enumerate(values.shape):
-        view = values[inner[:a] + (slice(None),) + inner[a + 1:]]
-        if out is None:
-            out = second_difference(view, a, h, 1, m - 1)
-        else:
-            out += second_difference(view, a, h, 1, m - 1, work)
-    return out
-
-
-def _axis_second(values: np.ndarray, axis: int, h: float, role_low,
-                 role_high, lo: int = 0, hi: int | None = None):
-    """Second differences along one axis with role-dependent face closure,
-    on the layers lo <= i < hi along axis (default: all).
-
-    Interior nodes use the standard centered stencil on the stored values
-    (prescribed boundary values enter automatically through the face
-    layers).  At a NeumannZero face the missing neighbor is the mirror
-    ghost, ``(2 u1 - 2 u0) / h^2``; a Dirichlet face layer carries no
-    equation and reads 0.  As in ``_axis_gradient``, only the grid's own
-    faces get a face closure.
-    """
-    at = partial(_at, values.ndim, axis)
-    m, hi, d = _layer_block(values, axis, lo, hi)
-    h2 = h * h
-    a, b = max(lo, 1), min(hi, m - 1)
-    if a < b:
-        second_difference(values, axis, h, a, b,
-                          out=d[at(slice(a - lo, b - lo))])
-    for face, step, role in ((0, 1, role_low), (m - 1, -1, role_high)):
-        if lo <= face < hi:
-            if isinstance(role, NeumannZero):
-                u0, u1 = values[at(face)], values[at(face + step)]
-                d[at(face - lo)] = (2.0 * u1 - 2.0 * u0) / h2
-            else:
-                d[at(face - lo)] = 0.0
-    return d
 
 
 def laplacian(u: ScalarField) -> ScalarField:
-    """Three/five/seven-point Laplacian; at a NeumannZero face the mirror
-    closure, and 0 on Dirichlet face layers, as in ``residual_field``."""
-    out = np.zeros(u.grid.shape)
-    for a in range(u.grid.n):
-        out += _axis_second(u.values, a, u.grid.spacing,
-                            u.roles[(a, LOW)], u.roles[(a, HIGH)])
+    """Three/five/seven-point Laplacian from ``neighbour_sum`` on each axis:
+    the mirror closure at a NeumannZero face, and no term from the normal
+    axis on a Dirichlet face layer."""
+    g = u.grid
+    out = u.values * (-2.0 * g.n)
+    for a in range(g.n):
+        neighbour_sum(u.values, a, out, roles=u.roles)
+    out *= 1.0 / (g.spacing * g.spacing)
     return u.with_values(out)
 
 
@@ -297,11 +263,12 @@ def laplacian(u: ScalarField) -> ScalarField:
 # energies and densities
 # --------------------------------------------------------------------------
 
-#: Nodes per slab of the density kernel.  The slab-sized temporaries of
-#: the stencils stay small next to the field and mostly in cache, and each
-#: numpy call on a slab runs long enough for threads mapped over the slabs
-#: to overlap: on a 2-core Xeon, 1 << 15 left a second thread no gain on
-#: the neumann_layer sweep, where 1 << 16 gave most of it.
+#: Nodes per slab of the density kernel.  The three slab buffers stay
+#: small next to the field and mostly in cache, and each numpy call on a
+#: slab runs long enough to pay for its dispatch.  On a 2-vCPU Xeon, one
+#: energy pass over a 2401 x 2401 field (median of 7) took 127, 102, 105
+#: and 112 ms on one thread and 202, 113, 86 and 75 ms on two, at 1 << 14,
+#: 15, 16 and 17: no size wins on both, and 1 << 16 stays.
 SLAB_NODES = 1 << 16
 
 
@@ -315,51 +282,56 @@ def _slabs(u: ScalarField, eps: float) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
-def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int):
-    """(mu, alpha) of ``density_fields`` on the axis-0 layers lo <= i < hi."""
+def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
+                    mu: np.ndarray, alpha: np.ndarray, t: np.ndarray) -> None:
+    """Write (mu, alpha) of ``density_fields`` on the axis-0 layers
+    lo <= i < hi into the slab buffers mu and alpha, with t for scratch.
+    With D_a the centred difference, N the neighbour sums over the axes and
+    ``t = s^2 - 1``,
+
+        mu    = eps/(8 h^2 c0) sum_a D_a^2 + 1/(4 eps c0) t^2
+        alpha = eps/(c0 h^4) (N - s (2n + (h/eps)^2 t))^2
+
+    (``s t = W'(s)``), one multiply by a folded constant per density term.
+    """
     g, v, roles = u.grid, u.values, u.roles
-    h, c = g.spacing, c0()
+    h, n, c = g.spacing, g.n, c0()
     s = v[lo:hi]
-    gsq = _axis_gradient(v, 0, h, lo, hi)
-    gsq *= gsq
-    for a in range(1, g.n):
-        ga = _axis_gradient(s, a, h)
-        gsq += ga * ga
-    # in-place steps, each rounding as in the formulas beside them
-    t = s * s
+    centred_difference(v, 0, mu, lo, hi)
+    mu *= mu
+    for a in range(1, n):
+        centred_difference(s, a, alpha)
+        alpha *= alpha
+        mu += alpha
+    mu *= eps / (8.0 * h * h * c)
+    np.multiply(s, s, out=t)
     t -= 1.0
-    w = t * t                          # W(s) = t^2 / 4
-    w /= 4.0
-    w /= eps
-    gsq *= eps / 2.0
-    gsq += w                           # (eps/2) |grad u|^2 + W(s)/eps
-    mu = np.divide(gsq, c, out=gsq)
-    del w
-    lap = _axis_second(v, 0, h, roles[(0, LOW)], roles[(0, HIGH)], lo, hi)
-    for a in range(1, g.n):
-        lap += _axis_second(s, a, h, roles[(a, LOW)], roles[(a, HIGH)])
-    t *= s                             # W'(s) = s t
-    t /= eps
-    lap *= eps
-    lap -= t                           # eps lap(u) - W'(s)/eps
-    lap *= lap
-    alpha = np.divide(lap, c * eps, out=lap)
-    for (axis, side), role in roles.items():
-        if isinstance(role, (DirichletData, DirichletConstant)):
-            face = 0 if side == LOW else g.shape[axis] - 1
-            if axis > 0:
-                alpha[_at(g.n, axis, face)] = 0.0
-            elif lo <= face < hi:
-                alpha[face - lo] = 0.0
-    return mu, alpha
+    np.multiply(t, t, out=alpha)
+    alpha *= 1.0 / (4.0 * eps * c)
+    mu += alpha
+    t *= -(h / eps) ** 2
+    t -= 2.0 * n
+    np.multiply(t, s, out=alpha)
+    neighbour_sum(v, 0, alpha, lo, hi, roles)
+    for a in range(1, n):
+        neighbour_sum(s, a, alpha, roles=roles)
+    alpha *= alpha
+    alpha *= eps / (c * h ** 4)
+    for (axis, side), role in roles.items():    # zero Dirichlet layers
+        face = 0 if side == LOW else g.shape[axis] - 1
+        if not isinstance(role, NeumannZero) and (axis or lo <= face < hi):
+            alpha[_at(n, axis, face if axis else face - lo)] = 0.0
 
 
 def _densities(u: ScalarField, eps: float):
     """(mu, alpha) arrays of ``density_fields``, evaluated slab by slab."""
     mu = np.empty(u.grid.shape)
     alpha = np.empty(u.grid.shape)
-    for lo, hi in _slabs(u, eps):
-        mu[lo:hi], alpha[lo:hi] = _slab_densities(u, eps, lo, hi)
+    slabs = _slabs(u, eps)
+    scratch = np.empty_like(mu[:slabs[0][1]])
+    for lo, hi in slabs:
+        _slab_densities(u, eps, lo, hi, mu[lo:hi], alpha[lo:hi],
+                        scratch[:hi - lo])
     return mu, alpha
 
 
@@ -384,11 +356,11 @@ def _energy_sums(u: ScalarField, eps: float, theta: float | None = None,
     """
     def partials(bounds):
         lo, hi = bounds
-        mu, alpha = _slab_densities(u, eps, lo, hi)
+        mu, alpha, t = np.empty((3, hi - lo) + u.grid.shape[1:])
+        _slab_densities(u, eps, lo, hi, mu, alpha, t)
         excess = None
         if theta is not None:
-            s = u.values[lo:hi]
-            excess = np.sum(mu[(s >= theta) | (s <= -theta)])
+            excess = np.sum(mu[np.abs(u.values[lo:hi], out=t) >= theta])
         return np.sum(mu), np.sum(alpha), excess
 
     parts = map_ordered(partials, _slabs(u, eps), workers)

@@ -22,9 +22,12 @@ The descent scheme combines two ingredients:
   ``-lap_h(u) + W'(u)`` to solver-certificate levels.
 
 The interior operator ``A = -lap_h`` (zero Dirichlet border) is applied
-matrix-free by the centred stencil of ``energy`` on a zero-bordered
-buffer; the residual ``r`` at interior nodes is that stencil on the full
-array, so the Dirichlet data enter through the face layers.  The
+matrix-free as ``(2n/h^2) v - (1/h^2) sum of neighbours``, from the
+neighbour sum of ``energy`` on a zero-bordered buffer: one pass for the
+diagonal term and one per neighbour, with Newton's ``diag(d)`` folded
+into the diagonal term.  The residual ``r`` at interior nodes takes the
+same neighbour sum of the full array, so the Dirichlet data enter through
+the face layers.  The
 orthonormal type-I discrete sine transform diagonalizes ``A`` exactly
 (fast diagonalization, Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson
 1970), so the semi-implicit step, in correction form
@@ -60,7 +63,7 @@ from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import splu
 
 from .energy import (Potential, ScalarField, STANDARD, half_space_energy,
-                     interior_laplacian)
+                     interior_neighbour_sum)
 from .grid import Grid, apply_dirichlet, face_radii, half_space_roles
 
 __all__ = [
@@ -136,9 +139,14 @@ class SolveResult:
 # --------------------------------------------------------------------------
 
 def _defect(values: np.ndarray, h: float, potential: Potential) -> np.ndarray:
-    """``-lap_h(u) + W'(u)`` at the interior nodes, interior-shaped."""
+    """``-lap_h(u) + W'(u)`` at the interior nodes, interior-shaped, as
+    ``(2n u - N) / h^2 + W'(u)`` with N the neighbour sum."""
     u = values[tuple(slice(1, -1) for _ in values.shape)]
-    return potential.derivative(u) - interior_laplacian(values, h)
+    out = u * (-2.0 * values.ndim)
+    interior_neighbour_sum(values, out)
+    out *= -1.0 / (h * h)
+    out += potential.derivative(u)
+    return out
 
 
 class _DirichletProblem:
@@ -157,15 +165,21 @@ class _DirichletProblem:
         # shifted_solve was given in that dtype; the semi-implicit shift and
         # the Newton preconditioner's shift alternate, one per dtype
         self._shifted = {}
-        # zero-bordered buffer that matvec writes the interior vector into
+        # zero-bordered buffer that matvec writes -v/h^2 into
         self._buf = np.zeros(grid.shape)
-        self._work = np.empty(self.int_shape)
+        # the centre weight 2n/h^2 of A's stencil
+        self.centre = 2.0 * grid.n / (self.h * self.h)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A v, matrix-free."""
-        self._buf[self.inner] = v.reshape(self.int_shape)
-        lap = interior_laplacian(self._buf, self.h, work=self._work)
-        return np.negative(lap, out=lap).ravel()
+    def matvec(self, v: np.ndarray, diag=None) -> np.ndarray:
+        """``(A + diag(d)) v`` matrix-free, as ``(2n/h^2 + d) v - (1/h^2)
+        sum of neighbours``: one pass for the diagonal term and one per
+        neighbour, read from the zero-bordered buffer.  ``diag`` is
+        ``2n/h^2 + d``; None gives A v."""
+        np.multiply(v.reshape(self.int_shape), -1.0 / (self.h * self.h),
+                    out=self._buf[self.inner])
+        out = np.multiply(self.centre if diag is None else diag, v)
+        interior_neighbour_sum(self._buf, out.reshape(self.int_shape))
+        return out
 
     def sparse_matrix(self) -> sp.csr_matrix:
         """A as the sparse Kronecker sum of 1D second differences, for the
@@ -238,14 +252,9 @@ class _DirichletProblem:
         the stopping test stay in float64, so ``x`` meets ``rtol`` as
         before; the rounding may cost an extra CG iteration."""
         d = np.maximum(w2, 0.0)
-
-        def matvec(v):
-            q = self.matvec(v)
-            q += d * v
-            return q
-
+        diag = d + self.centre
         shift = float(np.mean(d))
-        x, info = cg(matvec, rhs, rtol,
+        x, info = cg(lambda v: self.matvec(v, diag), rhs, rtol,
                      lambda v: self.shifted_solve(shift, v, np.float32))
         if info != 0:
             x = splu((self.sparse_matrix() + sp.diags(d)).tocsc()).solve(rhs)

@@ -90,6 +90,28 @@ def test_floor_delta_bound():
 
 
 # --------------------------------------------------------------------------
+# fields
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_field_rejects_a_non_finite_value(bad):
+    g = Grid((5,), 0.1, (0.0,))
+    values = np.linspace(-1.0, 1.0, 5)
+    values[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        neumann_box(g, values)
+
+
+def test_scalar_field_accepts_finite_values_whose_sum_overflows():
+    g = Grid((3,), 0.1, (0.0,))
+    values = np.full(3, 1.7e308)
+    with np.errstate(over="ignore"):
+        assert np.sum(values) == math.inf
+    u = neumann_box(g, values)
+    assert np.array_equal(u.values, values)
+
+
+# --------------------------------------------------------------------------
 # discrete operators
 # --------------------------------------------------------------------------
 
@@ -380,19 +402,37 @@ def test_slab_densities_bitwise_equal_one_slab(monkeypatch, shape, roles):
 def test_slab_densities_match_whole_grid_operators(monkeypatch, roles):
     monkeypatch.setattr(energy_module, "SLAB_NODES", 3 * 9)
     u = _random_field((14, 9), _ROLE_SETS[roles], seed=1)
-    eps = 0.3
+    eps, h, c = 0.3, u.grid.spacing, c0()
     mu, alpha = energy_module._densities(u, eps)
-    p = standard_potential()
-    want_mu = ((eps / 2.0) * grad_squared(u) + p.value(u.values) / eps) / c0()
+    # the kernel's sums and folded constants, with the two stencil
+    # primitives applied to the whole grid at once
+    s = u.values
+    d0, d1 = (energy_module.centred_difference(s, a, np.empty(s.shape))
+              for a in (0, 1))
+    t = s * s - 1.0
+    want_mu = (d0 * d0 + d1 * d1) * (eps / (8.0 * h * h * c)) \
+        + (t * t) * (1.0 / (4.0 * eps * c))
     assert mu.tobytes() == want_mu.tobytes()
-    defect = eps * laplacian(u).values - p.derivative(u.values) / eps
-    want_alpha = defect * defect / (c0() * eps)
+    defect = (t * -(h / eps) ** 2 - 4.0) * s
+    for a in (0, 1):
+        energy_module.neighbour_sum(s, a, defect, roles=u.roles)
+    want_alpha = defect * defect * (eps / (c * h ** 4))
+    on_dirichlet = np.zeros(s.shape, dtype=bool)
     for (axis, side), role in u.roles.items():
         if isinstance(role, DirichletConstant):
             idx = [slice(None)] * 2
             idx[axis] = 0 if side == "low" else -1
-            want_alpha[tuple(idx)] = 0.0
-    # W'(s) = s (s^2 - 1) rounds differently from s^3 - s
+            on_dirichlet[tuple(idx)] = True
+    want_alpha[on_dirichlet] = 0.0
+    assert alpha.tobytes() == want_alpha.tobytes()
+    # the documented densities, from the whole-grid reference operators
+    p = standard_potential()
+    np.testing.assert_allclose(
+        mu, ((eps / 2.0) * grad_squared(u) + p.value(s) / eps) / c,
+        rtol=1e-13)
+    want_alpha = (eps * laplacian(u).values - p.derivative(s) / eps) ** 2 \
+        / (c * eps)
+    want_alpha[on_dirichlet] = 0.0
     np.testing.assert_allclose(alpha, want_alpha, rtol=1e-12,
                                atol=1e-12 * want_alpha.max())
 

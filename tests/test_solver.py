@@ -246,13 +246,37 @@ def _problem(n, R, spacing):
 INTERIORS = [(1, 4.0, 0.125), (2, 4.0, 0.25), (3, 2.0, 0.25)]
 
 
+def _handed_to_cg(prob, w2, rhs, rtol, monkeypatch):
+    """Run ``prob.newton_solve``; return its result, the arguments
+    ``(matvec, b, rtol, psolve)`` it handed to its one ``cg`` call and that
+    call's ``(x, info)``."""
+    import phaselab.solver as solver_mod
+    calls = []
+    cg = solver_mod.cg
+    monkeypatch.setattr(solver_mod, "cg",
+                        lambda *a: calls.append((a, cg(*a))) or calls[-1][1])
+    x = prob.newton_solve(w2, rhs, rtol)
+    monkeypatch.setattr(solver_mod, "cg", cg)
+    (args, result), = calls
+    return x, args, result
+
+
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
-def test_matrix_free_operator_matches_sparse_matrix(n, R, spacing):
+def test_matrix_free_operator_matches_sparse_matrix(n, R, spacing,
+                                                    monkeypatch):
+    # A v by matvec, and (A + diag(d)) v by the operator that newton_solve
+    # hands to cg, for d = max(W'', 0) zero at every node and random
     prob = _problem(n, R, spacing)
-    v = np.random.default_rng(20 + n).standard_normal(prob.n_int)
-    exact = prob.sparse_matrix() @ v
-    assert np.max(np.abs(prob.matvec(v) - exact)) \
-        <= 1e-12 * np.max(np.abs(exact))
+    rng = np.random.default_rng(20 + n)
+    v = rng.standard_normal(prob.n_int)
+    cases = [(prob.matvec, np.zeros(prob.n_int))]
+    for w2 in (-np.ones(prob.n_int), rng.uniform(-1.0, 66.0, prob.n_int)):
+        _, (matvec, *_), _ = _handed_to_cg(prob, w2, v, LINEAR_RTOL,
+                                           monkeypatch)
+        cases.append((matvec, np.maximum(w2, 0.0)))
+    for op, d in cases:
+        exact = (prob.sparse_matrix() + sp.diags(d)) @ v
+        assert np.max(np.abs(op(v) - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
@@ -294,48 +318,41 @@ def test_newton_cg_matches_sparse_direct(n, R, spacing):
     assert np.linalg.norm(x - exact) <= 1e3 * rtol * np.linalg.norm(exact)
 
 
-def _scipy_newton_cg(prob, w2, rhs, rtol):
-    """The Newton solve in its former form: SciPy's cg on two
-    LinearOperators, with newton_solve's float32 preconditioner; returns
-    (x, info, iterations)."""
+def _scipy_newton_cg(matvec, psolve, rhs, rtol):
+    """SciPy's cg on LinearOperators over the operator and preconditioner
+    callables that newton_solve hands to ``cg``; returns (x, info,
+    iterations)."""
     from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
-    d = np.maximum(w2, 0.0)
-    shape = (prob.n_int, prob.n_int)
-    op = LinearOperator(shape, matvec=lambda v: prob.matvec(v) + d * v)
-    shift = float(np.mean(d))
-    M = LinearOperator(shape, matvec=lambda v: prob.shifted_solve(
-        shift, v, np.float32))
+    shape = (rhs.size, rhs.size)
     steps = []
-    x, info = scipy_cg(op, rhs, rtol=rtol, atol=0.0, M=M,
+    x, info = scipy_cg(LinearOperator(shape, matvec=matvec, dtype=float),
+                       rhs, rtol=rtol, atol=0.0,
+                       M=LinearOperator(shape, matvec=psolve, dtype=float),
                        callback=lambda xk: steps.append(1))
     return x, info, len(steps)
 
 
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
 def test_cg_matches_scipy_cg_bitwise(n, R, spacing, monkeypatch):
-    import phaselab.solver as solver_mod
     prob = _problem(n, R, spacing)
     rng = np.random.default_rng(50 + n)
     rhs = rng.standard_normal(prob.n_int)
     w2 = rng.uniform(-1.0, 66.0, prob.n_int)
     rtol = LINEAR_RTOL
-    x_ref, info_ref, steps = _scipy_newton_cg(prob, w2, rhs, rtol)
-
     calls = []
     solve = _DirichletProblem.shifted_solve
     monkeypatch.setattr(_DirichletProblem, "shifted_solve",
                         lambda self, s, v, *dtype: calls.append(dtype)
                         or solve(self, s, v, *dtype))
-    results = []
-    cg = solver_mod.cg
-    monkeypatch.setattr(solver_mod, "cg",
-                        lambda *a: results.append(cg(*a)) or results[-1])
-    x = prob.newton_solve(w2, rhs, rtol)
-    (x_cg, info), = results
+    x, (matvec, b, rtol_cg, psolve), (x_cg, info) = _handed_to_cg(
+        prob, w2, rhs, rtol, monkeypatch)
+    newton_calls = list(calls)
+    assert b is rhs and rtol_cg == rtol
+    x_ref, info_ref, steps = _scipy_newton_cg(matvec, psolve, rhs, rtol)
     assert info == info_ref == 0
     assert np.array_equal(x_cg, x_ref) and np.array_equal(x, x_ref)
     # one float32 preconditioner application per CG iteration, none to probe
-    assert steps > 0 and calls == [(np.float32,)] * steps
+    assert steps > 0 and newton_calls == [(np.float32,)] * steps
 
 
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
@@ -452,3 +469,77 @@ def test_solve_builds_no_sparse_matrix_when_cg_converges(monkeypatch):
     res = solve_half_space(2.0 * exp_base(g.axis_coords(0)), 1.0, P, g,
                            SolveConfig(residual_tol=1e-9))
     assert res.converged
+
+
+# --------------------------------------------------------------------------
+# safeguards of the solve loop
+# --------------------------------------------------------------------------
+
+def _solve_rejecting_one_candidate(monkeypatch, reject):
+    """Solve a 2D half-space problem while logging the loop's steps:
+    ("newton",) per Newton system, ("shift", s) per float64 semi-implicit
+    solve and ("energy", e) per link energy.  The first candidate whose
+    preceding log entry satisfies ``reject`` gets energy +inf instead,
+    logged as ("rejected",).  Returns the result, its config and the log."""
+    log = []
+    newton = _DirichletProblem.newton_solve
+    solve = _DirichletProblem.shifted_solve
+    energy = _DirichletProblem.link_energy
+
+    def newton_spy(self, *args):
+        log.append(("newton",))
+        return newton(self, *args)
+
+    def solve_spy(self, s, v, *dtype):
+        if not dtype:
+            log.append(("shift", s))
+        return solve(self, s, v, *dtype)
+
+    def energy_spy(self, full):
+        if log and ("rejected",) not in log and reject(log[-1]):
+            log.append(("rejected",))
+            return math.inf
+        log.append(("energy", energy(self, full)))
+        return log[-1][1]
+
+    monkeypatch.setattr(_DirichletProblem, "newton_solve", newton_spy)
+    monkeypatch.setattr(_DirichletProblem, "shifted_solve", solve_spy)
+    monkeypatch.setattr(_DirichletProblem, "link_energy", energy_spy)
+    g, _ = make_half_space_grid(2, 6.0, 0.125, 1.0)
+    cfg = SolveConfig(residual_tol=1e-9)
+    res = solve_half_space(2.0 * exp_base(g.axis_coords(0)), 1.0, P, g, cfg)
+    assert ("rejected",) in log
+    return res, cfg, log
+
+
+def _assert_certified(res, cfg):
+    assert res.converged and res.residual <= cfg.residual_tol
+    assert np.max(np.abs(residual_field(res.field, P).values)) \
+        <= cfg.residual_tol
+
+
+def test_a_rejected_newton_step_is_halved(monkeypatch):
+    import phaselab.solver as solver_mod
+    # reject the full step of the first Newton step
+    res, cfg, log = _solve_rejecting_one_candidate(
+        monkeypatch, lambda last: last == ("newton",))
+    k = log.index(("rejected",))
+    # the next candidate is the half step, with no semi-implicit solve in
+    # between, and the first Newton iteration accepts it
+    kind, e_half = log[k + 1]
+    assert kind == "energy"
+    assert res.energy_trace[solver_mod.NEWTON_BURN_IN + 1] == e_half
+    _assert_certified(res, cfg)
+
+
+def test_a_rejected_semi_implicit_step_is_retried_with_a_larger_shift(
+        monkeypatch):
+    # reject the first semi-implicit candidate
+    res, cfg, log = _solve_rejecting_one_candidate(
+        monkeypatch, lambda last: last[0] == "shift")
+    k = log.index(("rejected",))
+    (_, s0), (_, s1), (kind, e_retry) = log[k - 1], log[k + 1], log[k + 2]
+    assert s1 >= 2.0 * s0 and kind == "energy"
+    # the retry is the first iteration's accepted step
+    assert res.energy_trace[1] == e_retry
+    _assert_certified(res, cfg)
