@@ -8,8 +8,8 @@ Subcommands:
 
 Exit code 0 means every assertion of the run passed, 2 that one failed,
 and 1 that the config file is missing, is not a JSON object or is invalid,
-or that a solve or search gave up (``error:`` on stderr; a config error
-names the file).
+that a grid would exceed the node budget, or that a solve or search gave
+up (``error:`` on stderr; a config error names the file).
 """
 
 from __future__ import annotations

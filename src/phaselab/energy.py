@@ -39,10 +39,9 @@ Summation order: the energies (``modica_mortola``, ``willmore_eps``,
 density array.  Each slab's densities are summed pairwise by ``np.sum``,
 and the per-slab partials are combined with ``math.fsum`` in slab order.
 The slabs are fixed by the grid and ``SLAB_NODES`` alone, so energies are
-bit-reproducible for fixed inputs on a given platform, whatever number of
-threads the slabs are mapped over.  On a grid that fits in one slab they
-equal ``np.sum`` of the ``density_fields`` arrays bit for bit; on larger
-grids the two orders agree to rounding.
+bit-reproducible for fixed inputs on a given platform.  On a grid that
+fits in one slab they equal ``np.sum`` of the ``density_fields`` arrays
+bit for bit; on larger grids the two orders agree to rounding.
 """
 
 from __future__ import annotations
@@ -267,8 +266,9 @@ def laplacian(u: ScalarField) -> ScalarField:
 #: small next to the field and mostly in cache, and each numpy call on a
 #: slab runs long enough to pay for its dispatch.  On a 2-vCPU Xeon, one
 #: energy pass over a 2401 x 2401 field (median of 7) took 127, 102, 105
-#: and 112 ms on one thread and 202, 113, 86 and 75 ms on two, at 1 << 14,
-#: 15, 16 and 17: no size wins on both, and 1 << 16 stays.
+#: and 112 ms at 1 << 14, 15, 16 and 17.  The slabs fix the summation
+#: order of every energy, and no size wins by more than the noise, so
+#: 1 << 16 stays.
 SLAB_NODES = 1 << 16
 
 
@@ -335,39 +335,25 @@ def _densities(u: ScalarField, eps: float):
     return mu, alpha
 
 
-def map_ordered(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, on up to ``workers`` threads when there
-    are several items; the result keeps the order of items."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _energy_sums(u: ScalarField, eps: float, theta: float | None = None,
-                 workers: int = 1) -> tuple:
+def _energy_sums(u: ScalarField, eps: float,
+                 theta: float | None = None) -> tuple:
     """Cell sums of mu and alpha, and of mu over ``{|u| >= theta}`` (None
     without theta), without a full-size density array.
 
     Each slab is summed pairwise by ``np.sum``; the slab partials are
-    combined with ``math.fsum`` in slab order, so the result does not depend
-    on ``workers``, the number of threads the slabs are mapped over.
+    combined with ``math.fsum`` in slab order.
     """
-    def partials(bounds):
-        lo, hi = bounds
+    mu_parts, alpha_parts, excess_parts = [], [], []
+    for lo, hi in _slabs(u, eps):
         mu, alpha, t = np.empty((3, hi - lo) + u.grid.shape[1:])
         _slab_densities(u, eps, lo, hi, mu, alpha, t)
-        excess = None
+        mu_parts.append(np.sum(mu))
+        alpha_parts.append(np.sum(alpha))
         if theta is not None:
-            excess = np.sum(mu[np.abs(u.values[lo:hi], out=t) >= theta])
-        return np.sum(mu), np.sum(alpha), excess
-
-    parts = map_ordered(partials, _slabs(u, eps), workers)
-    mu_sum = math.fsum(p[0] for p in parts)
-    alpha_sum = math.fsum(p[1] for p in parts)
-    excess_sum = None if theta is None else math.fsum(p[2] for p in parts)
-    return mu_sum, alpha_sum, excess_sum
+            excess_parts.append(
+                np.sum(mu[np.abs(u.values[lo:hi], out=t) >= theta]))
+    excess = None if theta is None else math.fsum(excess_parts)
+    return math.fsum(mu_parts), math.fsum(alpha_parts), excess
 
 
 def density_fields(u: ScalarField, eps: float):
@@ -413,11 +399,10 @@ class EnergyBreakdown:
     excess_mass: float | None = None
 
     @classmethod
-    def of(cls, u: ScalarField, eps: float, *, theta: float | None = None,
-           workers: int = 1) -> "EnergyBreakdown":
-        """The record of u at eps, from one pass over the density slabs on
-        up to ``workers`` threads."""
-        mu_sum, alpha_sum, excess = _energy_sums(u, eps, theta, workers)
+    def of(cls, u: ScalarField, eps: float, *,
+           theta: float | None = None) -> "EnergyBreakdown":
+        """The record of u at eps, from one pass over the density slabs."""
+        mu_sum, alpha_sum, excess = _energy_sums(u, eps, theta)
         cell = u.grid.cell_measure
         s = mu_sum * cell
         w = alpha_sum * cell

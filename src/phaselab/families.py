@@ -49,7 +49,6 @@ from .energy import (
     ScalarField,
     c0,
     dirichlet_part,
-    map_ordered,
     standard_potential,
     modified_floor_potential,
 )
@@ -429,16 +428,15 @@ def build_family(kind: str, schedule: EpsilonSchedule, params: dict,
     return CounterexampleFamily(kind, tuple(members), params)
 
 
-def _map_members(fn, eps_list, workers: int):
-    """Order-preserving map over the epsilon list, optionally threaded.
-
-    A function of its own, not an alias of ``map_ordered``:
-    ``perfbench/tracing.py`` wraps it as the span of one family member, and
-    the density slabs, which also go through ``map_ordered``, must not be
-    counted as members.  Each member evaluates its energies with
-    ``workers=1``, so no pool runs inside a pool thread.
-    """
-    return map_ordered(fn, eps_list, workers)
+def _map_members(fn, eps_list, workers: int) -> list:
+    """``[fn(eps) for eps in eps_list]``, on up to ``workers`` threads when
+    there are several members; the result keeps the order of eps_list.
+    ``perfbench/tracing.py`` wraps it as the span of one family member."""
+    if workers <= 1 or len(eps_list) <= 1:
+        return [fn(eps) for eps in eps_list]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=min(workers, len(eps_list))) as pool:
+        return list(pool.map(fn, eps_list))
 
 
 def _solve_cfg(cfg: SolveConfig, eps: float, tol_phys: float) -> SolveConfig:

@@ -39,13 +39,13 @@ __all__ = [
 
 LOW, HIGH = "low", "high"
 
-#: Default cap on total node count; exceeding it signals resource
+#: Cap on the node count of every grid; exceeding it signals resource
 #: exhaustion at construction time rather than an OOM later.
 DEFAULT_CELL_BUDGET = 8_000_000
 
 
-class GridBudgetError(RuntimeError):
-    """Requested grid exceeds the configured cell budget."""
+class GridBudgetError(ValueError):
+    """Requested grid exceeds ``DEFAULT_CELL_BUDGET`` nodes."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Grid:
     Attributes
     ----------
     shape : tuple of int
-        Nodes per axis, each >= 3.
+        Nodes per axis, each >= 3, at most ``DEFAULT_CELL_BUDGET`` in all.
     spacing : float
         Uniform mesh width, > 0.
     origin : tuple of float
@@ -75,6 +75,10 @@ class Grid:
             raise ValueError(f"dimension must be 1, 2 or 3, got {len(self.shape)}")
         if any(m < 3 for m in self.shape):
             raise ValueError(f"every axis needs at least 3 nodes, got {self.shape}")
+        total = math.prod(self.shape)
+        if total > DEFAULT_CELL_BUDGET:
+            raise GridBudgetError(f"grid would need {total} nodes, exceeding "
+                                  f"the budget {DEFAULT_CELL_BUDGET}")
 
     @property
     def n(self) -> int:
@@ -185,8 +189,7 @@ def apply_dirichlet(values: np.ndarray, grid: Grid, roles: dict) -> np.ndarray:
 # half-space construction and truncation estimates
 # --------------------------------------------------------------------------
 
-def make_half_space_grid(n: int, R: float, spacing: float, far_value: float,
-                         cell_budget: int = DEFAULT_CELL_BUDGET):
+def make_half_space_grid(n: int, R: float, spacing: float, far_value: float):
     """Truncated half-space ``[-R, R]^(n-1) x [0, R]`` with face roles.
 
     The ``x_n = 0`` face (last axis, low side) is marked as the data face
@@ -214,11 +217,6 @@ def make_half_space_grid(n: int, R: float, spacing: float, far_value: float,
                          "be gridded uniformly")
 
     shape = tuple([2 * m_int + 1] * (n - 1) + [m_int + 1])
-    total = int(np.prod(shape))
-    if total > cell_budget:
-        raise GridBudgetError(
-            f"grid would need {total} nodes, exceeding the budget {cell_budget}")
-
     origin = tuple([-R] * (n - 1) + [0.0])
     grid = Grid(shape, float(spacing), origin)
     return grid, half_space_roles(grid, np.zeros(shape[:-1]), far_value)

@@ -12,10 +12,9 @@ readable artifacts into the run directory:
 * ``manifest.json``  every emitted file with its SHA-256 hash, taken from
                      the bytes as they are written
 
-Runs are deterministic for a fixed config and platform; family members,
-or the density slabs of a ``neumann_layer`` member, may run on up to
-``workers`` threads (a positive integer, default 1) while emission stays
-serialized in epsilon order.
+Runs are deterministic for a fixed config and platform; the members of a
+family experiment may be built on up to ``workers`` threads (a positive
+integer, default 1) while emission stays serialized in epsilon order.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .energy import (MAX_FLOOR_DELTA, EnergyBreakdown, ScalarField, c0,
 from .families import (BUMP_SHAPES, FAMILY_PARAMS, THETA_REL_TOL,
                        EpsilonSchedule, build_family, neumann_layer_field)
 from .fieldio import save_field, write_hashed
-from .grid import GridBudgetError, make_half_space_grid
+from .grid import make_half_space_grid
 from .solver import SolveConfig, solve_half_space
 
 __all__ = [
@@ -303,7 +302,7 @@ def validate(config) -> list[str]:
     if name == "tanh_calibration" and not errors:
         try:
             _calibration_grid(cfg)
-        except (ValueError, ArithmeticError, GridBudgetError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             errors.append("params.domain_length and params.spacing_per_eps "
                           f"give no calibration grid at eps {eps[0]!r}: {exc}")
     return errors
@@ -647,8 +646,8 @@ def run_neumann_layer(cfg):
                                 bump_amp=p["bump_amp"],
                                 amp_power=p["amp_power"])
         # S_eps, W_eps and the excess mass from one pass over the density
-        # slabs, on the config's threads, with no full-size density array
-        energy = EnergyBreakdown.of(u, eps, theta=1.0, workers=cfg["workers"])
+        # slabs, with no full-size density array
+        energy = EnergyBreakdown.of(u, eps, theta=1.0)
         masses.append(energy.excess_mass)
         v = u.values
         rows.append(_row("neumann_layer", n, eps,

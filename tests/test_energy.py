@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -239,7 +238,7 @@ def test_breakdown_of_sums_the_density_fields():
     got = EnergyBreakdown.of(u, 0.1)
     assert got == EnergyBreakdown(0.1, s, w, s + w)
     assert got.excess_mass is None
-    # theta and workers are keyword-only
+    # theta is keyword-only
     with pytest.raises(TypeError):
         EnergyBreakdown.of(u, 0.1, 1.0)
 
@@ -452,7 +451,7 @@ def test_density_peak_memory_stays_near_the_two_outputs():
 
 
 # --------------------------------------------------------------------------
-# slab-parallel energy reduction
+# slab-wise energy reduction
 # --------------------------------------------------------------------------
 
 def _tail_steps(m):
@@ -477,21 +476,12 @@ def test_energy_reduction_matches_density_sums(monkeypatch, shape, roles):
     for step in _tail_steps(shape[0]):
         tails.add(shape[0] % step)
         monkeypatch.setattr(energy_module, "SLAB_NODES", step * layer)
-        # more threads than cores, switching as often as the interpreter
-        # allows: the slabs, not the threads, fix the summation order
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = [EnergyBreakdown.of(u, eps, theta=theta, workers=w)
-                   for w in (1, 2, 3)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got[1] == got[0] == got[2], step
-        assert got[0].S_eps == pytest.approx(want_s, rel=1e-13)
-        assert got[0].W_eps == pytest.approx(want_w, rel=1e-13)
-        assert got[0].excess_mass == pytest.approx(want_x, rel=1e-13)
-        assert modica_mortola(u, eps) == got[0].S_eps
-        assert willmore_eps(u, eps) == got[0].W_eps
+        got = EnergyBreakdown.of(u, eps, theta=theta)
+        assert got.S_eps == pytest.approx(want_s, rel=1e-13), step
+        assert got.W_eps == pytest.approx(want_w, rel=1e-13), step
+        assert got.excess_mass == pytest.approx(want_x, rel=1e-13), step
+        assert modica_mortola(u, eps) == got.S_eps
+        assert willmore_eps(u, eps) == got.W_eps
     # three layers admit only 2-layer slabs with a 1-layer tail
     assert tails == ({1} if shape[0] == 3 else {1, 2, 3})
 
@@ -503,7 +493,7 @@ def test_energy_reduction_in_one_slab_is_the_full_array_sum(roles):
     assert u.values.size <= energy_module.SLAB_NODES
     mu, alpha = density_fields(u, 0.3)
     h = u.grid.cell_measure
-    got = EnergyBreakdown.of(u, 0.3, theta=1.0, workers=2)
+    got = EnergyBreakdown.of(u, 0.3, theta=1.0)
     assert got.S_eps == float(np.sum(mu.values)) * h
     assert got.W_eps == float(np.sum(alpha.values)) * h
     assert got.excess_mass == region_mass(mu, np.abs(u.values) >= 1.0)

@@ -378,6 +378,20 @@ def test_neumann_layer_field_peak_memory_is_near_the_field():
     assert peak <= 1.4 * u.values.nbytes
 
 
+def test_neumann_layer_field_checks_the_node_budget_before_it_allocates():
+    # eps 0.004 asks for 4801 x 4801 nodes, about three times the budget
+    import tracemalloc
+    from phaselab.grid import GridBudgetError
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridBudgetError, match="23049601 nodes"):
+            neumann_layer_field(0.004)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_oscillation_truncation_stability():
     # no decay rate is available for oscillatory data, so the doubling
     # check is empirical: growing the solve domain around the same trace

@@ -72,9 +72,15 @@ def test_construction_errors():
     with pytest.raises(ValueError):
         make_half_space_grid(2, 1.05, 0.1, 1.0)     # R/spacing not integral
     with pytest.raises(GridBudgetError):
-        make_half_space_grid(3, 10.0, 0.01, 1.0, cell_budget=1000)
+        make_half_space_grid(3, 10.0, 0.01, 1.0)    # 2001 x 2001 x 1001
     with pytest.raises(ValueError):
         Grid((2, 5), 0.1, (0.0, 0.0))               # < 3 nodes on an axis
+
+
+def test_every_grid_has_one_node_budget():
+    assert Grid((2000, 4000), 0.1, (0.0, 0.0)).shape == (2000, 4000)
+    with pytest.raises(GridBudgetError, match="8000001 nodes"):
+        Grid((8_000_001,), 0.1, (0.0,))
 
 
 def test_region_basics():

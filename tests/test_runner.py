@@ -414,6 +414,21 @@ def test_cli_run_reports_a_solve_that_gives_up(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: no convergence")
 
 
+def test_cli_run_reports_an_over_budget_grid(tmp_path, capsys):
+    # the config validates; its unit grid is over the node budget
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "boundary_atom", "eps_list": [0.2, 0.1],
+        "params": {"unit_spacing": 0.0001},
+        "output_dir": str(tmp_path / "out")}))
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid would need ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_validate_rejects_negative_max_iterations():
     errs = validate({"experiment": "boundary_atom",
                      "solver": {"max_iterations": -1}})

@@ -475,12 +475,12 @@ def test_solve_builds_no_sparse_matrix_when_cg_converges(monkeypatch):
 # safeguards of the solve loop
 # --------------------------------------------------------------------------
 
-def _solve_rejecting_one_candidate(monkeypatch, reject):
-    """Solve a 2D half-space problem while logging the loop's steps:
-    ("newton",) per Newton system, ("shift", s) per float64 semi-implicit
-    solve and ("energy", e) per link energy.  The first candidate whose
-    preceding log entry satisfies ``reject`` gets energy +inf instead,
-    logged as ("rejected",).  Returns the result, its config and the log."""
+def _spy_on_the_loop(monkeypatch, reject):
+    """Log the solve loop's steps: ("newton",) per Newton system,
+    ("shift", s) per float64 semi-implicit solve and ("energy", e) per link
+    energy.  Each candidate for which ``reject(log)`` holds gets energy +inf
+    instead, logged as ("rejected",).  Returns the log, which fills as the
+    loop runs."""
     log = []
     newton = _DirichletProblem.newton_solve
     solve = _DirichletProblem.shifted_solve
@@ -496,7 +496,7 @@ def _solve_rejecting_one_candidate(monkeypatch, reject):
         return solve(self, s, v, *dtype)
 
     def energy_spy(self, full):
-        if log and ("rejected",) not in log and reject(log[-1]):
+        if log and reject(log):
             log.append(("rejected",))
             return math.inf
         log.append(("energy", energy(self, full)))
@@ -505,9 +505,23 @@ def _solve_rejecting_one_candidate(monkeypatch, reject):
     monkeypatch.setattr(_DirichletProblem, "newton_solve", newton_spy)
     monkeypatch.setattr(_DirichletProblem, "shifted_solve", solve_spy)
     monkeypatch.setattr(_DirichletProblem, "link_energy", energy_spy)
+    return log
+
+
+def _solve_spied(cfg):
     g, _ = make_half_space_grid(2, 6.0, 0.125, 1.0)
+    return solve_half_space(2.0 * exp_base(g.axis_coords(0)), 1.0, P, g, cfg)
+
+
+def _solve_rejecting_one_candidate(monkeypatch, reject):
+    """Solve a 2D half-space problem under ``_spy_on_the_loop``.  Only the
+    first candidate whose preceding log entry satisfies ``reject`` is
+    rejected.  Returns the result, its config and the log."""
+    log = _spy_on_the_loop(
+        monkeypatch,
+        lambda log: ("rejected",) not in log and reject(log[-1]))
     cfg = SolveConfig(residual_tol=1e-9)
-    res = solve_half_space(2.0 * exp_base(g.axis_coords(0)), 1.0, P, g, cfg)
+    res = _solve_spied(cfg)
     assert ("rejected",) in log
     return res, cfg, log
 
@@ -543,3 +557,28 @@ def test_a_rejected_semi_implicit_step_is_retried_with_a_larger_shift(
     # the retry is the first iteration's accepted step
     assert res.energy_trace[1] == e_retry
     _assert_certified(res, cfg)
+
+
+def test_newton_stall_near_the_tolerance_gives_up(monkeypatch):
+    # reject every Newton candidate, so that semi-implicit steps alone
+    # bring the residual down; once it is within 10x of the tolerance, a
+    # failed Newton step ends the solve with the best iterate
+    def in_newton_line_search(log):
+        return next(e for e in reversed(log)
+                    if e[0] in ("newton", "shift")) == ("newton",)
+
+    log = _spy_on_the_loop(monkeypatch, in_newton_line_search)
+    cfg = SolveConfig(residual_tol=1e-9, max_iterations=400)
+    with pytest.raises(NonConvergenceError) as info:
+        _solve_spied(cfg)
+    res = info.value.result
+    assert not res.converged
+    assert res.iterations < cfg.max_iterations
+    assert cfg.residual_tol < res.residual <= 10 * cfg.residual_tol
+    # no Newton candidate was accepted, and the last iteration was a
+    # Newton line search of six rejected candidates, then one accepted
+    # semi-implicit step
+    assert all(k == "rejected" for k in (
+        log[i + 1][0] for i, e in enumerate(log) if e == ("newton",)))
+    assert log[-9:-2] == [("newton",)] + [("rejected",)] * 6
+    assert [e[0] for e in log[-2:]] == ["shift", "energy"]
