@@ -145,9 +145,9 @@ STANDARD = Potential()
 @dataclass(frozen=True)
 class ScalarField:
     """Nodal samples of a scalar function together with its face roles:
-    every face is Dirichlet (``DirichletData`` or ``DirichletConstant``) or
-    ``NeumannZero``, and the role sets the face closure of ``laplacian``
-    and the curvature density."""
+    every face is ``Dirichlet`` or ``NeumannZero``, and the role sets the
+    face closure of ``laplacian`` and the curvature density.  A role holds
+    no face values; those are the field's own values on the face layer."""
 
     grid: Grid
     values: np.ndarray

@@ -19,6 +19,8 @@ from .grid import grid_from_dict, grid_to_dict, roles_from_dict, roles_to_dict
 
 __all__ = ["save_field", "load_field"]
 
+FORMAT = "phaselab-field-2"     # face roles hold no face values
+
 
 def write_hashed(path: str, *chunks) -> str:
     """Write the byte chunks (bytes or C-contiguous buffers) to path, in
@@ -36,7 +38,7 @@ def save_field(field: ScalarField, base_path: str) -> dict[str, str]:
     """Write ``<base>.json`` + ``<base>.npy``; returns ``{path: SHA-256 hex
     digest}`` of the files written, in that order."""
     header = {
-        "format": "phaselab-field-1",
+        "format": FORMAT,
         "grid": grid_to_dict(field.grid),
         "faces": roles_to_dict(field.roles),
         "layout": {"order": "C", "dtype": "float64"},
@@ -58,7 +60,7 @@ def save_field(field: ScalarField, base_path: str) -> dict[str, str]:
 def load_field(base_path: str) -> ScalarField:
     with open(base_path + ".json") as fh:
         header = json.load(fh)
-    if header.get("format") != "phaselab-field-1":
+    if header.get("format") != FORMAT:
         raise ValueError(f"unrecognized field file format in {base_path}.json")
     grid = grid_from_dict(header["grid"])
     roles = roles_from_dict(header["faces"])

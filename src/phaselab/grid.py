@@ -4,9 +4,11 @@ The computational domains are axis-aligned boxes in dimension n = 1, 2, 3,
 sampled on uniform node lattices.  A truncated half-space is the box
 ``[-R, R]^(n-1) x [0, R]`` whose flat face ``x_n = 0`` carries prescribed
 boundary values and whose remaining faces carry the constant far-field
-value.  Fields live on nodes; each node owns a quadrature cell of measure
-``spacing**n``, so sums of nodal densities times the cell measure are the
-discrete integrals used throughout.
+value.  A face role names only the closure of a face, ``Dirichlet`` or
+``NeumannZero``; the face values live in the field's own array.  Fields
+live on nodes; each node owns a quadrature cell of measure ``spacing**n``,
+so sums of nodal densities times the cell measure are the discrete
+integrals used throughout.
 
 Node coordinates are always computed as ``origin + index * spacing`` (one
 multiplication per node, no accumulated summation).  ``tail_bound`` stays
@@ -23,8 +25,7 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "DirichletData",
-    "DirichletConstant",
+    "Dirichlet",
     "NeumannZero",
     "GridBudgetError",
     "face_radii",
@@ -109,10 +110,8 @@ class Grid:
         if center.shape != (self.n,):
             raise ValueError(f"center has shape {center.shape}, the grid "
                              f"needs shape ({self.n},)")
-        r2 = np.zeros(self.shape)
-        for a, x in enumerate(self.meshgrid()):
-            r2 += (x - center[a]) ** 2
-        return np.sqrt(r2)
+        return face_radii(tuple(self.axis_coords(a) - center[a]
+                                for a in range(self.n)))
 
     def scaled(self, factor: float) -> "Grid":
         """Image of the grid under ``x -> factor * x`` (same node count)."""
@@ -129,60 +128,24 @@ class Grid:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DirichletData:
-    """Prescribed nodal values on one face (shape = tangential node shape)."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("Dirichlet face samples must be finite")
-
-
-@dataclass(frozen=True)
-class DirichletConstant:
-    value: float
+class Dirichlet:
+    """The face layer is data: no equation is solved there, and its values
+    are the field's own values on that layer."""
 
 
 @dataclass(frozen=True)
 class NeumannZero:
-    pass
+    """Zero normal derivative, closed by the mirror ghost."""
 
 
 def check_roles(grid: Grid, roles: dict) -> None:
-    """Every face has exactly one role, Dirichlet or NeumannZero, and data
-    shapes match the face."""
+    """Every face has exactly one role, Dirichlet or NeumannZero."""
     expected = {(a, s) for a in range(grid.n) for s in (LOW, HIGH)}
     if set(roles) != expected:
         raise ValueError(f"roles must cover exactly the faces {sorted(expected)}")
-    for (axis, _side), role in roles.items():
-        if not isinstance(role, (DirichletData, DirichletConstant, NeumannZero)):
+    for role in roles.values():
+        if not isinstance(role, (Dirichlet, NeumannZero)):
             raise TypeError(f"unknown role {role!r}")
-        if isinstance(role, DirichletData):
-            face_shape = tuple(m for a, m in enumerate(grid.shape) if a != axis)
-            if role.samples.shape != face_shape:
-                raise ValueError(
-                    f"face samples shape {role.samples.shape} does not match "
-                    f"face shape {face_shape}")
-
-
-def face_slice(grid: Grid, axis: int, side: str) -> tuple:
-    idx = [slice(None)] * grid.n
-    idx[axis] = 0 if side == LOW else grid.shape[axis] - 1
-    return tuple(idx)
-
-
-def apply_dirichlet(values: np.ndarray, grid: Grid, roles: dict) -> np.ndarray:
-    """Overwrite Dirichlet face layers with their prescribed values."""
-    out = values.copy()
-    for (axis, side), role in roles.items():
-        sl = face_slice(grid, axis, side)
-        if isinstance(role, DirichletConstant):
-            out[sl] = role.value
-        elif isinstance(role, DirichletData):
-            out[sl] = role.samples
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -192,9 +155,9 @@ def apply_dirichlet(values: np.ndarray, grid: Grid, roles: dict) -> np.ndarray:
 def make_half_space_grid(n: int, R: float, spacing: float, far_value: float):
     """Truncated half-space ``[-R, R]^(n-1) x [0, R]`` with face roles.
 
-    The ``x_n = 0`` face (last axis, low side) is marked as the data face
-    with a zero placeholder trace; all other faces carry the constant
-    far-field value.
+    Every face is Dirichlet.  ``far_value`` is not stored: the face values
+    live in the field, and ``solve_half_space`` writes its own far value on
+    every face layer and the trace on the ``x_n = 0`` layer.
 
     Returns
     -------
@@ -219,16 +182,12 @@ def make_half_space_grid(n: int, R: float, spacing: float, far_value: float):
     shape = tuple([2 * m_int + 1] * (n - 1) + [m_int + 1])
     origin = tuple([-R] * (n - 1) + [0.0])
     grid = Grid(shape, float(spacing), origin)
-    return grid, half_space_roles(grid, np.zeros(shape[:-1]), far_value)
+    return grid, half_space_roles(grid)
 
 
-def half_space_roles(grid: Grid, trace: np.ndarray, far_value: float) -> dict:
-    """Face roles of a truncated half-space: ``trace`` on the flat face
-    ``x_n = 0`` (last axis, low side), ``far_value`` on every other face."""
-    roles = {(a, s): DirichletConstant(float(far_value))
-             for a in range(grid.n) for s in (LOW, HIGH)}
-    roles[(grid.n - 1, LOW)] = DirichletData(np.asarray(trace, dtype=float))
-    return roles
+def half_space_roles(grid: Grid) -> dict:
+    """Face roles of a truncated half-space: every face is Dirichlet."""
+    return {(a, s): Dirichlet() for a in range(grid.n) for s in (LOW, HIGH)}
 
 
 def face_radii(coords: tuple) -> np.ndarray:
@@ -278,20 +237,16 @@ def grid_from_dict(d: dict) -> Grid:
                 tuple(float(o) for o in d["origin"]))
 
 
+_ROLE_KINDS = {"dirichlet": Dirichlet, "neumann_zero": NeumannZero}
+
+
 def roles_to_dict(roles: dict) -> dict:
+    kinds = {cls: kind for kind, cls in _ROLE_KINDS.items()}
     out = {}
     for (axis, side), role in roles.items():
-        key = f"{axis}:{side}"
-        if isinstance(role, DirichletConstant):
-            out[key] = {"role": "dirichlet_constant", "value": role.value}
-        elif isinstance(role, DirichletData):
-            out[key] = {"role": "dirichlet_data",
-                        "shape": list(role.samples.shape),
-                        "samples": role.samples.ravel().tolist()}
-        elif isinstance(role, NeumannZero):
-            out[key] = {"role": "neumann_zero"}
-        else:
+        if type(role) not in kinds:
             raise TypeError(f"unknown role {role!r}")
+        out[f"{axis}:{side}"] = {"role": kinds[type(role)]}
     return out
 
 
@@ -299,15 +254,8 @@ def roles_from_dict(d: dict) -> dict:
     roles = {}
     for key, spec in d.items():
         axis_s, side = key.split(":")
-        face = (int(axis_s), side)
         kind = spec["role"]
-        if kind == "dirichlet_constant":
-            roles[face] = DirichletConstant(float(spec["value"]))
-        elif kind == "dirichlet_data":
-            samples = np.asarray(spec["samples"], dtype=float).reshape(spec["shape"])
-            roles[face] = DirichletData(samples)
-        elif kind == "neumann_zero":
-            roles[face] = NeumannZero()
-        else:
+        if kind not in _ROLE_KINDS:
             raise ValueError(f"unknown role kind {kind!r}")
+        roles[(int(axis_s), side)] = _ROLE_KINDS[kind]()
     return roles

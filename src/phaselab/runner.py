@@ -7,7 +7,9 @@ readable artifacts into the run directory:
 * ``sweep.csv``      one row per epsilon (fixed column schema, see
                      ``CSV_COLUMNS``; reals in shortest round-trip form)
 * ``fields/``        per-epsilon field files (JSON header + .npy samples)
-* ``summary.json``   assertion records and the config echo
+* ``summary.json``   assertion records and the config echo, strict JSON
+                     (a non-finite value is the string "inf", "-inf"
+                     or "nan")
 * ``summary.txt``    one pass/fail line per assertion
 * ``manifest.json``  every emitted file with its SHA-256 hash, taken from
                      the bytes as they are written
@@ -727,13 +729,20 @@ def _csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strict(record: dict) -> dict:
+    """The record with each non-finite float written as its name ("inf",
+    "-inf" or "nan"), which strict JSON parsers accept."""
+    return {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in record.items()}
+
+
 def render_summary(summary_doc) -> str:
     lines = [f"experiment: {summary_doc['experiment']}",
              f"overall: {'PASS' if summary_doc['passed'] else 'FAIL'}", ""]
     for a in summary_doc["assertions"]:
         status = "PASS" if a["passed"] else "FAIL"
-        lines.append(f"[{status}] {a['id']}: {a['value']:.6g} "
-                     f"{a['comparator']} {a['threshold']:.6g}  "
+        lines.append(f"[{status}] {a['id']}: {float(a['value']):.6g} "
+                     f"{a['comparator']} {float(a['threshold']):.6g}  "
                      f"({a['description']})")
     return "\n".join(lines) + "\n"
 
@@ -769,7 +778,7 @@ def run(config: dict) -> VerificationSummary:
     summary_doc = {
         "experiment": cfg["experiment"],
         "passed": summary.passed,
-        "assertions": [asdict(a) for a in assertions],
+        "assertions": [_strict(asdict(a)) for a in assertions],
         "config": {k: cfg[k] for k in
                    ("experiment", "n", "eps_list", "solver", "params", "seed")},
         "conventions": {
@@ -781,7 +790,8 @@ def run(config: dict) -> VerificationSummary:
         },
     }
     write_text("summary.json",
-               json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
+               json.dumps(summary_doc, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n")
     write_text("summary.txt", render_summary(summary_doc))
 
     manifest = {"files": {os.path.relpath(f, out): d

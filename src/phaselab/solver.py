@@ -64,7 +64,7 @@ from scipy.sparse.linalg import splu
 
 from .energy import (Potential, ScalarField, STANDARD, half_space_energy,
                      interior_neighbour_sum)
-from .grid import Grid, apply_dirichlet, face_radii, half_space_roles
+from .grid import Grid, face_radii, half_space_roles
 
 __all__ = [
     "SolveConfig",
@@ -159,7 +159,6 @@ class _DirichletProblem:
         self.h = grid.spacing
         self.int_shape = tuple(m - 2 for m in grid.shape)
         self.inner = tuple(slice(1, -1) for _ in grid.shape)
-        self.n_int = int(np.prod(self.int_shape))
         self.eigenvalues = self._eigenvalues()
         # dtype -> (s, s + eigenvalues in dtype) for the last shift s that
         # shifted_solve was given in that dtype; the semi-implicit shift and
@@ -337,9 +336,14 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
         raise ValueError("initial must be a finite array of the grid shape "
                          f"{grid.shape}, got shape {np.shape(initial)}")
 
-    roles = half_space_roles(grid, trace, far_value)
-    prob = _DirichletProblem(grid, roles, potential)
-    u_full = apply_dirichlet(np.asarray(initial, dtype=float), grid, roles)
+    prob = _DirichletProblem(grid, half_space_roles(grid), potential)
+    # the far value on every face layer, then the trace on x_n = 0, so the
+    # nodes that layer shares with the other faces keep the trace
+    u_full = np.asarray(initial, dtype=float).copy()
+    for a in range(grid.n):
+        u_full[(slice(None),) * a + (0,)] = far_value
+        u_full[(slice(None),) * a + (-1,)] = far_value
+    u_full[..., 0] = trace
 
     def sup(r):
         return float(np.max(np.abs(r))) if r.size else 0.0

@@ -24,7 +24,7 @@ from phaselab.energy import (
     willmore_eps,
 )
 from phaselab.grid import (
-    DirichletConstant,
+    Dirichlet,
     Grid,
     NeumannZero,
     make_half_space_grid,
@@ -124,8 +124,8 @@ def test_laplacian_exact_on_quadratic():
     # exact at interior nodes; a Dirichlet face layer carries no equation
     g = Grid((41,), 0.05, (0.0,))
     x = g.axis_coords(0)
-    roles = {(0, "low"): DirichletConstant(0.0),
-             (0, "high"): DirichletConstant(4.0)}
+    roles = {(0, "low"): Dirichlet(),
+             (0, "high"): Dirichlet()}
     lap = laplacian(ScalarField(g, x * x, roles)).values
     assert np.allclose(lap[1:-1], 2.0, atol=1e-9)
     assert lap[0] == lap[-1] == 0.0
@@ -164,8 +164,8 @@ def tanh_profile_field(eps, spacing_div=8, length=10.0, x0=5.0):
     spacing = eps / spacing_div
     m = round(length / spacing)
     g = Grid((m + 1,), length / m, (0.0,))
-    roles = {(0, "low"): DirichletConstant(-1.0),
-             (0, "high"): DirichletConstant(1.0)}
+    roles = {(0, "low"): Dirichlet(),
+             (0, "high"): Dirichlet()}
     vals = np.tanh((g.axis_coords(0) - x0) / (math.sqrt(2.0) * eps))
     return ScalarField(g, vals, roles)
 
@@ -366,9 +366,9 @@ def test_half_space_energy_constant_is_zero():
 # --------------------------------------------------------------------------
 
 _ROLE_SETS = {
-    "dirichlet": lambda a, s: DirichletConstant(1.0),
+    "dirichlet": lambda a, s: Dirichlet(),
     "neumann": lambda a, s: NeumannZero(),
-    "mixed": lambda a, s: (DirichletConstant(-1.0),
+    "mixed": lambda a, s: (Dirichlet(),
                            NeumannZero())[(a + (s == "high")) % 2],
 }
 
@@ -418,7 +418,7 @@ def test_slab_densities_match_whole_grid_operators(monkeypatch, roles):
     want_alpha = defect * defect * (eps / (c * h ** 4))
     on_dirichlet = np.zeros(s.shape, dtype=bool)
     for (axis, side), role in u.roles.items():
-        if isinstance(role, DirichletConstant):
+        if isinstance(role, Dirichlet):
             idx = [slice(None)] * 2
             idx[axis] = 0 if side == "low" else -1
             on_dirichlet[tuple(idx)] = True

@@ -6,8 +6,7 @@ from scipy.integrate import quad
 from phaselab.diagnostics import region_mass
 from phaselab.energy import EnergyBreakdown, ScalarField, density_fields
 from phaselab.grid import (
-    DirichletConstant,
-    DirichletData,
+    Dirichlet,
     Grid,
     GridBudgetError,
     NeumannZero,
@@ -23,9 +22,8 @@ def test_half_space_1d_example():
     g, roles = make_half_space_grid(1, 10.0, 0.1, 1.0)
     assert g.shape == (101,)
     assert g.origin == (0.0,)
-    assert isinstance(roles[(0, "low")], DirichletData)
-    assert isinstance(roles[(0, "high")], DirichletConstant)
-    assert roles[(0, "high")].value == 1.0
+    assert isinstance(roles[(0, "low")], Dirichlet)
+    assert isinstance(roles[(0, "high")], Dirichlet)
 
 
 def test_half_space_2d_example():
@@ -33,15 +31,14 @@ def test_half_space_2d_example():
     assert g.shape == (65, 33)
     assert g.extent(0) == (-8.0, 8.0)
     assert g.extent(1) == (0.0, 8.0)
-    assert isinstance(roles[(1, "low")], DirichletData)
-    for face in ((0, "low"), (0, "high"), (1, "high")):
-        assert isinstance(roles[face], DirichletConstant)
+    for face in ((0, "low"), (0, "high"), (1, "low"), (1, "high")):
+        assert isinstance(roles[face], Dirichlet)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_half_space_grid_roles_match_the_role_builder(n):
     g, roles = make_half_space_grid(n, 2.0, 0.25, 0.5)
-    built = half_space_roles(g, np.zeros(g.shape[:-1]), 0.5)
+    built = half_space_roles(g)
     assert list(roles_to_dict(roles).items()) \
         == list(roles_to_dict(built).items())
 
@@ -90,6 +87,17 @@ def test_region_basics():
     assert (g.node_radii((0.0, 1.0)) < 0.0).sum() == 0
     assert (g.node_radii((0.0, 1.0)) < 0.25).sum() == 1
     assert np.array_equal(g.node_radii(), g.node_radii((0.0, 0.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_node_radii_are_the_face_radii_of_the_shifted_axes(n):
+    # bitwise equal to the reference sum over full meshgrid copies
+    g = Grid((7, 6, 5)[:n], 0.3, (-0.9, 0.2, -0.45)[:n])
+    center = np.array((0.37, -1.1, 0.05)[:n])
+    r2 = np.zeros(g.shape)
+    for a, x in enumerate(g.meshgrid()):
+        r2 += (x - center[a]) ** 2
+    assert g.node_radii(center).tobytes() == np.sqrt(r2).tobytes()
 
 
 @pytest.mark.parametrize("threshold", [-0.5, -0.0, 0.0, 0.5, 1.0, 2.0])

@@ -154,10 +154,8 @@ def test_csv_floats_round_trip(tmp_path):
 
 
 def _half_space_faces():
-    from phaselab.grid import DirichletData, make_half_space_grid
-    g, roles = make_half_space_grid(2, 2.0, 0.25, 1.0)
-    roles[(1, "low")] = DirichletData(np.linspace(0, 1, g.shape[0]))
-    return g, roles
+    from phaselab.grid import make_half_space_grid
+    return make_half_space_grid(2, 2.0, 0.25, 1.0)
 
 
 def _neumann_faces():
@@ -170,7 +168,6 @@ def _neumann_faces():
                          ids=["half_space", "neumann"])
 def test_field_io_roundtrip(tmp_path, faces):
     from phaselab.energy import ScalarField
-    from phaselab.grid import DirichletData
     g, roles = faces()
     rng = np.random.default_rng(0)
     fld = ScalarField(g, rng.standard_normal(g.shape), roles)
@@ -182,10 +179,21 @@ def test_field_io_roundtrip(tmp_path, faces):
     assert back.roles.keys() == roles.keys()
     for face, role in roles.items():
         assert type(back.roles[face]) is type(role)
-        if isinstance(role, DirichletData):
-            assert np.array_equal(back.roles[face].samples, role.samples)
-        else:
-            assert back.roles[face] == role
+        assert back.roles[face] == role
+
+
+def test_load_field_rejects_a_version_1_header(tmp_path):
+    from phaselab.energy import ScalarField
+    g, roles = _half_space_faces()
+    base = str(tmp_path / "f")
+    save_field(ScalarField(g, np.ones(g.shape), roles), base)
+    with open(base + ".json") as fh:
+        header = json.load(fh)
+    header["format"] = "phaselab-field-1"
+    with open(base + ".json", "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(ValueError, match="unrecognized field file format"):
+        load_field(base)
 
 
 def test_load_field_rejects_a_free_face(tmp_path):
@@ -260,6 +268,31 @@ def test_run_exit_code_on_failed_assertion(tmp_path, capsys):
     assert "FAIL" in out
     assert (tmp_path / "out" / "summary.txt").exists()
     assert cli_main(["report", str(tmp_path / "out")]) == 2
+
+
+def test_summary_json_is_strict_with_a_non_finite_value(tmp_path, capsys):
+    # a bump amplitude this small leaves no excess mass, so the layer
+    # exponent reads -inf; summary.json writes it as the string "-inf",
+    # and run and report print it as before
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "neumann_layer", "eps_list": [0.064, 0.032],
+        "params": {"bump_amp": 1e-9}, "output_dir": str(out)}))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    printed = capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads((out / "summary.json").read_text(),
+                     parse_constant=reject)
+    values = {a["id"]: a["value"] for a in doc["assertions"]}
+    assert values["neumann.layer_exponent"] == "-inf"
+    assert "neumann.layer_exponent: -inf >= 1.8" in printed
+    assert cli_main(["report", str(out)]) == 2
+    assert capsys.readouterr().out == printed
+    assert (out / "summary.txt").read_text() == printed
 
 
 def test_validate_malformed_config():

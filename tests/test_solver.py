@@ -80,6 +80,28 @@ def test_1d_energy_converges_to_exact():
     assert errs[2] <= 0.6 * errs[1]
 
 
+def test_1d_energy_orders_against_the_closed_form():
+    # trace u0 = 4.4: F_unit (full weight on the data-face node, one-sided
+    # face gradient) converges at first order; the link energy that the
+    # solver minimizes, with the data-face W at half weight (trapezoid
+    # rule), at second order
+    v0 = 3.4
+    exact = exact_1d_energy(v0)
+    f_unit, link_half = [], []
+    for div in (8, 16, 32, 64):
+        g, _ = make_half_space_grid(1, 20.0, 1.0 / div, 1.0)
+        res = solve_half_space(np.asarray(v0), 1.0, P, g,
+                               SolveConfig(residual_tol=1e-10))
+        u, h = res.field.values, g.spacing
+        link = (0.5 * float(np.sum(np.diff(u) ** 2)) / h
+                + h * (float(np.sum(P.value(u))) - 0.5 * P.value(u[0])))
+        f_unit.append(res.final_energy - exact)
+        link_half.append(link - exact)
+    for errs, order in ((f_unit, 1.0), (link_half, 2.0)):
+        orders = [math.log2(abs(e0 / e1)) for e0, e1 in zip(errs, errs[1:])]
+        assert all(abs(q - order) <= 0.1 for q in orders[-2:]), orders
+
+
 def test_monotone_energy_trace():
     g, _ = make_half_space_grid(2, 6.0, 0.125, 1.0)
     h = 2.0 * exp_base(g.axis_coords(0))
@@ -238,7 +260,7 @@ def test_truncation_stability():
 
 def _problem(n, R, spacing):
     g, _ = make_half_space_grid(n, R, spacing, 1.0)
-    roles = half_space_roles(g, np.ones(g.shape[:-1]), 1.0)
+    roles = half_space_roles(g)
     return _DirichletProblem(g, roles, P)
 
 
@@ -267,10 +289,11 @@ def test_matrix_free_operator_matches_sparse_matrix(n, R, spacing,
     # A v by matvec, and (A + diag(d)) v by the operator that newton_solve
     # hands to cg, for d = max(W'', 0) zero at every node and random
     prob = _problem(n, R, spacing)
+    m = math.prod(prob.int_shape)       # unknowns
     rng = np.random.default_rng(20 + n)
-    v = rng.standard_normal(prob.n_int)
-    cases = [(prob.matvec, np.zeros(prob.n_int))]
-    for w2 in (-np.ones(prob.n_int), rng.uniform(-1.0, 66.0, prob.n_int)):
+    v = rng.standard_normal(m)
+    cases = [(prob.matvec, np.zeros(m))]
+    for w2 in (-np.ones(m), rng.uniform(-1.0, 66.0, m)):
         _, (matvec, *_), _ = _handed_to_cg(prob, w2, v, LINEAR_RTOL,
                                            monkeypatch)
         cases.append((matvec, np.maximum(w2, 0.0)))
@@ -294,8 +317,9 @@ def test_solver_residual_is_residual_field(n, R, spacing):
 @pytest.mark.parametrize("shift", [0.0, 3.0])
 def test_shifted_solve_matches_sparse_direct(n, R, spacing, shift):
     prob = _problem(n, R, spacing)
-    rhs = np.random.default_rng(n).standard_normal(prob.n_int)
-    op = (prob.sparse_matrix() + shift * sp.identity(prob.n_int)).tocsc()
+    m = math.prod(prob.int_shape)       # unknowns
+    rhs = np.random.default_rng(n).standard_normal(m)
+    op = (prob.sparse_matrix() + shift * sp.identity(m)).tocsc()
     exact = splu(op).solve(rhs)
     x = prob.shifted_solve(shift, rhs)
     assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
@@ -304,10 +328,11 @@ def test_shifted_solve_matches_sparse_direct(n, R, spacing, shift):
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
 def test_newton_cg_matches_sparse_direct(n, R, spacing):
     prob = _problem(n, R, spacing)
+    m = math.prod(prob.int_shape)       # unknowns
     rng = np.random.default_rng(10 + n)
-    rhs = rng.standard_normal(prob.n_int)
+    rhs = rng.standard_normal(m)
     # W'' of the standard well ranges over [-1, 66] for u in [-1, 5]
-    w2 = rng.uniform(-1.0, 66.0, prob.n_int)
+    w2 = rng.uniform(-1.0, 66.0, m)
     H = (prob.sparse_matrix() + sp.diags(np.maximum(w2, 0.0))).tocsc()
     exact = splu(H).solve(rhs)
     rtol = LINEAR_RTOL
@@ -335,9 +360,10 @@ def _scipy_newton_cg(matvec, psolve, rhs, rtol):
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
 def test_cg_matches_scipy_cg_bitwise(n, R, spacing, monkeypatch):
     prob = _problem(n, R, spacing)
+    m = math.prod(prob.int_shape)       # unknowns
     rng = np.random.default_rng(50 + n)
-    rhs = rng.standard_normal(prob.n_int)
-    w2 = rng.uniform(-1.0, 66.0, prob.n_int)
+    rhs = rng.standard_normal(m)
+    w2 = rng.uniform(-1.0, 66.0, m)
     rtol = LINEAR_RTOL
     calls = []
     solve = _DirichletProblem.shifted_solve
@@ -360,9 +386,10 @@ def test_newton_preconditioner_is_shifted_solve_to_float32_rounding(
         n, R, spacing, monkeypatch):
     import phaselab.solver as solver_mod
     prob = _problem(n, R, spacing)
+    m = math.prod(prob.int_shape)       # unknowns
     rng = np.random.default_rng(60 + n)
-    rhs = rng.standard_normal(prob.n_int)
-    w2 = rng.uniform(-1.0, 66.0, prob.n_int)
+    rhs = rng.standard_normal(m)
+    w2 = rng.uniform(-1.0, 66.0, m)
     # the preconditioner callable that newton_solve hands to cg
     handed = []
     cg = solver_mod.cg
@@ -371,7 +398,7 @@ def test_newton_preconditioner_is_shifted_solve_to_float32_rounding(
     prob.newton_solve(w2, rhs, LINEAR_RTOL)
     (psolve,) = handed
     shift = float(np.mean(np.maximum(w2, 0.0)))
-    v = rng.standard_normal(prob.n_int)
+    v = rng.standard_normal(m)
     x = psolve(v)
     exact = prob.shifted_solve(shift, v)
     assert x.dtype == np.float64 and x.shape == exact.shape
@@ -420,21 +447,23 @@ def test_cg_reports_iterations_without_convergence():
     import phaselab.solver as solver_mod
     from scipy.sparse.linalg import LinearOperator, cg as scipy_cg
     prob = _problem(1, 4.0, 0.125)
+    m = math.prod(prob.int_shape)       # unknowns
     rng = np.random.default_rng(7)
-    rhs = rng.standard_normal(prob.n_int)
-    shape = (prob.n_int, prob.n_int)
+    rhs = rng.standard_normal(m)
+    shape = (m, m)
     with np.errstate(all="ignore"):
         x_ref, info_ref = scipy_cg(LinearOperator(shape, matvec=prob.matvec),
                                    rhs, rtol=1e-300, atol=0.0)
         x, info = solver_mod.cg(prob.matvec, rhs, 1e-300, lambda r: r)
-    assert info == info_ref == 10 * prob.n_int
+    assert info == info_ref == 10 * m
     assert np.array_equal(x, x_ref, equal_nan=True)
 
 
 def test_cg_zero_right_hand_side():
     import phaselab.solver as solver_mod
     prob = _problem(2, 4.0, 0.25)
-    x, info = solver_mod.cg(prob.matvec, np.zeros(prob.n_int), 1e-10,
+    m = math.prod(prob.int_shape)       # unknowns
+    x, info = solver_mod.cg(prob.matvec, np.zeros(m), 1e-10,
                             lambda r: r)
     assert info == 0 and not x.any()
 
@@ -451,11 +480,12 @@ def test_solve_config_rejects_out_of_range_values(kwargs):
 def test_newton_falls_back_to_direct_solve_when_cg_fails(monkeypatch):
     import phaselab.solver as solver_mod
     prob = _problem(2, 4.0, 0.25)
+    m = math.prod(prob.int_shape)       # unknowns
     rng = np.random.default_rng(3)
-    rhs = rng.standard_normal(prob.n_int)
-    w2 = rng.uniform(-1.0, 66.0, prob.n_int)
+    rhs = rng.standard_normal(m)
+    w2 = rng.uniform(-1.0, 66.0, m)
     monkeypatch.setattr(solver_mod, "cg",
-                        lambda *args, **kwargs: (np.zeros(prob.n_int), 1))
+                        lambda *args, **kwargs: (np.zeros(m), 1))
     x = prob.newton_solve(w2, rhs, 1e-10)
     H = (prob.sparse_matrix() + sp.diags(np.maximum(w2, 0.0))).tocsc()
     assert np.array_equal(x, splu(H).solve(rhs))
