@@ -226,14 +226,24 @@ def neighbour_sum(values: np.ndarray, axis: int, out: np.ndarray,
             out[at(face - lo)] += 2.0 * values[at(ghost)]
 
 
-def interior_neighbour_sum(values: np.ndarray, out: np.ndarray) -> None:
-    """Add the neighbour sums of all axes at the interior nodes (1..m-2 on
-    every axis) into the interior-shaped out; the face layers enter only as
+def equation_layers(shape: tuple, roles=None) -> tuple:
+    """Per-axis slices of the nodes that carry an equation: layers 1..m-2,
+    and 1..m-1 on an axis whose high face is NeumannZero (its last layer
+    is closed by the mirror ghost).  No roles means Dirichlet faces."""
+    return tuple(slice(1, m if roles and isinstance(roles[(a, HIGH)],
+                                                    NeumannZero) else m - 1)
+                 for a, m in enumerate(shape))
+
+
+def interior_neighbour_sum(values: np.ndarray, out: np.ndarray,
+                           roles=None) -> None:
+    """Add the neighbour sums of all axes at the ``equation_layers`` nodes
+    into the out of their shape; the Dirichlet face layers enter only as
     neighbours."""
-    inner = tuple(slice(1, m - 1) for m in values.shape)
-    for a, m in enumerate(values.shape):
+    inner = equation_layers(values.shape, roles)
+    for a, s in enumerate(inner):
         neighbour_sum(values[inner[:a] + (slice(None),) + inner[a + 1:]], a,
-                      out, 1, m - 1)
+                      out, 1, s.stop, roles)
 
 
 def grad_squared(u: ScalarField) -> np.ndarray:

@@ -44,6 +44,23 @@ updates the iterate directly, keeps the exact float64 DST solve.
 Newton steps start after ``NEWTON_BURN_IN`` semi-implicit iterations.
 The stopping rule is the sup-norm residual on interior nodes.
 
+Mirror-symmetric problems are solved on the folded half.  A tangential
+axis with ``2M + 1`` nodes, on which the face data and the start field
+both equal their flip, is cut to its nodes ``0..M``; the centre layer M
+becomes a ``NeumannZero`` face, an unknown layer closed by the mirror
+ghost (its neighbour sum reads ``2 u[M-1]``), and the solve mirrors its
+result back to the full grid.  On a folded axis the 1D operator is
+symmetric only in the inner product that gives the centre layer weight
+1/2, so CG runs on ``y = D x`` with D = 1/sqrt(2) on the centre layer of
+each folded axis: its operator ``D A D^{-1}`` is symmetric, and the
+orthonormal DST-III diagonalizes it along that axis, with eigenvalues
+``(2 - 2 cos(pi (2j + 1) / (2M))) / h^2``, j = 0..M-1 (the symmetric
+DST-I modes of the full axis).  The other axes keep the DST-I.  The link
+energy gives a centre-layer node, and a link lying in a centre layer,
+weight 1/2, and doubles the sum per folded axis, so it stays the energy of
+the full field.  In 3D both tangential axes fold, which quarters the
+unknowns.
+
 ``solve_half_space`` is the one entry point.  ``SolveConfig`` holds the
 stopping rule (``residual_tol``, ``max_iterations``); the start field is
 the ``initial`` argument, an array of nodal values on the grid (default:
@@ -62,9 +79,9 @@ import scipy.sparse as sp
 from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import splu
 
-from .energy import (Potential, ScalarField, STANDARD, half_space_energy,
-                     interior_neighbour_sum)
-from .grid import Grid, face_radii, half_space_roles
+from .energy import (Potential, ScalarField, STANDARD, _at, equation_layers,
+                     half_space_energy, interior_neighbour_sum)
+from .grid import HIGH, Grid, NeumannZero, face_radii, half_space_roles
 
 __all__ = [
     "SolveConfig",
@@ -87,6 +104,9 @@ __all__ = [
 LINEAR_RTOL = 1e-10
 #: Semi-implicit iterations before the first Newton step.
 NEWTON_BURN_IN = 2
+
+SQRT2 = 2.0 ** 0.5
+SQRT_HALF = 1.0 / SQRT2
 
 
 class InvalidBoundaryError(ValueError):
@@ -138,69 +158,127 @@ class SolveResult:
 # the interior operator
 # --------------------------------------------------------------------------
 
-def _defect(values: np.ndarray, h: float, potential: Potential) -> np.ndarray:
-    """``-lap_h(u) + W'(u)`` at the interior nodes, interior-shaped, as
-    ``(2n u - N) / h^2 + W'(u)`` with N the neighbour sum."""
-    u = values[tuple(slice(1, -1) for _ in values.shape)]
+def _defect(values: np.ndarray, h: float, potential: Potential,
+            roles=None) -> np.ndarray:
+    """``-lap_h(u) + W'(u)`` at the ``equation_layers`` nodes, in their
+    shape, as ``(2n u - N) / h^2 + W'(u)`` with N the neighbour sum."""
+    u = values[equation_layers(values.shape, roles)]
     out = u * (-2.0 * values.ndim)
-    interior_neighbour_sum(values, out)
+    interior_neighbour_sum(values, out, roles)
     out *= -1.0 / (h * h)
     out += potential.derivative(u)
     return out
 
 
+def _centre_weighted_sum(f: np.ndarray, axes: tuple) -> float:
+    """Sum of f with weight 1/2 on the last layer of each axis in axes."""
+    if not axes:
+        return float(np.sum(f))
+    a, rest = axes[0], axes[1:]
+    return (_centre_weighted_sum(f, rest) - 0.5 * _centre_weighted_sum(
+        f[_at(f.ndim, a, slice(-1, None))], rest))
+
+
 class _DirichletProblem:
-    """Interior-node view of A = -lap_h with eliminated Dirichlet layers."""
+    """Unknown-node view of A = -lap_h with eliminated Dirichlet layers.
+
+    An axis whose high face is NeumannZero is folded: its last layer is the
+    centre of a mirror-symmetric problem, an unknown layer closed by the
+    mirror ghost.  ``matvec``, ``shifted_solve`` and ``sparse_matrix`` act
+    on ``y = D x``, where D is 1/sqrt(2) on the centre layer of each folded
+    axis, so that the operator ``S = D A D^{-1}`` is symmetric;
+    ``weigh`` and ``unweigh`` apply D and its inverse."""
 
     def __init__(self, grid: Grid, roles: dict, potential: Potential):
         self.grid = grid
         self.roles = roles
         self.potential = potential
         self.h = grid.spacing
-        self.int_shape = tuple(m - 2 for m in grid.shape)
-        self.inner = tuple(slice(1, -1) for _ in grid.shape)
+        self.inner = equation_layers(grid.shape, roles)
+        self.int_shape = tuple(s.stop - 1 for s in self.inner)
+        self.folded = tuple(a for a in range(grid.n)
+                            if isinstance(roles[(a, HIGH)], NeumannZero))
+        self.plain = tuple(a for a in range(grid.n) if a not in self.folded)
         self.eigenvalues = self._eigenvalues()
         # dtype -> (s, s + eigenvalues in dtype) for the last shift s that
         # shifted_solve was given in that dtype; the semi-implicit shift and
         # the Newton preconditioner's shift alternate, one per dtype
         self._shifted = {}
-        # zero-bordered buffer that matvec writes -v/h^2 into
+        # zero-bordered buffer that matvec writes -D^{-1} v/h^2 into
         self._buf = np.zeros(grid.shape)
         # the centre weight 2n/h^2 of A's stencil
         self.centre = 2.0 * grid.n / (self.h * self.h)
+        # each folded axis stands for two mirror halves that share the
+        # centre layer
+        self.measure = grid.cell_measure * 2 ** len(self.folded)
+
+    def _centre_scaled(self, v: np.ndarray, factor: float) -> np.ndarray:
+        """v with its centre layer on each folded axis times ``factor``
+        (v itself when no axis is folded)."""
+        if not self.folded:
+            return v
+        out = v.reshape(self.int_shape).copy()
+        for a in self.folded:
+            out[_at(out.ndim, a, -1)] *= factor
+        return out.ravel()
+
+    def weigh(self, x: np.ndarray) -> np.ndarray:
+        """``D x``."""
+        return self._centre_scaled(x, SQRT_HALF)
+
+    def unweigh(self, y: np.ndarray) -> np.ndarray:
+        """``D^{-1} y``."""
+        return self._centre_scaled(y, SQRT2)
 
     def matvec(self, v: np.ndarray, diag=None) -> np.ndarray:
-        """``(A + diag(d)) v`` matrix-free, as ``(2n/h^2 + d) v - (1/h^2)
-        sum of neighbours``: one pass for the diagonal term and one per
-        neighbour, read from the zero-bordered buffer.  ``diag`` is
-        ``2n/h^2 + d``; None gives A v."""
+        """``(S + diag(d)) v`` matrix-free, as ``D ((2n/h^2 + d) D^{-1} v
+        - (1/h^2) sum of neighbours of D^{-1} v)``: one pass for the
+        diagonal term and one per neighbour, read from the zero-bordered
+        buffer, and D on the centre layers only.  ``diag`` is
+        ``2n/h^2 + d``; None gives S v."""
+        buf = self._buf[self.inner]
         np.multiply(v.reshape(self.int_shape), -1.0 / (self.h * self.h),
-                    out=self._buf[self.inner])
+                    out=buf)
         out = np.multiply(self.centre if diag is None else diag, v)
-        interior_neighbour_sum(self._buf, out.reshape(self.int_shape))
+        grid_out = out.reshape(self.int_shape)
+        for a in self.folded:
+            centre = _at(buf.ndim, a, -1)
+            buf[centre] *= SQRT2
+            grid_out[centre] *= SQRT2
+        interior_neighbour_sum(self._buf, grid_out, self.roles)
+        for a in self.folded:
+            grid_out[_at(buf.ndim, a, -1)] *= SQRT_HALF
         return out
 
     def sparse_matrix(self) -> sp.csr_matrix:
-        """A as the sparse Kronecker sum of 1D second differences, for the
-        direct-solve fallback."""
+        """S as the sparse Kronecker sum of 1D second differences, for the
+        direct-solve fallback; on a folded axis the link to the centre
+        reads -sqrt(2)."""
         A = None
-        for k in self.int_shape:
-            T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k)) \
+        for a, k in enumerate(self.int_shape):
+            off = np.full(k - 1, -1.0)
+            if a in self.folded:
+                off[-1] = -SQRT2
+            T = sp.diags([off, np.full(k, 2.0), off], [-1, 0, 1]) \
                 / (self.h * self.h)
             A = T if A is None else sp.kronsum(T, A)
         return A.tocsr()
 
     def _eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of A on ``int_shape``: the sum over axes of
-        ``(2 - 2 cos(pi j / (k + 1))) / h^2``, j = 1..k, in DST-I order."""
+        """Eigenvalues of S on ``int_shape``: the sum over axes of
+        ``(2 - 2 cos(pi j / (k + 1))) / h^2``, j = 1..k, in DST-I order, or
+        on a folded axis ``(2 - 2 cos(pi (2j + 1) / (2k))) / h^2``,
+        j = 0..k-1, in DST-III order."""
         h2 = self.h * self.h
         lam = np.zeros(self.int_shape)
         for a, k in enumerate(self.int_shape):
-            j = np.arange(1, k + 1)
+            if a in self.folded:
+                angle = np.pi * (2 * np.arange(k) + 1) / (2 * k)
+            else:
+                angle = np.pi * np.arange(1, k + 1) / (k + 1)
             shape = [1] * len(self.int_shape)
             shape[a] = k
-            lam = lam + ((2.0 - 2.0 * np.cos(np.pi * j / (k + 1))) / h2
-                         ).reshape(shape)
+            lam = lam + ((2.0 - 2.0 * np.cos(angle)) / h2).reshape(shape)
         return lam
 
     def interior(self, full_values: np.ndarray) -> np.ndarray:
@@ -212,36 +290,50 @@ class _DirichletProblem:
         return out
 
     def residual(self, full_values: np.ndarray) -> np.ndarray:
-        return _defect(full_values, self.h, self.potential).ravel()
+        return _defect(full_values, self.h, self.potential, self.roles).ravel()
 
     def link_energy(self, full_values: np.ndarray) -> float:
+        """The link energy of the full mirrored field: a node or a link on
+        the centre layer of a folded axis counts half, and the sum is
+        doubled per folded axis."""
         h = self.h
-        total = float(np.sum(self.potential.value(full_values)))
+        total = _centre_weighted_sum(self.potential.value(full_values),
+                                     self.folded)
         for a in range(self.grid.n):
             d = np.diff(full_values, axis=a) / h
-            total += 0.5 * float(np.sum(d * d))
-        return total * self.grid.cell_measure
+            total += 0.5 * _centre_weighted_sum(
+                d * d, tuple(b for b in self.folded if b != a))
+        return total * self.measure
 
     def shifted_solve(self, s: float, rhs: np.ndarray,
                       dtype=np.float64) -> np.ndarray:
-        """Solve (s I + A) x = rhs by fast diagonalization, with both
+        """Solve (s I + S) y = rhs by fast diagonalization, with the
         transforms and the division in ``dtype``: exact to rounding in
-        float64, to float32 rounding in float32.  Returns float64."""
+        float64, to float32 rounding in float32.  Returns float64.  The
+        orthonormal DST-I diagonalizes S along a plain axis, the DST-III
+        along a folded one."""
         shift, shifted = self._shifted.get(dtype, (None, None))
         if s != shift:
             shifted = (s + self.eigenvalues).astype(dtype, copy=False)
             self._shifted[dtype] = (s, shifted)
-        r = dstn(rhs.reshape(self.int_shape).astype(dtype, copy=False),
-                 type=1, norm="ortho")
+        r = rhs.reshape(self.int_shape).astype(dtype, copy=False)
+        if self.folded:
+            r = dstn(r, type=3, axes=self.folded, norm="ortho")
+        r = dstn(r, type=1, axes=self.plain, norm="ortho",
+                 overwrite_x=bool(self.folded))
         r /= shifted
-        x = idstn(r, type=1, norm="ortho", overwrite_x=True)
+        x = idstn(r, type=1, axes=self.plain, norm="ortho", overwrite_x=True)
+        if self.folded:
+            x = idstn(x, type=3, axes=self.folded, norm="ortho",
+                      overwrite_x=True)
         return x.ravel().astype(np.float64, copy=False)
 
     def newton_solve(self, w2: np.ndarray, rhs: np.ndarray,
                      rtol: float) -> np.ndarray:
         """Solve (A + diag(max(w2, 0))) x = rhs by CG at relative tolerance
-        ``rtol``, preconditioned by the DST solve of A + mean(diag) I; a
-        sparse direct solve takes over if CG does not converge.
+        ``rtol`` on ``y = D x``, preconditioned by the DST solve of
+        S + mean(diag) I; a sparse direct solve takes over if CG does not
+        converge.
 
         The preconditioner is applied in float32, where the transforms move
         half the bytes and run faster than in float64.  CG needs from it only an
@@ -253,11 +345,12 @@ class _DirichletProblem:
         d = np.maximum(w2, 0.0)
         diag = d + self.centre
         shift = float(np.mean(d))
-        x, info = cg(lambda v: self.matvec(v, diag), rhs, rtol,
+        b = self.weigh(rhs)
+        y, info = cg(lambda v: self.matvec(v, diag), b, rtol,
                      lambda v: self.shifted_solve(shift, v, np.float32))
         if info != 0:
-            x = splu((self.sparse_matrix() + sp.diags(d)).tocsc()).solve(rhs)
-        return x
+            y = splu((self.sparse_matrix() + sp.diags(d)).tocsc()).solve(b)
+        return self.unweigh(y)
 
 
 def cg(matvec, b: np.ndarray, rtol: float, psolve):
@@ -320,8 +413,16 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
     ``far_value``.  ``initial`` is the start field, an array of nodal
     values on ``grid`` whose face layers are replaced by the face data;
     None starts from the boundary extension.
+
+    A tangential axis with an odd node count (at least 5) on which the data
+    and the start field both equal their flip is folded: the solve runs on
+    its nodes 0..M, the centre M a NeumannZero layer, and the result is
+    mirrored back to the full grid.
     """
     cfg = cfg or SolveConfig()
+    if not np.isfinite(far_value):
+        raise InvalidBoundaryError(
+            f"far_value must be finite, got {far_value!r}")
     h_arr = np.asarray(h_samples, dtype=float)
     if not np.all(np.isfinite(h_arr)):
         raise InvalidBoundaryError("boundary samples contain non-finite values")
@@ -336,14 +437,27 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
         raise ValueError("initial must be a finite array of the grid shape "
                          f"{grid.shape}, got shape {np.shape(initial)}")
 
-    prob = _DirichletProblem(grid, half_space_roles(grid), potential)
     # the far value on every face layer, then the trace on x_n = 0, so the
     # nodes that layer shares with the other faces keep the trace
-    u_full = np.asarray(initial, dtype=float).copy()
+    start = np.asarray(initial, dtype=float).copy()
     for a in range(grid.n):
-        u_full[(slice(None),) * a + (0,)] = far_value
-        u_full[(slice(None),) * a + (-1,)] = far_value
-    u_full[..., 0] = trace
+        start[(slice(None),) * a + (0,)] = far_value
+        start[(slice(None),) * a + (-1,)] = far_value
+    start[..., 0] = trace
+
+    # the half of an axis keeps at least the 3 nodes of every Grid axis
+    folded = tuple(a for a in range(grid.n - 1)
+                   if grid.shape[a] % 2 == 1 and grid.shape[a] >= 5
+                   and np.array_equal(h_arr, np.flip(h_arr, a))
+                   and np.array_equal(start, np.flip(start, a)))
+    half = tuple(slice(0, m // 2 + 1) if a in folded else slice(None)
+                 for a, m in enumerate(grid.shape))
+    u_full = start[half]
+    roles = half_space_roles(grid)
+    for a in folded:
+        roles[(a, HIGH)] = NeumannZero()
+    prob = _DirichletProblem(Grid(u_full.shape, grid.spacing, grid.origin),
+                             roles, potential)
 
     def sup(r):
         return float(np.max(np.abs(r))) if r.size else 0.0
@@ -353,7 +467,7 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
     r = prob.residual(u_full)
     res = sup(r)
     if res <= cfg.residual_tol:
-        return _finish(prob, u_full, trace_vals, res, 0, True)
+        return _finish(grid, folded, u_full, trace_vals, res, 0, True)
 
     def shift_for(full):
         lo, hi = float(full.min()), float(full.max())
@@ -385,7 +499,8 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
                 t *= 0.5
 
         if not accepted:
-            cand = prob.embed(u_int - prob.shifted_solve(s, r), u_full)
+            step = prob.unweigh(prob.shifted_solve(s, prob.weigh(r)))
+            cand = prob.embed(u_int - step, u_full)
             e_cand = prob.link_energy(cand)
             if e_cand > energy + slack(energy):
                 # shift too small for this range; enlarge and retry, but
@@ -405,7 +520,8 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
         if res < best[0]:
             best = (res, u_full.copy())
         if res <= cfg.residual_tol:
-            return _finish(prob, u_full, trace_vals, res, iterations, True)
+            return _finish(grid, folded, u_full, trace_vals, res,
+                           iterations, True)
         s_needed = shift_for(u_full)
         if s_needed > s:
             s = s_needed
@@ -417,11 +533,16 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
 
     res_b, u_b = best
     raise NonConvergenceError(
-        _finish(prob, u_b, trace_vals, res_b, iterations, False))
+        _finish(grid, folded, u_b, trace_vals, res_b, iterations, False))
 
 
-def _finish(prob, u_full, trace_vals, res, iterations, converged):
-    fld = ScalarField(prob.grid, u_full, prob.roles)
+def _finish(grid, folded, u, trace_vals, res, iterations, converged):
+    """The result on ``grid``, with u mirrored across the centre of each
+    folded axis."""
+    for a in folded:
+        u = np.concatenate([u, np.flip(u, a)[_at(u.ndim, a, slice(1, None))]],
+                           axis=a)
+    fld = ScalarField(grid, u, half_space_roles(grid))
     return SolveResult(
         field=fld,
         final_energy=half_space_energy(fld),

@@ -12,7 +12,8 @@ from phaselab.energy import (
 )
 from dataclasses import fields
 
-from phaselab.grid import half_space_roles, make_half_space_grid
+from phaselab.grid import (Grid, NeumannZero, face_radii, half_space_roles,
+                           make_half_space_grid)
 from phaselab.solver import (
     _DirichletProblem,
     LINEAR_RTOL,
@@ -157,7 +158,6 @@ def test_residual_field_trivial_and_contract():
 def test_residual_supersolution_sign():
     # the explicit barrier is a discrete supersolution away from the origin:
     # -lap(psi) + W'(psi) >= -O(h^2)
-    from phaselab.grid import Grid, NeumannZero
     from phaselab.energy import barrier_profile
     g = Grid((61, 61), 0.1, (1.0, 1.0))
     psi, _, _ = barrier_profile(g)
@@ -219,6 +219,16 @@ def test_invalid_boundary():
         solve_half_space(np.zeros(5), 1.0, P, g, SolveConfig())
 
 
+@pytest.mark.parametrize("far", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_far_value_is_rejected_before_any_work(far, monkeypatch):
+    import phaselab.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "boundary_extension", None)
+    monkeypatch.setattr(solver_mod, "_DirichletProblem", None)
+    g, _ = make_half_space_grid(2, 6.0, 0.25, 1.0)
+    with pytest.raises(InvalidBoundaryError, match="far_value"):
+        solve_half_space(exp_base(g.axis_coords(0)), far, P, g, SolveConfig())
+
+
 def test_warm_start_from_a_solution_takes_no_iteration():
     g, _ = make_half_space_grid(2, 6.0, 0.125, 1.0)
     h = 2.0 * exp_base(g.axis_coords(0))
@@ -258,14 +268,27 @@ def test_truncation_stability():
     assert change <= allowance
 
 
-def _problem(n, R, spacing):
+def _problem(n, R, spacing, folded=False):
+    """The problem on the half-space grid, or with ``folded`` on its mirror
+    half: nodes 0..M of every tangential axis, the centre M a NeumannZero
+    layer."""
     g, _ = make_half_space_grid(n, R, spacing, 1.0)
+    if folded:
+        g = Grid(tuple(m // 2 + 1 for m in g.shape[:-1]) + g.shape[-1:],
+                 g.spacing, g.origin)
     roles = half_space_roles(g)
+    for a in range(n - 1 if folded else 0):
+        roles[(a, "high")] = NeumannZero()
     return _DirichletProblem(g, roles, P)
 
 
 # 1D, a non-square 2D interior (31 x 15) and a 3D interior (15 x 15 x 7)
 INTERIORS = [(1, 4.0, 0.125), (2, 4.0, 0.25), (3, 2.0, 0.25)]
+# the same 2D and 3D problems folded: 16 x 15 and 8 x 8 x 7 unknowns
+PROBLEMS = ([pytest.param(*i, False, id="-".join(map(str, i)))
+             for i in INTERIORS]
+            + [pytest.param(*i, True, id="-".join(map(str, i)) + "-folded")
+               for i in INTERIORS if i[0] > 1])
 
 
 def _handed_to_cg(prob, w2, rhs, rtol, monkeypatch):
@@ -283,13 +306,16 @@ def _handed_to_cg(prob, w2, rhs, rtol, monkeypatch):
     return x, args, result
 
 
-@pytest.mark.parametrize("n, R, spacing", INTERIORS)
-def test_matrix_free_operator_matches_sparse_matrix(n, R, spacing,
+@pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS)
+def test_matrix_free_operator_matches_sparse_matrix(n, R, spacing, folded,
                                                     monkeypatch):
     # A v by matvec, and (A + diag(d)) v by the operator that newton_solve
-    # hands to cg, for d = max(W'', 0) zero at every node and random
-    prob = _problem(n, R, spacing)
+    # hands to cg, for d = max(W'', 0) zero at every node and random; on a
+    # folded problem A is the symmetric D A D^-1
+    prob = _problem(n, R, spacing, folded)
     m = math.prod(prob.int_shape)       # unknowns
+    A = prob.sparse_matrix()
+    assert abs(A - A.T).max() == 0.0
     rng = np.random.default_rng(20 + n)
     v = rng.standard_normal(m)
     cases = [(prob.matvec, np.zeros(m))]
@@ -313,16 +339,35 @@ def test_solver_residual_is_residual_field(n, R, spacing):
                           residual_field(u, P).values[inner].ravel())
 
 
-@pytest.mark.parametrize("n, R, spacing", INTERIORS)
+@pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS)
 @pytest.mark.parametrize("shift", [0.0, 3.0])
-def test_shifted_solve_matches_sparse_direct(n, R, spacing, shift):
-    prob = _problem(n, R, spacing)
+def test_shifted_solve_matches_sparse_direct(n, R, spacing, folded, shift):
+    prob = _problem(n, R, spacing, folded)
     m = math.prod(prob.int_shape)       # unknowns
     rhs = np.random.default_rng(n).standard_normal(m)
     op = (prob.sparse_matrix() + shift * sp.identity(m)).tocsc()
     exact = splu(op).solve(rhs)
     x = prob.shifted_solve(shift, rhs)
     assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS[1:])
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+def test_folded_shifted_solve_is_the_full_solve_of_mirrored_data(
+        n, R, spacing, shift):
+    # (s I + A) x = r on the folded half, through y = D x, against the
+    # full DST-I solve of a right-hand side that is mirror-symmetric about
+    # the centre of every tangential axis
+    full, half = _problem(n, R, spacing), _problem(n, R, spacing, True)
+    assert half.folded == tuple(range(n - 1))
+    rhs = np.random.default_rng(70 + n).standard_normal(full.int_shape)
+    for a in half.folded:
+        rhs = rhs + np.flip(rhs, a)
+    x = full.shifted_solve(shift, rhs.ravel()).reshape(full.int_shape)
+    part = tuple(slice(0, k) for k in half.int_shape)
+    x_half = half.unweigh(half.shifted_solve(
+        shift, half.weigh(rhs[part].ravel()))).reshape(half.int_shape)
+    assert np.max(np.abs(x_half - x[part])) <= 1e-13 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
@@ -357,9 +402,9 @@ def _scipy_newton_cg(matvec, psolve, rhs, rtol):
     return x, info, len(steps)
 
 
-@pytest.mark.parametrize("n, R, spacing", INTERIORS)
-def test_cg_matches_scipy_cg_bitwise(n, R, spacing, monkeypatch):
-    prob = _problem(n, R, spacing)
+@pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS)
+def test_cg_matches_scipy_cg_bitwise(n, R, spacing, folded, monkeypatch):
+    prob = _problem(n, R, spacing, folded)
     m = math.prod(prob.int_shape)       # unknowns
     rng = np.random.default_rng(50 + n)
     rhs = rng.standard_normal(m)
@@ -373,10 +418,13 @@ def test_cg_matches_scipy_cg_bitwise(n, R, spacing, monkeypatch):
     x, (matvec, b, rtol_cg, psolve), (x_cg, info) = _handed_to_cg(
         prob, w2, rhs, rtol, monkeypatch)
     newton_calls = list(calls)
-    assert b is rhs and rtol_cg == rtol
-    x_ref, info_ref, steps = _scipy_newton_cg(matvec, psolve, rhs, rtol)
+    assert rtol_cg == rtol
+    # CG runs on y = D x: the centre layers of a folded problem are scaled
+    assert b is rhs if not folded else np.array_equal(b, prob.weigh(rhs))
+    x_ref, info_ref, steps = _scipy_newton_cg(matvec, psolve, b, rtol)
     assert info == info_ref == 0
-    assert np.array_equal(x_cg, x_ref) and np.array_equal(x, x_ref)
+    assert np.array_equal(x_cg, x_ref)
+    assert np.array_equal(x, prob.unweigh(x_ref))
     # one float32 preconditioner application per CG iteration, none to probe
     assert steps > 0 and newton_calls == [(np.float32,)] * steps
 
@@ -418,6 +466,133 @@ def _atom_like_solve(n):
         data = bump(g, 1.5, "exp_decay", amplitude=0.5, width=4.0)
         cfg = SolveConfig(residual_tol=1e-8)
     return solve_half_space(data.samples, 1.0, P, g, cfg), cfg
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS[1:])
+def test_folded_energy_and_residual_are_those_of_the_mirrored_field(
+        n, R, spacing):
+    full, half = _problem(n, R, spacing), _problem(n, R, spacing, True)
+    u = 1.0 + np.random.default_rng(90 + n).uniform(-0.5, 2.0,
+                                                    full.grid.shape)
+    for a in half.folded:
+        u = 0.5 * (u + np.flip(u, a))
+    u_half = u[tuple(slice(0, m) for m in half.grid.shape)]
+    assert math.isclose(half.link_energy(u_half), full.link_energy(u),
+                        rel_tol=1e-13)
+    r = full.residual(u).reshape(full.int_shape)
+    r_half = half.residual(u_half).reshape(half.int_shape)
+    part = tuple(slice(0, k) for k in half.int_shape)
+    assert np.max(np.abs(r_half - r[part])) <= 1e-13 * np.max(np.abs(r))
+
+
+def _spy_on_unknowns(monkeypatch):
+    """Record the ``int_shape`` of every ``_DirichletProblem`` built."""
+    shapes = []
+    init = _DirichletProblem.__init__
+    monkeypatch.setattr(_DirichletProblem, "__init__",
+                        lambda self, *a: init(self, *a)
+                        or shapes.append(self.int_shape))
+    return shapes
+
+
+def _symmetric_data(g, rng):
+    """Random nonnegative face data, mirror-symmetric on every tangential
+    axis."""
+    h = rng.uniform(0.0, 1.0, g.shape[:-1]) * np.exp(-face_radii(
+        tuple(g.axis_coords(a) for a in range(g.n - 1))))
+    for a in range(g.n - 1):
+        h = 0.5 * (h + np.flip(h, a))
+    return h
+
+
+@pytest.mark.parametrize("n, R, spacing", [(2, 6.0, 0.25), (3, 3.0, 0.25)])
+def test_folded_solve_matches_the_full_solve(n, R, spacing, monkeypatch):
+    g, _ = make_half_space_grid(n, R, spacing, 1.0)
+    rng = np.random.default_rng(80 + n)
+    h = 3.0 * _symmetric_data(g, rng)
+    cfg = SolveConfig(residual_tol=1e-9)
+    shapes = _spy_on_unknowns(monkeypatch)
+    folded = solve_half_space(h, 1.0, P, g, cfg)
+    # the boundary extension plus an asymmetric interior perturbation: the
+    # full path; W' is monotone above 1, so the solution is unique
+    start = boundary_extension(g, 1.0 + h, 1.0)
+    inner = tuple(slice(1, -1) for _ in g.shape)
+    start[inner] += 1e-3 * rng.uniform(0.0, 1.0, start[inner].shape)
+    full = solve_half_space(h, 1.0, P, g, cfg, initial=start)
+    half = tuple((m - 1) // 2 for m in g.shape[:-1])
+    assert shapes == [half + (g.shape[-1] - 2,), tuple(m - 2 for m in g.shape)]
+    assert folded.converged and full.converged
+    u = folded.field.values
+    for a in range(n - 1):
+        assert np.array_equal(u, np.flip(u, a))
+    assert np.max(np.abs(u - full.field.values)) <= 10 * cfg.residual_tol
+    assert np.max(np.abs(residual_field(folded.field, P).values)) \
+        <= cfg.residual_tol
+    assert math.isclose(folded.final_energy, full.final_energy,
+                        rel_tol=1e-9)
+    assert math.isclose(folded.energy_trace[-1], full.energy_trace[-1],
+                        rel_tol=1e-9)
+
+
+def _full_path_cases():
+    g, _ = make_half_space_grid(2, 6.0, 0.25, 1.0)
+    h = exp_base(g.axis_coords(0))
+    lopsided = h * (1.0 + 0.1 * (g.axis_coords(0) > 0))
+    start = boundary_extension(g, 1.0 + h, 1.0)
+    start[20, 5] += 1e-3
+    even = Grid((48, 25), 0.25, (-5.875, 0.0))
+    h_even = exp_base(even.axis_coords(0))
+    return {"asymmetric data": (g, lopsided, None),
+            "asymmetric initial": (g, h, start),
+            "even node count": (even, h_even + h_even[::-1], None)}
+
+
+@pytest.mark.parametrize("case", sorted(_full_path_cases()))
+def test_solves_without_mirror_symmetry_take_the_full_path(case,
+                                                           monkeypatch):
+    g, h, start = _full_path_cases()[case]
+    if start is None:
+        assert np.array_equal(h, h[::-1]) == (case == "even node count")
+    shapes = _spy_on_unknowns(monkeypatch)
+    res = solve_half_space(h, 1.0, P, g, SolveConfig(residual_tol=1e-9),
+                           initial=start)
+    assert res.converged
+    assert shapes == [tuple(m - 2 for m in g.shape)]
+
+
+def test_the_mirror_symmetric_experiments_solve_folded(acceptance_folds):
+    # every solve of every member: the atom, penalty, unbounded and level
+    # set families fold their one tangential axis; the oscillating trace is
+    # not symmetric, and the Hoelder family's samples differ from their
+    # flip at round-off, so both take the full path
+    for name in ("boundary_atom", "penalty_zero", "unbounded",
+                 "hausdorff_levelset"):
+        assert acceptance_folds[name]
+        assert set(acceptance_folds[name]) == {(0,)}, name
+    for name in ("oscillation_atom", "hoelder_blowup", "tanh_calibration"):
+        assert acceptance_folds[name]
+        assert set(acceptance_folds[name]) == {()}, name
+    assert acceptance_folds["neumann_layer"] == []
+
+
+def test_the_halfspace_benchmark_solve_folds_both_tangential_axes(
+        monkeypatch):
+    import json
+    import os
+    from phaselab.families import bump
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "workloads.json")) as fh:
+        spec = json.load(fh)["halfspace_3d"]["half_space"]
+    g, _ = make_half_space_grid(spec["n"], spec["R"], spec["spacing"],
+                                spec["far_value"])
+    shapes = _spy_on_unknowns(monkeypatch)
+    for theta in spec["theta_range"]:
+        data = bump(g, theta, spec["shape"], amplitude=spec["amplitude"],
+                    width=spec["width"])
+        solve_half_space(data.samples, 1.0, P, g,
+                         SolveConfig(residual_tol=spec["residual_tol"]))
+    m = g.shape
+    assert shapes == [((m[0] - 1) // 2, (m[1] - 1) // 2, m[2] - 2)] * 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -489,6 +664,21 @@ def test_newton_falls_back_to_direct_solve_when_cg_fails(monkeypatch):
     x = prob.newton_solve(w2, rhs, 1e-10)
     H = (prob.sparse_matrix() + sp.diags(np.maximum(w2, 0.0))).tocsc()
     assert np.array_equal(x, splu(H).solve(rhs))
+
+
+def test_folded_direct_fallback_solves_the_newton_system(monkeypatch):
+    # the LU of D A D^-1 + diag(d) on D rhs, unweighed, is the CG solution
+    import phaselab.solver as solver_mod
+    prob = _problem(3, 2.0, 0.25, folded=True)
+    m = math.prod(prob.int_shape)       # unknowns
+    rng = np.random.default_rng(4)
+    rhs = rng.standard_normal(m)
+    w2 = rng.uniform(-1.0, 66.0, m)
+    x_cg = prob.newton_solve(w2, rhs, 1e-12)
+    monkeypatch.setattr(solver_mod, "cg",
+                        lambda *args, **kwargs: (np.zeros(m), 1))
+    x = prob.newton_solve(w2, rhs, 1e-12)
+    assert np.linalg.norm(x - x_cg) <= 1e-9 * np.linalg.norm(x)
 
 
 def test_solve_builds_no_sparse_matrix_when_cg_converges(monkeypatch):
