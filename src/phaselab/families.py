@@ -52,7 +52,8 @@ from .energy import (
     standard_potential,
     modified_floor_potential,
 )
-from .grid import Grid, NeumannZero, face_radii, make_half_space_grid
+from .grid import (Grid, NeumannZero, face_coords, face_radii,
+                   make_half_space_grid)
 from .solver import SolveConfig, SolveResult, solve_half_space
 
 __all__ = [
@@ -166,10 +167,6 @@ class BoundaryData:
         return len(self.coords)
 
 
-def _face_coords(grid: Grid) -> tuple:
-    return tuple(grid.axis_coords(a) for a in range(grid.n - 1))
-
-
 def bump(grid: Grid, theta: float, shape: str = "exp_decay",
          width: float = 1.0, amplitude: float = 1.0) -> BoundaryData:
     """``theta`` times a base profile centred at the origin, sampled on the
@@ -184,7 +181,7 @@ def bump(grid: Grid, theta: float, shape: str = "exp_decay",
         raise ValueError(f"theta must be >= 0, got {theta}")
     if shape not in BUMP_SHAPES:
         raise ValueError(f"unknown bump shape {shape!r}")
-    coords = _face_coords(grid)
+    coords = face_coords(grid)
     r = face_radii(coords)
     base = np.zeros_like(r)
     ins = r < width
@@ -683,7 +680,7 @@ def build_oscillating_boundary(S_prime: float, delta: float,
     from .energy import MAX_FLOOR_DELTA
     if not (0.0 < delta < MAX_FLOOR_DELTA):
         raise ValueError(f"delta must lie in (0, {MAX_FLOOR_DELTA:.6f})")
-    coords = _face_coords(grid)
+    coords = face_coords(grid)
     if not coords:
         raise ValueError("oscillating data needs a face of dimension >= 1")
 

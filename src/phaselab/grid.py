@@ -10,9 +10,13 @@ live on nodes; each node owns a quadrature cell of measure ``spacing**n``,
 so sums of nodal densities times the cell measure are the discrete
 integrals used throughout.
 
-Node coordinates are always computed as ``origin + index * spacing`` (one
-multiplication per node, no accumulated summation).  ``tail_bound`` stays
-as the reference the tests check the truncation error against.
+Grid node coordinates are always computed as ``origin + index * spacing``
+(one multiplication per node, no accumulated summation).  Face data are
+sampled by ``face_coords`` instead: a tangential axis centred on 0 takes
+``(index - M) * spacing``, which is exactly odd about its centre node M, so
+radial face data are bitwise mirror-symmetric and the solver can fold them.
+``tail_bound`` stays as the reference the tests check the truncation error
+against.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "Dirichlet",
     "NeumannZero",
     "GridBudgetError",
+    "face_coords",
     "face_radii",
     "half_space_roles",
     "make_half_space_grid",
@@ -188,6 +193,26 @@ def make_half_space_grid(n: int, R: float, spacing: float, far_value: float):
 def half_space_roles(grid: Grid) -> dict:
     """Face roles of a truncated half-space: every face is Dirichlet."""
     return {(a, s): Dirichlet() for a in range(grid.n) for s in (LOW, HIGH)}
+
+
+def face_coords(grid: Grid) -> tuple:
+    """Coordinates of the flat face ``x_n = 0``, one array per tangential
+    axis.
+
+    An axis of ``2M + 1`` nodes centred on 0 (``origin == -M * spacing`` to
+    rounding) takes ``(index - M) * spacing``, exactly odd about node M;
+    ``origin + index * spacing`` is not when the spacing is not a power of
+    two.  Any other axis keeps ``grid.axis_coords``.
+    """
+    coords = []
+    for a in range(grid.n - 1):
+        M, rem = divmod(grid.shape[a] - 1, 2)
+        half = M * grid.spacing
+        if rem == 0 and abs(grid.origin[a] + half) <= 1e-12 * half:
+            coords.append((np.arange(grid.shape[a]) - M) * grid.spacing)
+        else:
+            coords.append(grid.axis_coords(a))
+    return tuple(coords)
 
 
 def face_radii(coords: tuple) -> np.ndarray:

@@ -81,7 +81,8 @@ from scipy.sparse.linalg import splu
 
 from .energy import (Potential, ScalarField, STANDARD, _at, equation_layers,
                      half_space_energy, interior_neighbour_sum)
-from .grid import HIGH, Grid, NeumannZero, face_radii, half_space_roles
+from .grid import (HIGH, Grid, NeumannZero, face_coords, face_radii,
+                   half_space_roles)
 
 __all__ = [
     "SolveConfig",
@@ -634,7 +635,7 @@ def comparison_check(theta: float, h_samples: np.ndarray,
     passed = violation <= tol
 
     decay_violation = None
-    face_r = face_radii(tuple(grid.axis_coords(a) for a in range(grid.n - 1)))
+    face_r = face_radii(face_coords(grid))
     if np.all(h_arr <= np.exp(-face_r) + 1e-12):
         envelope = 1.0 + theta * np.exp(-grid.node_radii()) + 2.0 * grid.spacing
         decay_violation = float(np.max(rt.field.values - envelope))

@@ -19,7 +19,8 @@ from phaselab.families import (
     neumann_layer_field,
     seminorm_constant,
 )
-from phaselab.grid import Grid, NeumannZero, make_half_space_grid
+from phaselab.grid import (Grid, NeumannZero, face_coords,
+                           make_half_space_grid)
 from phaselab.solver import NonConvergenceError, SolveConfig
 
 P = standard_potential()
@@ -55,6 +56,66 @@ def test_bump_linearity_exact():
     a = bump(g, 2 * theta).samples
     b = 2.0 * bump(g, theta).samples
     assert np.array_equal(a, b)
+
+
+# the Hoelder family's grids: window B at ceil(ppu * omega * B) nodes per
+# half-width, at the eps of the shipped config and the benchmark; the 3D
+# grids at ppu 6 exceed the node budget, so 3D takes ppu 3 and 4
+HOELDER_GRIDS = [(2, B, 6.0, eps) for B in (5.0, 12.0)
+                 for eps in (0.2, 0.1, 0.05)] \
+    + [(3, 5.0, ppu, eps) for ppu in (3.0, 4.0) for eps in (0.2, 0.1, 0.05)]
+
+
+def hoelder_grid(n, B, ppu, eps):
+    m = int(math.ceil(ppu * EpsilonSchedule((eps,)).omega(eps) * B))
+    g, _ = make_half_space_grid(n, B, B / m, 1.0)
+    return g
+
+
+@pytest.mark.parametrize("n, B, ppu, eps", HOELDER_GRIDS)
+def test_hoelder_face_coords_are_exactly_odd(n, B, ppu, eps):
+    g = hoelder_grid(n, B, ppu, eps)
+    coords = face_coords(g)
+    assert len(coords) == n - 1
+    for a, c in enumerate(coords):
+        assert np.array_equal(c, -c[::-1])
+        assert np.allclose(c, g.axis_coords(a), rtol=0.0, atol=1e-13 * B)
+
+
+@pytest.mark.parametrize("n, B, ppu, eps", HOELDER_GRIDS)
+def test_hoelder_bump_equals_its_flip(n, B, ppu, eps):
+    g = hoelder_grid(n, B, ppu, eps)
+    om = EpsilonSchedule((eps,)).omega(eps)
+    samples = bump(g, 1.0, shape="compact_bump", amplitude=2.0,
+                   width=1.0 / om).samples
+    for a in range(n - 1):
+        assert np.array_equal(samples, np.flip(samples, a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("R, spacing", [(1.0, 0.25), (4.0, 0.25),
+                                        (10.0, 0.125), (3.25, 0.0625)])
+def test_face_coords_on_power_of_two_spacings_are_the_grid_coords(
+        n, R, spacing):
+    # every experiment but hoelder_blowup samples on such grids, where
+    # (i - M) h and -R + i h are both exact
+    g, _ = make_half_space_grid(n, R, spacing, 1.0)
+    coords = face_coords(g)
+    assert len(coords) == n - 1
+    for a, c in enumerate(coords):
+        assert c.tobytes() == g.axis_coords(a).tobytes()
+
+
+@pytest.mark.parametrize("grid", [
+    Grid((9, 5), 0.3, (-0.9, 0.0)),           # odd, off centre
+    Grid((8, 5), 0.3, (-1.05, 0.0)),          # centred, even node count
+    Grid((9, 7, 5), 0.3, (-0.9, 0.1, 0.0)),   # both axes off centre
+])
+def test_face_coords_off_centre_keep_the_grid_coords(grid):
+    coords = face_coords(grid)
+    assert len(coords) == grid.n - 1
+    for a, c in enumerate(coords):
+        assert c.tobytes() == grid.axis_coords(a).tobytes()
 
 
 def test_boundary_data_validation():

@@ -561,15 +561,15 @@ def test_solves_without_mirror_symmetry_take_the_full_path(case,
 
 
 def test_the_mirror_symmetric_experiments_solve_folded(acceptance_folds):
-    # every solve of every member: the atom, penalty, unbounded and level
-    # set families fold their one tangential axis; the oscillating trace is
-    # not symmetric, and the Hoelder family's samples differ from their
-    # flip at round-off, so both take the full path
+    # every solve of every member: the atom, penalty, unbounded, level set
+    # and Hoelder families fold their one tangential axis; the oscillating
+    # trace is not symmetric, and the 1D calibration has no tangential axis,
+    # so both take the full path
     for name in ("boundary_atom", "penalty_zero", "unbounded",
-                 "hausdorff_levelset"):
+                 "hausdorff_levelset", "hoelder_blowup"):
         assert acceptance_folds[name]
         assert set(acceptance_folds[name]) == {(0,)}, name
-    for name in ("oscillation_atom", "hoelder_blowup", "tanh_calibration"):
+    for name in ("oscillation_atom", "tanh_calibration"):
         assert acceptance_folds[name]
         assert set(acceptance_folds[name]) == {()}, name
     assert acceptance_folds["neumann_layer"] == []
@@ -593,6 +593,39 @@ def test_the_halfspace_benchmark_solve_folds_both_tangential_axes(
                          SolveConfig(residual_tol=spec["residual_tol"]))
     m = g.shape
     assert shapes == [((m[0] - 1) // 2, (m[1] - 1) // 2, m[2] - 2)] * 2
+
+
+def test_the_hoelder_benchmark_run_folds_every_member(monkeypatch):
+    # the Hoelder family of single_solve_sweep samples its face on spacings
+    # 5/m, which are not powers of two; each member's one solve still folds
+    import json
+    import os
+    from phaselab.families import (FAMILY_PARAMS, EpsilonSchedule,
+                                   build_family)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "workloads.json")) as fh:
+        runs = json.load(fh)["single_solve_sweep"]["runs"]
+    (cfg,) = [c for c in runs if c["experiment"] == "hoelder_blowup"]
+    params = {k: v for k, v in cfg["params"].items()
+              if k in FAMILY_PARAMS["hoelder_blowup"]}
+    shapes = _spy_on_unknowns(monkeypatch)
+    schedule = EpsilonSchedule(tuple(cfg["eps_list"]))
+    fam = build_family("hoelder_blowup", schedule, {"n": cfg["n"], **params},
+                       max_iterations=cfg["solver"]["max_iterations"],
+                       workers=cfg["workers"])
+    grids = [m.unit_grid.shape for m in fam.members]
+    assert len(grids) == len(cfg["eps_list"])
+    assert sorted(shapes) == sorted(((m0 - 1) // 2, m1 - 2)
+                                    for m0, m1 in grids)
+
+
+def test_the_3d_hoelder_family_folds_both_tangential_axes(monkeypatch):
+    from phaselab.families import EpsilonSchedule, build_family
+    shapes = _spy_on_unknowns(monkeypatch)
+    fam = build_family("hoelder_blowup", EpsilonSchedule((0.2,)),
+                       {"n": 3, "window": 5.0, "points_per_unit_scale": 3.0})
+    m = fam.members[0].unit_grid.shape
+    assert shapes == [((m[0] - 1) // 2, (m[1] - 1) // 2, m[2] - 2)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
