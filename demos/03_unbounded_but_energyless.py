@@ -1,23 +1,21 @@
 """A family that blows up in sup-norm while every energy vanishes.
 
-Scaling the boundary bump by theta_eps -> infinity and the coordinates by
-eps makes the fields unbounded; as long as eps^(n-1) theta_eps^4 -> 0, the
+Scaling the boundary bump by theta_eps = eps^-theta_exponent -> infinity
+and the coordinates by eps makes the fields unbounded; as long as
+eps^(n-1) theta_eps^4 -> 0, that is 4 theta_exponent < n - 1, the
 diffuse perimeter still vanishes, and the curvature energy is identically
 zero because every member is a rescaled stationary solution.
 """
 
 import numpy as np
 
-from phaselab import EpsilonSchedule, build_family, lp_norm
-
-eps_list = (0.2, 0.12, 0.08)
-thetas = {e: e ** -0.125 for e in eps_list}
+from phaselab import build_family, lp_norm
 
 family = build_family(
     "unbounded",
-    EpsilonSchedule(eps_list, theta_of_eps=thetas),
+    (0.2, 0.12, 0.08),
     {"n": 2, "L": 0.4, "unit_spacing": 1 / 12, "base_amplitude": 3.0,
-     "residual_tol": 1e-6},
+     "theta_exponent": 0.125, "residual_tol": 1e-6},
 )
 
 print("  eps    theta    sup|u|     S_eps       W_eps")

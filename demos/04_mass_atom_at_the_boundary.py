@@ -7,14 +7,14 @@ the origin: the weak-star limit is an atom of size S at one boundary
 point, reached with zero curvature energy at every scale.
 """
 
-from phaselab import EpsilonSchedule, build_family, concentration_scan
+from phaselab import build_family, concentration_scan
 
 S = 1.0
 eps_list = (0.3, 0.2, 0.15)
 
 family = build_family(
     "boundary_atom",
-    EpsilonSchedule(eps_list),
+    eps_list,
     {"n": 2, "S": S, "L": 0.6, "unit_spacing": 1 / 12, "residual_tol": 1e-6},
 )
 

@@ -9,7 +9,6 @@ origin in Hausdorff distance although both limiting measures are zero.
 import numpy as np
 
 from phaselab import (
-    EpsilonSchedule,
     build_family,
     hausdorff_distance,
     level_set,
@@ -18,7 +17,7 @@ from phaselab import (
 
 family = build_family(
     "hausdorff_levelset",
-    EpsilonSchedule((0.2, 0.12, 0.08)),
+    (0.2, 0.12, 0.08),
     {"n": 2, "L": 0.5, "unit_spacing": 1 / 12, "residual_tol": 1e-6},
 )
 

@@ -8,12 +8,12 @@ stays flat: interior regularity is immune to wild traces.
 
 import numpy as np
 
-from phaselab import EpsilonSchedule, build_family, hoelder_quotient
+from phaselab import build_family, hoelder_quotient
 from phaselab.diagnostics import interior_region_mask
 
 family = build_family(
     "hoelder_blowup",
-    EpsilonSchedule((0.2, 0.1, 0.05)),
+    (0.2, 0.1, 0.05),
     {"n": 2, "window": 12.0, "points_per_unit_scale": 6.0,
      "residual_tol": 1e-6},
 )

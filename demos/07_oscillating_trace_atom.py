@@ -8,7 +8,6 @@ above 1 - 2 delta, so the whole construction lives inside [-1, 1].
 """
 
 from phaselab import (
-    EpsilonSchedule,
     build_family,
     build_oscillating_boundary,
     h_half_seminorm,
@@ -29,7 +28,7 @@ print(f"independent recomputation: {h_half_seminorm(data):.4f}")
 
 family = build_family(
     "oscillation_atom",
-    EpsilonSchedule((0.1,)),
+    (0.1,),
     {"n": 2, "S_prime": S_prime, "delta": delta, "R": 2.0,
      "unit_spacing": 1 / 128, "residual_tol": 1e-6},
 )

@@ -24,7 +24,6 @@ from .energy import (
 from .families import (
     BoundaryData,
     CounterexampleFamily,
-    EpsilonSchedule,
     build_family,
     build_oscillating_boundary,
     bump,

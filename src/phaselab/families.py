@@ -16,6 +16,7 @@ hold for the computed curvature energy by construction.
 Family kinds
 ------------
 ``unbounded``          boundary bumps ``theta_eps * h`` with
+                       ``theta_eps = eps^-theta_exponent`` and
                        ``eps^(n-1) theta_eps^4 -> 0``; sup-norms blow up
                        while all energies vanish.
 ``boundary_atom``      ``theta_eps`` tuned so the diffuse mass is exactly
@@ -24,16 +25,20 @@ Family kinds
 ``hausdorff_levelset`` data ``1 - h`` with ``h(0) = 2``; fields stay in
                        [-1, 1] and every mid-range level set survives near
                        the origin at scale eps.
-``hoelder_blowup``     data ``1 - h(omega_eps x)`` on a blow-up window
+``hoelder_blowup``     data ``1 - h(omega_eps x)``, ``omega_eps = eps^-1/2``,
+                       on a blow-up window
                        ``eps * [-B, B]^(n-1) x [0, B*eps]``; boundary
                        Hoelder quotients at scale eps grow without bound.
 ``oscillation_atom``   oscillatory data ``1 - h`` with ``0 <= h <= delta``
                        and large trace seminorm, solved with the
                        floor-modified potential.
 
-``FAMILY_PARAMS`` lists, for each kind, every parameter its builder reads
-with its default; ``build_family`` raises ``ValueError`` on any other key.
-Of the solver settings, the family layer takes only the iteration cap.
+Every member of every kind goes through one pipeline: the kind's unit
+solve maps eps to a solve on its unit grid, and ``build_family`` reads it
+as the physical member.  ``FAMILY_PARAMS`` lists, for each kind, every
+parameter its unit solve reads with its default; ``build_family`` raises
+``ValueError`` on any other key.  Of the solver settings, the family
+layer takes only the iteration cap.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .solver import SolveConfig, SolveResult, solve_half_space
 
 __all__ = [
     "BoundaryData",
-    "EpsilonSchedule",
     "FamilyMember",
     "CounterexampleFamily",
     "BracketFailureError",
@@ -71,31 +75,9 @@ __all__ = [
     "seminorm_constant",
     "build_oscillating_boundary",
     "neumann_layer_field",
-    "FAMILY_KINDS",
     "FAMILY_PARAMS",
     "BUMP_SHAPES",
 ]
-
-#: Every parameter each family kind reads, with its default.  ``n`` is the
-#: dimension and ``residual_tol`` the physical-defect tolerance of the
-#: curvature certificate; ``rel_offsets`` (per-eps mass-target offsets)
-#: defaults to None, which means off.
-FAMILY_PARAMS = {
-    "unbounded": {"n": 2, "residual_tol": 1e-6, "L": 0.5,
-                  "unit_spacing": 1 / 16, "base_shape": "compact_bump",
-                  "base_amplitude": 3.0},
-    "boundary_atom": {"n": 2, "residual_tol": 1e-6, "S": 1.0, "L": 1.0,
-                      "unit_spacing": 1 / 16, "base_amplitude": 0.5,
-                      "base_support": 4.0, "rel_offsets": None},
-    "hausdorff_levelset": {"n": 2, "residual_tol": 1e-6, "L": 0.5,
-                           "unit_spacing": 1 / 16},
-    "hoelder_blowup": {"n": 2, "residual_tol": 1e-6, "window": 12.0,
-                       "points_per_unit_scale": 6.0},
-    "oscillation_atom": {"n": 2, "residual_tol": 1e-6, "S_prime": 0.1,
-                         "delta": 0.15, "R": 2.0, "unit_spacing": 1 / 128},
-}
-
-FAMILY_KINDS = tuple(FAMILY_PARAMS)
 
 #: The base profiles ``bump`` can sample.
 BUMP_SHAPES = ("exp_decay", "compact_bump")
@@ -309,41 +291,8 @@ def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
 
 
 # --------------------------------------------------------------------------
-# schedules and families
+# families
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Strictly decreasing epsilon list with optional per-epsilon bump
-    factors theta and the blow-up frequency ``omega_eps = eps^(-1/2)``."""
-
-    eps_list: tuple[float, ...]
-    theta_of_eps: dict | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps_list",
-                           tuple(float(e) for e in self.eps_list))
-        eps = self.eps_list
-        if len(eps) == 0:
-            raise ValueError("eps_list must be non-empty")
-        if any(e <= 0 or not math.isfinite(e) for e in eps):
-            raise ValueError("eps values must be finite and positive")
-        if not all(b < a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps_list must be strictly decreasing")
-        if self.theta_of_eps is not None:
-            vals = [self.theta_of_eps[e] for e in eps]
-            if any(v <= 0 or not math.isfinite(v) for v in vals):
-                raise ValueError("schedule parameters must be finite and "
-                                 "positive for every eps")
-
-    def theta(self, eps: float) -> float:
-        if self.theta_of_eps is None:
-            raise ValueError("schedule carries no theta values")
-        return float(self.theta_of_eps[eps])
-
-    def omega(self, eps: float) -> float:
-        return eps ** -0.5
-
 
 @dataclass(frozen=True)
 class FamilyMember:
@@ -363,8 +312,9 @@ class CounterexampleFamily:
     params: dict
 
 
-def _member_from_solve(eps: float, parameter, grid: Grid, result: SolveResult,
+def _member_from_solve(eps: float, parameter, result: SolveResult,
                        tol_phys: float, extra_certs=None) -> FamilyMember:
+    grid = result.field.grid
     phys_grid = grid.scaled(eps)
     phys = ScalarField(phys_grid, result.field.values, result.field.roles)
     energy = EnergyBreakdown.of(phys, eps)
@@ -384,15 +334,11 @@ def _member_from_solve(eps: float, parameter, grid: Grid, result: SolveResult,
     return FamilyMember(eps, parameter, grid, result, phys, energy, certs)
 
 
-def _half_space_unit_grid(n: int, R: float, unit_spacing: float) -> Grid:
-    m = max(4, round(R / unit_spacing))
-    return make_half_space_grid(n, m * unit_spacing, unit_spacing, 1.0)[0]
-
-
-def build_family(kind: str, schedule: EpsilonSchedule, params: dict,
+def build_family(kind: str, eps_list, params: dict,
                  max_iterations: int = 400,
                  workers: int = 1) -> CounterexampleFamily:
-    """Construct one counterexample family over the epsilon schedule.
+    """Construct one counterexample family over ``eps_list``, a non-empty,
+    strictly decreasing sequence of finite positive eps values.
 
     ``params`` may set any key of ``FAMILY_PARAMS[kind]``; the rest keep
     their defaults, and any other key raises ValueError.  Unit solves run
@@ -400,28 +346,39 @@ def build_family(kind: str, schedule: EpsilonSchedule, params: dict,
     after ``max_iterations`` iterations.
 
     Members are independent across epsilon and are built on up to
-    ``workers`` threads; the returned tuple is always ordered by the
-    schedule, so results do not depend on the worker count.
+    ``workers`` threads; the returned tuple is always ordered by
+    ``eps_list``, so results do not depend on the worker count.
     """
-    if kind not in FAMILY_PARAMS:
+    if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}")
-    defaults = FAMILY_PARAMS[kind]
+    unit_solve, defaults = _FAMILIES[kind]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {kind} params {unknown}; expected keys "
                          f"from {sorted(defaults)}")
     params = {**defaults, **params}
-    cfg = SolveConfig(max_iterations=max_iterations)
-    n = int(params["n"])
+    eps_list = tuple(float(e) for e in eps_list)
+    if not eps_list:
+        raise ValueError("eps_list must be non-empty")
+    if any(e <= 0 or not math.isfinite(e) for e in eps_list):
+        raise ValueError("eps values must be finite and positive")
+    if not all(b < a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
     tol_phys = float(params["residual_tol"])
-    builder = {
-        "unbounded": _build_unbounded,
-        "boundary_atom": _build_boundary_atom,
-        "hausdorff_levelset": _build_hausdorff,
-        "hoelder_blowup": _build_hoelder,
-        "oscillation_atom": _build_oscillation,
-    }[kind]
-    members = builder(schedule, params, n, tol_phys, cfg, max(1, int(workers)))
+
+    def build_one(eps):
+        result, parameter, extra_certs = unit_solve(
+            eps, params, SolveConfig(eps * tol_phys, max_iterations))
+        return _member_from_solve(eps, parameter, result, tol_phys,
+                                  extra_certs)
+
+    members = _map_members(build_one, eps_list, max(1, int(workers)))
+    if kind == "boundary_atom" and len(members) > 1:
+        slope = np.polyfit(np.log([1 / e for e in eps_list]),
+                           np.log([m.parameter for m in members]), 1)[0]
+        members = [replace(m, certificates={**m.certificates,
+                                            "theta_growth_slope": float(slope)})
+                   for m in members]
     return CounterexampleFamily(kind, tuple(members), params)
 
 
@@ -436,75 +393,46 @@ def _map_members(fn, eps_list, workers: int) -> list:
         return list(pool.map(fn, eps_list))
 
 
-def _solve_cfg(cfg: SolveConfig, eps: float, tol_phys: float) -> SolveConfig:
-    return replace(cfg, residual_tol=eps * tol_phys)
+def _half_space_unit_grid(n: int, R: float, unit_spacing: float) -> Grid:
+    m = max(4, round(R / unit_spacing))
+    return make_half_space_grid(n, m * unit_spacing, unit_spacing, 1.0)[0]
 
 
-def _build_unbounded(schedule, params, n, tol_phys, cfg, workers):
-    if schedule.theta_of_eps is None:
-        raise ValueError("unbounded family needs a theta schedule")
-    eps_arr = schedule.eps_list
-    drive = [e ** (n - 1) * schedule.theta(e) ** 4 for e in eps_arr]
-    if not all(b < a for a, b in zip(drive, drive[1:])):
-        raise ValueError("unbounded family requires eps^(n-1) theta^4 "
-                         "strictly decreasing along the schedule")
-    L = float(params["L"])
-    hu = float(params["unit_spacing"])
-    shape = params["base_shape"]
-    amp = float(params["base_amplitude"])
-    pot = standard_potential()
-
-    def build_one(eps):
-        th = schedule.theta(eps)
-        g = _half_space_unit_grid(n, L / eps, hu)
-        base = bump(g, 1.0, shape=shape, amplitude=amp)
-        res = solve_half_space(th * base.samples, 1.0, pot, g,
-                               _solve_cfg(cfg, eps, tol_phys))
-        return _member_from_solve(
-            eps, th, g, res, tol_phys,
-            extra_certs={"base_peak": float(np.max(base.samples))})
-
-    return _map_members(build_one, eps_arr, workers)
+def _unbounded(eps, p, cfg):
+    n, a = int(p["n"]), float(p["theta_exponent"])
+    if not 4 * a < n - 1:
+        raise ValueError(f"unbounded family needs theta_exponent below "
+                         f"(n - 1) / 4 = {(n - 1) / 4}, so that "
+                         f"eps^(n-1) theta^4 vanishes; got {a!r}")
+    theta = eps ** -a
+    g = _half_space_unit_grid(n, float(p["L"]) / eps, float(p["unit_spacing"]))
+    base = bump(g, 1.0, shape=p["base_shape"],
+                amplitude=float(p["base_amplitude"]))
+    res = solve_half_space(theta * base.samples, 1.0, standard_potential(),
+                           g, cfg)
+    return res, theta, {"base_peak": float(np.max(base.samples))}
 
 
-def _build_boundary_atom(schedule, params, n, tol_phys, cfg, workers):
-    S = float(params["S"])
+def _boundary_atom(eps, p, cfg):
+    S = float(p["S"])
     if S <= 0:
         raise ValueError("boundary_atom needs S > 0")
-    L = float(params["L"])
-    hu = float(params["unit_spacing"])
-    amp = float(params["base_amplitude"])
-    support = float(params["base_support"])
-    offsets = params["rel_offsets"]
-    pot = standard_potential()
-    eps_arr = schedule.eps_list
-    offset_of = {e: (float(offsets[i]) if offsets is not None else 0.0)
-                 for i, e in enumerate(eps_arr)}
-
-    def build_one(eps):
-        # the theta -> energy cache is grid-specific, hence per member
-        g = _half_space_unit_grid(n, L / eps, hu)
-        base = bump(g, 1.0, shape="exp_decay", amplitude=amp, width=support)
-        member_cache = {}
-        th = find_theta_for_mass(c0() * S, eps, n, base, pot, g,
-                                 _solve_cfg(cfg, eps, tol_phys),
-                                 cache=member_cache,
-                                 rel_offset=offset_of[eps])
-        return _member_from_solve(
-            eps, th, g, member_cache[th], tol_phys,
-            extra_certs={"f_pairs": sorted((t, r.final_energy)
-                                           for t, r in member_cache.items()),
-                         "trace_norm_sq": _trace_norm_sq(base)})
-
-    members = _map_members(build_one, eps_arr, workers)
-    if len(members) > 1:
-        thetas = [m.parameter for m in members]
-        slope = np.polyfit(np.log([1 / e for e in eps_arr]),
-                           np.log(thetas), 1)[0]
-        members = [replace(m, certificates={**m.certificates,
-                                            "theta_growth_slope": float(slope)})
-                   for m in members]
-    return members
+    offsets = p["rel_offsets"]
+    if offsets is not None and eps not in offsets:
+        raise ValueError(f"rel_offsets has no offset for eps {eps!r}")
+    n = int(p["n"])
+    g = _half_space_unit_grid(n, float(p["L"]) / eps, float(p["unit_spacing"]))
+    base = bump(g, 1.0, shape="exp_decay",
+                amplitude=float(p["base_amplitude"]),
+                width=float(p["base_support"]))
+    # the theta -> energy cache is grid-specific, hence per member
+    cache = {}
+    th = find_theta_for_mass(
+        c0() * S, eps, n, base, standard_potential(), g, cfg, cache=cache,
+        rel_offset=0.0 if offsets is None else float(offsets[eps]))
+    return cache[th], th, {
+        "f_pairs": sorted((t, r.final_energy) for t, r in cache.items()),
+        "trace_norm_sq": _trace_norm_sq(base)}
 
 
 def _trace_norm_sq(base: BoundaryData) -> float:
@@ -514,62 +442,66 @@ def _trace_norm_sq(base: BoundaryData) -> float:
     return float(np.sum(base.samples ** 2)) * base.spacing ** base.boundary_dim
 
 
-def _build_hausdorff(schedule, params, n, tol_phys, cfg, workers):
-    L = float(params["L"])
-    hu = float(params["unit_spacing"])
-    pot = standard_potential()
-
-    def build_one(eps):
-        g = _half_space_unit_grid(n, L / eps, hu)
-        base = bump(g, 1.0, shape="compact_bump", amplitude=2.0)
-        peak = float(np.max(base.samples))
-        if abs(peak - 2.0) > 1e-9:
-            raise ValueError("hausdorff base bump must peak at exactly 2")
-        res = solve_half_space(-base.samples, 1.0, pot, g,
-                               _solve_cfg(cfg, eps, tol_phys))
-        return _member_from_solve(eps, None, g, res, tol_phys)
-
-    return _map_members(build_one, schedule.eps_list, workers)
+def _hausdorff_levelset(eps, p, cfg):
+    g = _half_space_unit_grid(int(p["n"]), float(p["L"]) / eps,
+                              float(p["unit_spacing"]))
+    base = bump(g, 1.0, shape="compact_bump", amplitude=2.0)
+    if abs(float(np.max(base.samples)) - 2.0) > 1e-9:
+        raise ValueError("hausdorff base bump must peak at exactly 2")
+    return (solve_half_space(-base.samples, 1.0, standard_potential(), g, cfg),
+            None, None)
 
 
-def _build_hoelder(schedule, params, n, tol_phys, cfg, workers):
-    B = float(params["window"])
-    ppu = float(params["points_per_unit_scale"])
-    pot = standard_potential()
-
-    def build_one(eps):
-        om = schedule.omega(eps)
-        m = int(math.ceil(ppu * om * B))
-        hu = B / m
-        g, _ = make_half_space_grid(n, B, hu, 1.0)
-        # data 1 - h(omega x): sample the peak-2 bump at frequency omega
-        base = bump(g, 1.0, shape="compact_bump", amplitude=2.0,
-                    width=1.0 / om)
-        res = solve_half_space(-base.samples, 1.0, pot, g,
-                               _solve_cfg(cfg, eps, tol_phys))
-        return _member_from_solve(eps, om, g, res, tol_phys)
-
-    return _map_members(build_one, schedule.eps_list, workers)
+def _hoelder_blowup(eps, p, cfg):
+    B = float(p["window"])
+    omega = eps ** -0.5
+    m = int(math.ceil(float(p["points_per_unit_scale"]) * omega * B))
+    g, _ = make_half_space_grid(int(p["n"]), B, B / m, 1.0)
+    # data 1 - h(omega x): sample the peak-2 bump at frequency omega
+    base = bump(g, 1.0, shape="compact_bump", amplitude=2.0, width=1.0 / omega)
+    return (solve_half_space(-base.samples, 1.0, standard_potential(), g, cfg),
+            omega, None)
 
 
-def _build_oscillation(schedule, params, n, tol_phys, cfg, workers):
-    S_prime = float(params["S_prime"])
-    delta = float(params["delta"])
-    R = float(params["R"])
-    hu = float(params["unit_spacing"])
-    pot = modified_floor_potential(delta)
+def _oscillation_atom(eps, p, cfg):
+    delta = float(p["delta"])
+    g = _half_space_unit_grid(int(p["n"]), float(p["R"]),
+                              float(p["unit_spacing"]))
+    data = build_oscillating_boundary(float(p["S_prime"]), delta, g)
+    res = solve_half_space(-data.samples, 1.0,
+                           modified_floor_potential(delta), g, cfg)
+    return res, data.meta["frequency"], {
+        "seminorm": data.meta["seminorm"],
+        "dirichlet_energy": dirichlet_part(res.field)}
 
-    def build_one(eps):
-        g = _half_space_unit_grid(n, R, hu)
-        data = build_oscillating_boundary(S_prime, delta, g)
-        res = solve_half_space(-data.samples, 1.0, pot, g,
-                               _solve_cfg(cfg, eps, tol_phys))
-        return _member_from_solve(
-            eps, data.meta["frequency"], g, res, tol_phys,
-            extra_certs={"seminorm": data.meta["seminorm"],
-                         "dirichlet_energy": dirichlet_part(res.field)})
 
-    return _map_members(build_one, schedule.eps_list, workers)
+#: Each family kind's unit solve, a function ``(eps, params, solve config)
+#: -> (unit solve, parameter, extra certificates)``, and every parameter it
+#: reads, with its default.  ``n`` is the dimension and ``residual_tol`` the
+#: physical-defect tolerance of the curvature certificate; ``rel_offsets``
+#: (the mass-target offset of each eps, keyed by eps) defaults to None,
+#: which means off.
+_FAMILIES = {
+    "unbounded": (_unbounded, {
+        "n": 2, "residual_tol": 1e-6, "L": 0.5, "unit_spacing": 1 / 16,
+        "base_shape": "compact_bump", "base_amplitude": 3.0,
+        "theta_exponent": 0.125}),
+    "boundary_atom": (_boundary_atom, {
+        "n": 2, "residual_tol": 1e-6, "S": 1.0, "L": 1.0,
+        "unit_spacing": 1 / 16, "base_amplitude": 0.5, "base_support": 4.0,
+        "rel_offsets": None}),
+    "hausdorff_levelset": (_hausdorff_levelset, {
+        "n": 2, "residual_tol": 1e-6, "L": 0.5, "unit_spacing": 1 / 16}),
+    "hoelder_blowup": (_hoelder_blowup, {
+        "n": 2, "residual_tol": 1e-6, "window": 12.0,
+        "points_per_unit_scale": 6.0}),
+    "oscillation_atom": (_oscillation_atom, {
+        "n": 2, "residual_tol": 1e-6, "S_prime": 0.1, "delta": 0.15,
+        "R": 2.0, "unit_spacing": 1 / 128}),
+}
+
+#: Every parameter each family kind reads, with its default.
+FAMILY_PARAMS = {kind: params for kind, (_, params) in _FAMILIES.items()}
 
 
 # --------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .diagnostics import (
 from .energy import (MAX_FLOOR_DELTA, EnergyBreakdown, ScalarField, c0,
                      standard_potential)
 from .families import (BUMP_SHAPES, FAMILY_PARAMS, THETA_REL_TOL,
-                       EpsilonSchedule, build_family, neumann_layer_field)
+                       build_family, neumann_layer_field)
 from .fieldio import save_field, write_hashed
 from .grid import make_half_space_grid
 from .solver import SolveConfig, solve_half_space
@@ -112,8 +112,7 @@ DEFAULTS = {
     },
     "unbounded": {
         "n": 2, "eps_list": [0.1, 0.05, 0.025],
-        "params": {**_family_keys("unbounded"), "theta_exponent": 0.125,
-                   "slope_window": [0.3, 0.7]},
+        "params": {**_family_keys("unbounded"), "slope_window": [0.3, 0.7]},
     },
     "boundary_atom": {
         "n": 2, "eps_list": [0.2, 0.1, 0.05],
@@ -343,15 +342,15 @@ def _family_outputs(cfg, fam, prefix, columns=None):
 # experiments
 # --------------------------------------------------------------------------
 
-def _family(cfg, kind, theta_of_eps=None, **extra):
+def _family(cfg, kind, **extra):
     """The ``kind`` family over the config's eps list, built from the
     config params that the kind reads plus ``extra``.  Unit solves run at
     the family's own ``eps * residual_tol``, so of the solver block only
     ``max_iterations`` reaches them."""
     params = {k: v for k, v in cfg["params"].items()
               if k in FAMILY_PARAMS[kind]}
-    sched = EpsilonSchedule(tuple(cfg["eps_list"]), theta_of_eps)
-    return build_family(kind, sched, {"n": cfg["n"], **params, **extra},
+    return build_family(kind, cfg["eps_list"],
+                        {"n": cfg["n"], **params, **extra},
                         max_iterations=cfg["solver"]["max_iterations"],
                         workers=cfg["workers"])
 
@@ -414,8 +413,7 @@ def run_tanh_calibration(cfg):
 def run_unbounded(cfg):
     p = cfg["params"]
     eps_list = cfg["eps_list"]
-    thetas = {e: e ** (-p["theta_exponent"]) for e in eps_list}
-    fam = _family(cfg, "unbounded", theta_of_eps=thetas)
+    fam = _family(cfg, "unbounded")
 
     sups = [lp_norm(m.field, "inf") for m in fam.members]
     S = [m.energy.S_eps for m in fam.members]
@@ -430,8 +428,8 @@ def run_unbounded(cfg):
                min(np.diff(sups)), ">", 0.0),
         _check("unbounded.sup_floor",
                "each sup-norm clears 1 + theta/2 times the base peak",
-               min(s - (1 + thetas[e] / 2 * peak)
-                   for s, e in zip(sups, eps_list)), ">=", 0.0),
+               min(s - (1 + m.parameter / 2 * peak)
+                   for s, m in zip(sups, fam.members)), ">=", 0.0),
         _check("unbounded.mass_decreasing",
                "diffuse masses decrease strictly",
                max(np.diff(S)), "<", 0.0),
@@ -680,7 +678,7 @@ def run_penalty_zero(cfg):
     p = cfg["params"]
     eps_list = cfg["eps_list"]
     eps0 = eps_list[0]
-    offsets = [p["offset_scale"] * (e / eps0) for e in eps_list]
+    offsets = {e: p["offset_scale"] * (e / eps0) for e in eps_list}
     fam = _family(cfg, "boundary_atom", rel_offsets=offsets)
     # the area-penalized functional W_eps + eps^(-sigma) (S_eps - S)^2
     S, sigma = float(p["S"]), p["sigma"]

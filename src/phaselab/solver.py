@@ -461,7 +461,7 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
                              roles, potential)
 
     def sup(r):
-        return float(np.max(np.abs(r))) if r.size else 0.0
+        return float(np.max(np.abs(r)))
 
     energy = prob.link_energy(u_full)
     trace_vals = [energy]

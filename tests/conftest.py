@@ -18,8 +18,9 @@ def acceptance_runs(tmp_path_factory):
     """Run every named experiment once at its acceptance-grade defaults.
 
     Shared across the acceptance tests so families are built a single time
-    per session.  The runs use two workers, as every shipped config does,
-    so the golden test can compare them with the shipped configs' outputs.
+    per session.  The runs use two workers, as the shipped configs of the
+    multi-member family experiments do, so the golden test can compare
+    them with those configs' outputs.
     No run may build the sparse matrix of the direct-solve fallback: a
     Newton CG solve that stalls fails every acceptance test instead of
     quietly costing an LU factorization.  Each solve's folded axes are

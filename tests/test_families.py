@@ -8,7 +8,6 @@ from phaselab.families import (
     FAMILY_PARAMS,
     BoundaryData,
     BracketFailureError,
-    EpsilonSchedule,
     ResolutionExhaustedError,
     build_family,
     build_oscillating_boundary,
@@ -67,7 +66,7 @@ HOELDER_GRIDS = [(2, B, 6.0, eps) for B in (5.0, 12.0)
 
 
 def hoelder_grid(n, B, ppu, eps):
-    m = int(math.ceil(ppu * EpsilonSchedule((eps,)).omega(eps) * B))
+    m = int(math.ceil(ppu * eps ** -0.5 * B))
     g, _ = make_half_space_grid(n, B, B / m, 1.0)
     return g
 
@@ -85,7 +84,7 @@ def test_hoelder_face_coords_are_exactly_odd(n, B, ppu, eps):
 @pytest.mark.parametrize("n, B, ppu, eps", HOELDER_GRIDS)
 def test_hoelder_bump_equals_its_flip(n, B, ppu, eps):
     g = hoelder_grid(n, B, ppu, eps)
-    om = EpsilonSchedule((eps,)).omega(eps)
+    om = eps ** -0.5
     samples = bump(g, 1.0, shape="compact_bump", amplitude=2.0,
                    width=1.0 / om).samples
     for a in range(n - 1):
@@ -204,40 +203,79 @@ def test_find_theta_bracket_failure():
 
 
 # --------------------------------------------------------------------------
-# schedules and families
+# families
 # --------------------------------------------------------------------------
 
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        EpsilonSchedule((0.1, 0.2))
-    with pytest.raises(ValueError):
-        EpsilonSchedule((0.2, -0.1))
-    with pytest.raises(ValueError):
-        EpsilonSchedule((0.2, 0.1), theta_of_eps={0.2: 1.0, 0.1: -3.0})
-    s = EpsilonSchedule((0.2, 0.1))
-    assert s.omega(0.04) == pytest.approx(5.0)
+def _spy_on_solves(monkeypatch):
+    import phaselab.families as families_mod
+    calls = []
+    solve = families_mod.solve_half_space
+    monkeypatch.setattr(families_mod, "solve_half_space",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    return calls
 
 
-def test_unbounded_requires_vanishing_drive():
-    sched = EpsilonSchedule((0.2, 0.1), theta_of_eps={0.2: 1.0, 0.1: 10.0})
-    with pytest.raises(ValueError):
-        build_family("unbounded", sched, {"n": 2, "L": 0.4,
-                                          "unit_spacing": 0.25})
+def test_build_family_rejects_a_bad_eps_list_before_any_solve(monkeypatch):
+    calls = _spy_on_solves(monkeypatch)
+    for eps_list, match in [((), "non-empty"),
+                            ((0.1, 0.2), "strictly decreasing"),
+                            ((0.2, 0.2), "strictly decreasing"),
+                            ((0.2, -0.1), "finite and positive"),
+                            ((0.2, 0.0), "finite and positive"),
+                            ((math.inf, 0.1), "finite and positive"),
+                            ((0.2, math.nan), "finite and positive")]:
+        for kind in ("hausdorff_levelset", "boundary_atom"):
+            with pytest.raises(ValueError, match=match):
+                build_family(kind, eps_list, {"L": 0.4, "unit_spacing": 0.25})
+    assert calls == []
+
+
+def test_unbounded_rejects_theta_exponent_at_or_above_the_bound(monkeypatch):
+    # eps^(n-1) theta^4 = eps^(n-1-4 theta_exponent) vanishes only when
+    # 4 theta_exponent < n - 1
+    calls = _spy_on_solves(monkeypatch)
+    for n, exponent in [(2, 0.25), (2, 0.3), (3, 0.5), (1, 0.0),
+                        (2, math.nan)]:
+        with pytest.raises(ValueError, match="theta_exponent"):
+            build_family("unbounded", (0.2, 0.1),
+                         {"n": n, "L": 0.4, "unit_spacing": 0.25,
+                          "theta_exponent": exponent}, workers=2)
+    assert calls == []
+
+
+def test_boundary_atom_rejects_offsets_missing_an_eps():
+    with pytest.raises(ValueError, match="rel_offsets"):
+        build_family("boundary_atom", (0.2,),
+                     {"L": 0.4, "unit_spacing": 0.25,
+                      "rel_offsets": {0.1: 0.0}})
+
+
+def test_the_moved_per_eps_parameters_are_bitwise_the_formulas():
+    a = FAMILY_PARAMS["unbounded"]["theta_exponent"]
+    assert a == 0.125
+    fam = build_family("unbounded", (0.4, 0.3),
+                       {"L": 0.4, "unit_spacing": 0.125})
+    for m in fam.members:
+        assert m.parameter == m.eps ** -a
+    fam = build_family("hoelder_blowup", (0.2,),
+                       {"window": 3.0, "points_per_unit_scale": 2.0})
+    for m in fam.members:
+        assert m.parameter == m.eps ** -0.5
 
 
 def test_unknown_kind():
     with pytest.raises(ValueError):
-        build_family("nope", EpsilonSchedule((0.1,)), {})
+        build_family("nope", (0.1,), {})
 
 
 def test_misspelled_family_key_is_rejected():
     with pytest.raises(ValueError, match="unit_spacin"):
-        build_family("hausdorff_levelset", EpsilonSchedule((0.2,)),
+        build_family("hausdorff_levelset", (0.2,),
                      {"L": 0.4, "unit_spacin": 0.25})
 
 
 def test_oscillation_family_builds_from_its_defaults():
-    fam = build_family("oscillation_atom", EpsilonSchedule((0.1,)), {})
+    fam = build_family("oscillation_atom", (0.1,), {})
     assert fam.params == FAMILY_PARAMS["oscillation_atom"]
     m = fam.members[0]
     S_prime, delta = fam.params["S_prime"], fam.params["delta"]
@@ -247,10 +285,8 @@ def test_oscillation_family_builds_from_its_defaults():
 
 
 def test_small_unbounded_family_certificates():
-    eps_list = (0.4, 0.3)
-    thetas = {e: e ** -0.125 for e in eps_list}
     fam = build_family(
-        "unbounded", EpsilonSchedule(eps_list, theta_of_eps=thetas),
+        "unbounded", (0.4, 0.3),
         {"n": 2, "L": 0.4, "unit_spacing": 0.125, "base_amplitude": 2.0,
          "residual_tol": 1e-6})
     assert len(fam.members) == 2
@@ -266,7 +302,7 @@ def test_small_unbounded_family_certificates():
 
 def test_iteration_cap_reaches_the_unit_solves():
     with pytest.raises(NonConvergenceError):
-        build_family("hausdorff_levelset", EpsilonSchedule((0.2,)),
+        build_family("hausdorff_levelset", (0.2,),
                      {"L": 0.4, "unit_spacing": 0.25}, max_iterations=0)
 
 

@@ -600,8 +600,7 @@ def test_the_hoelder_benchmark_run_folds_every_member(monkeypatch):
     # 5/m, which are not powers of two; each member's one solve still folds
     import json
     import os
-    from phaselab.families import (FAMILY_PARAMS, EpsilonSchedule,
-                                   build_family)
+    from phaselab.families import FAMILY_PARAMS, build_family
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "perfbench", "workloads.json")) as fh:
         runs = json.load(fh)["single_solve_sweep"]["runs"]
@@ -609,8 +608,8 @@ def test_the_hoelder_benchmark_run_folds_every_member(monkeypatch):
     params = {k: v for k, v in cfg["params"].items()
               if k in FAMILY_PARAMS["hoelder_blowup"]}
     shapes = _spy_on_unknowns(monkeypatch)
-    schedule = EpsilonSchedule(tuple(cfg["eps_list"]))
-    fam = build_family("hoelder_blowup", schedule, {"n": cfg["n"], **params},
+    fam = build_family("hoelder_blowup", tuple(cfg["eps_list"]),
+                       {"n": cfg["n"], **params},
                        max_iterations=cfg["solver"]["max_iterations"],
                        workers=cfg["workers"])
     grids = [m.unit_grid.shape for m in fam.members]
@@ -620,9 +619,9 @@ def test_the_hoelder_benchmark_run_folds_every_member(monkeypatch):
 
 
 def test_the_3d_hoelder_family_folds_both_tangential_axes(monkeypatch):
-    from phaselab.families import EpsilonSchedule, build_family
+    from phaselab.families import build_family
     shapes = _spy_on_unknowns(monkeypatch)
-    fam = build_family("hoelder_blowup", EpsilonSchedule((0.2,)),
+    fam = build_family("hoelder_blowup", (0.2,),
                        {"n": 3, "window": 5.0, "points_per_unit_scale": 3.0})
     m = fam.members[0].unit_grid.shape
     assert shapes == [((m[0] - 1) // 2, (m[1] - 1) // 2, m[2] - 2)]
