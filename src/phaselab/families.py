@@ -44,7 +44,7 @@ layer takes only the iteration cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,9 +175,7 @@ def bump(grid: Grid, theta: float, shape: str = "exp_decay",
         base[ins] = amplitude * window
         envelope = None
     return BoundaryData(coords, theta * base, grid.spacing, envelope,
-                        support_radius=width,
-                        meta={"shape": shape, "theta": theta,
-                              "amplitude": amplitude, "width": width})
+                        support_radius=width)
 
 
 # --------------------------------------------------------------------------
@@ -373,12 +371,6 @@ def build_family(kind: str, eps_list, params: dict,
                                   extra_certs)
 
     members = _map_members(build_one, eps_list, max(1, int(workers)))
-    if kind == "boundary_atom" and len(members) > 1:
-        slope = np.polyfit(np.log([1 / e for e in eps_list]),
-                           np.log([m.parameter for m in members]), 1)[0]
-        members = [replace(m, certificates={**m.certificates,
-                                            "theta_growth_slope": float(slope)})
-                   for m in members]
     return CounterexampleFamily(kind, tuple(members), params)
 
 
@@ -437,8 +429,6 @@ def _boundary_atom(eps, p, cfg):
 
 def _trace_norm_sq(base: BoundaryData) -> float:
     """Discrete boundary L2 norm squared of the base samples."""
-    if base.boundary_dim == 0:
-        return float(base.samples ** 2)
     return float(np.sum(base.samples ** 2)) * base.spacing ** base.boundary_dim
 
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from phaselab.cli import main as cli_main
 from phaselab.families import FAMILY_PARAMS
 from phaselab.fieldio import load_field, save_field
-from phaselab.runner import (_RULES, CSV_COLUMNS, DEFAULTS, EXPERIMENTS,
-                             expand_config, run, validate)
+from phaselab.runner import (_EXPERIMENTS, _RULES, CSV_COLUMNS, DEFAULTS,
+                             EXPERIMENTS, RUNNERS, expand_config, run,
+                             validate)
 
 
 def test_validate_unknown_experiment():
@@ -48,6 +49,34 @@ def test_runner_family_defaults_are_the_family_table(experiment, kind):
                       if k != "n" and v is not None}
     for key in shared:
         assert params[key] == table[key], key
+
+
+def test_experiment_names_agree_and_default_n_runs():
+    # the three public views of the experiment table list the same names
+    # in the same order, and each default dimension is one its experiment
+    # runs in
+    assert list(EXPERIMENTS) == list(DEFAULTS) == list(RUNNERS)
+    for name in EXPERIMENTS:
+        fn, dims, defaults = _EXPERIMENTS[name]
+        assert RUNNERS[name] is fn and DEFAULTS[name] is defaults
+        assert defaults["n"] in dims, name
+
+
+def test_run_dispatches_through_the_runners_dict(tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps the values of RUNNERS, so run() must call
+    # an experiment through that dict
+    row = {c: "" for c in CSV_COLUMNS}
+    row.update(experiment="tanh_calibration", n=1, eps=0.1, S_eps=0.25)
+
+    def stub(cfg):
+        return [row], [], []
+    monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
+    out = tmp_path / "out"
+    assert run({"experiment": "tanh_calibration", "output_dir": str(out)}
+               ).passed
+    assert (out / "sweep.csv").read_text().splitlines() == [
+        ",".join(CSV_COLUMNS),
+        "tanh_calibration,1,0.1,,,0.25" + "," * (len(CSV_COLUMNS) - 6)]
 
 
 def test_validate_complete_config_ok():
@@ -389,6 +418,14 @@ def test_validate_rejects_unknown_keys(config, key):
                        "probe_radii": [0.25, -0.1]}, "params.probe_radii"),
     ("boundary_atom", {"L": 0.5, "unit_spacing": 0.125,
                        "probe_radii": [0.25, 0.0]}, "params.probe_radii"),
+    # an excess set of zero width, swapped interfaces, one outside the box
+    ("neumann_layer", {"interfaces": [1.0, 1.0]}, "params.interfaces"),
+    ("neumann_layer", {"interfaces": [1.7, 0.7]}, "params.interfaces"),
+    ("neumann_layer", {"interfaces": [0.7, 3.0]}, "params.interfaces"),
+    ("neumann_layer", {"interfaces": [0.0, 1.7]}, "params.interfaces"),
+    ("neumann_layer", {"L": 1.5}, "params.interfaces"),
+    ("unbounded", {"slope_window": [0.7, 0.3]}, "params.slope_window"),
+    ("unbounded", {"slope_window": [0.5, 0.5]}, "params.slope_window"),
 ])
 def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
                                                   tmp_path, monkeypatch):
@@ -422,6 +459,35 @@ def test_shipped_configs_and_benchmark_runs_validate():
     assert len(configs) == 13
     for name, cfg in configs.items():
         assert validate(cfg) == [], name
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_names_each_cross_key_error(command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "experiment": "neumann_layer", "eps_list": [0.064],
+        "params": {"interfaces": [1.7, 0.7]},
+        "output_dir": str(tmp_path / "out")}))
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith(f"error: {path}: ") for e in err)
+    assert "neumann_layer needs at least 2 eps values" in err[0]
+    assert "params.interfaces must satisfy" in err[1]
+    assert not (tmp_path / "out").exists()
+
+
+def test_theta_polynomial_is_the_fitted_slope_of_the_sweep(acceptance_runs):
+    # the slope of log theta against log 1/eps, with theta read back from
+    # the run's own sweep.csv
+    summary, out = acceptance_runs["boundary_atom"]
+    lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    eps = [float(r["eps"]) for r in rows]
+    theta = [float(r["theta_or_omega"]) for r in rows]
+    slope = np.polyfit(np.log([1 / e for e in eps]), np.log(theta), 1)[0]
+    value = {a.id: a.value for a in summary.assertions}["atom.theta_polynomial"]
+    assert len(rows) == 3 and value == slope
 
 
 def test_penalty_rows_carry_the_penalized_functional(acceptance_runs):
