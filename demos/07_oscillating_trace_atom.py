@@ -24,7 +24,7 @@ print(f"frequency {data.meta['frequency']:.0f}, "
       f"scale {data.meta['scale']:.3f}, "
       f"seminorm {data.meta['seminorm']:.4f} (target {S_prime})")
 print(f"0 <= h <= {data.samples.max():.4f} <= delta = {delta}")
-print(f"independent recomputation: {h_half_seminorm(data):.4f}")
+print(f"recomputed: {h_half_seminorm(data):.4f}")
 
 family = build_family(
     "oscillation_atom",

@@ -514,68 +514,66 @@ def seminorm_constant(boundary_dim: int) -> float:
                      f"{boundary_dim}")
 
 
-#: Rows of the pair block summed at once on a two-dimensional face.
-SEMINORM_CHUNK = 2048
-
-
 def h_half_seminorm(bd: BoundaryData) -> float:
     """Squared half-order trace seminorm of compactly supported face data.
 
     Double sum over distinct node pairs of
     ``c_d |h(x) - h(y)|^2 / |x - y|^(d+1)`` times the squared cell measure,
-    where d is the face dimension; the diagonal is excluded.  On uniform
-    one-dimensional faces the pair sum is regrouped by node offset and the
-    per-offset pieces come from an FFT autocorrelation (same summands,
-    O(N log N)); two-dimensional faces use chunked direct summation.  Both
-    paths are deterministic for fixed inputs.
+    where d is the face dimension; the diagonal is excluded.  On 1D and 2D
+    faces alike the pair sum is regrouped by node offset and the
+    per-offset pieces come from one FFT autocorrelation (same summands,
+    O(N log N)); the result is deterministic for fixed inputs.
     """
     d = bd.boundary_dim
-    kernel_power = d + 1
-    const = seminorm_constant(d)
     measure = bd.spacing ** d
-    if d == 1:
-        total = _pair_sum_uniform_1d(bd.samples, bd.spacing, kernel_power)
-        return const * total * measure * measure
-    mesh = np.meshgrid(*bd.coords, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = bd.samples.ravel()
-    total = 0.0
-    m = len(vals)
-    for start in range(0, m, SEMINORM_CHUNK):
-        sl = slice(start, min(start + SEMINORM_CHUNK, m))
-        diff = pts[sl, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        dv = vals[sl, None] - vals[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = dv * dv / dist ** kernel_power
-        k[~np.isfinite(k)] = 0.0
-        total += float(np.sum(k))
-    return const * total * measure * measure
+    return (seminorm_constant(d) * _pair_sum_uniform(bd.samples, bd.spacing)
+            * measure * measure)
 
 
-def _pair_sum_uniform_1d(vals: np.ndarray, spacing: float, power: int) -> float:
-    """``sum_{i != j} (v_i - v_j)^2 / (|i - j| spacing)^power`` for uniform
-    node positions, grouped by offset ``m = |i - j|``:
+def _pair_sum_uniform(vals: np.ndarray, spacing: float) -> float:
+    """``sum_{i != j} (v_i - v_j)^2 / (|i - j| spacing)^(d+1)`` over the
+    nodes of a uniform d-dimensional box, grouped by offset ``m = j - i``:
 
-        sum = 2 * sum_m S_m / (m spacing)^power,
-        S_m = sum_i (v_{i+m} - v_i)^2,
+        S_m = sum_i (v_{i+m} - v_i)^2 = A(m) + A(-m) - 2 C(m),
 
-    with all S_m obtained from one FFT autocorrelation."""
+    with C the autocorrelation of v (one zero-padded FFT pair) and A(m)
+    the sum of v^2 over the nodes i with i + m in the box.  As
+    ``S_{-m} = S_m``, only offsets with ``m_0 >= 0`` are formed and those
+    with ``m_0 > 0`` count twice.  Each S_m is clipped at zero against
+    round-off."""
     v = np.asarray(vals, dtype=float)
-    nv = len(v)
-    if nv < 2:
-        return 0.0
-    total_sq = float(np.sum(v * v))
-    csum = np.cumsum(v * v)
-    size = 1 << int(np.ceil(np.log2(2 * nv)))
-    fv = np.fft.rfft(v, size)
-    corr = np.fft.irfft(fv * np.conj(fv), size)[:nv]
-    m = np.arange(1, nv)
-    head = csum[m - 1]
-    tail = total_sq - csum[nv - 1 - m]
-    s_m = (total_sq - head) + (total_sq - tail) - 2.0 * corr[m]
-    s_m = np.maximum(s_m, 0.0)
-    return float(np.sum(2.0 * s_m / (m * spacing) ** power))
+    axes = tuple(range(v.ndim))
+    size = [1 << int(np.ceil(np.log2(2 * n))) for n in v.shape]
+    fv = np.fft.rfftn(v, size, axes)
+    corr = np.fft.irfftn(fv * np.conj(fv), size, axes)
+    offsets = [np.arange(1 - n, n) for n in v.shape]
+    offsets[0] = np.arange(v.shape[0])
+    a_pos = a_neg = v * v
+    for axis, m in enumerate(offsets):
+        lead, trail = np.maximum(-m, 0), np.maximum(m, 0)
+        a_pos = _trimmed_sums(a_pos, axis, lead, trail)
+        a_neg = _trimmed_sums(a_neg, axis, trail, lead)
+    wrapped = np.ix_(*[m % k for m, k in zip(offsets, size)])
+    s_m = np.maximum(a_pos + a_neg - 2.0 * corr[wrapped], 0.0)
+    grids = np.ix_(*offsets)
+    dist = np.sqrt(sum(g * g for g in grids)) * spacing
+    weighted = np.where(grids[0] > 0, 2.0, 1.0) * s_m
+    terms = np.divide(weighted, dist ** (v.ndim + 1),
+                      out=np.zeros_like(weighted), where=dist > 0)
+    return float(np.sum(terms))
+
+
+def _trimmed_sums(w: np.ndarray, axis: int, lead: np.ndarray,
+                  trail: np.ndarray) -> np.ndarray:
+    """Sums of ``w`` along ``axis`` without its first ``lead`` and last
+    ``trail`` entries, one per entry of ``lead``/``trail``, which replace
+    that axis.  Each is the axis total less the two cut-off ends, so a
+    short cut carries the rounding of the total, not of a long prefix."""
+    head = np.insert(np.cumsum(w, axis=axis), 0, 0.0, axis=axis)
+    tail = np.insert(np.cumsum(np.flip(w, axis), axis=axis), 0, 0.0,
+                     axis=axis)
+    return (np.sum(w, axis=axis, keepdims=True)
+            - np.take(head, lead, axis=axis) - np.take(tail, trail, axis=axis))
 
 
 #: Start frequency of the oscillating data, the fewest face nodes per

@@ -240,7 +240,7 @@ THRESHOLDS = {
         ("oscillation.seminorm_hi", "<=", 1.1 * 0.1),
         ("oscillation.floor", ">=", 1.0 - 2.0 * 0.15 - 1e-6),
         # 0.9 times the seminorm of the constructed data
-        ("oscillation.dirichlet_bound", ">=", 0.09449999999999983),
+        ("oscillation.dirichlet_bound", ">=", 0.0944999999999999),
         ("oscillation.willmore_zero", "<=", 1e-6),
     ],
     "neumann_layer": [

@@ -326,25 +326,64 @@ def test_seminorm_zero():
     assert h_half_seminorm(zero) == 0.0
 
 
-def test_seminorm_matches_direct_sum():
-    bd = make_bd(N=129)
-    xs = bd.coords[0]
-    X = xs[:, None] - xs[None, :]
-    V = bd.samples[:, None] - bd.samples[None, :]
-    np.fill_diagonal(X, 1.0)
-    K = V ** 2 / np.abs(X) ** 2
+def make_2d_bd(shape):
+    # one spacing on both axes, the window centred off the face centre on
+    # the non-square face, and an oscillation that no axis flip maps to itself
+    h = 3.0 / 24
+    xs, ys = (-1.5 + h * np.arange(n) for n in shape)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    r2 = X ** 2 + Y ** 2
+    vals = np.where(r2 < 1.0, np.exp(-r2) * (1 - r2) ** 2
+                    * (1.0 + np.sin(5.0 * X + 2.0 * Y)), 0.0)
+    return BoundaryData((xs, ys), vals, h, support_radius=1.0)
+
+
+def direct_pair_sum(bd):
+    # O(N^2) reference: every ordered pair of distinct nodes
+    pts = np.stack([m.ravel() for m in np.meshgrid(*bd.coords,
+                                                   indexing="ij")], axis=-1)
+    vals = bd.samples.ravel()
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    np.fill_diagonal(dist, 1.0)
+    K = (vals[:, None] - vals[None, :]) ** 2 / dist ** (bd.boundary_dim + 1)
     np.fill_diagonal(K, 0.0)
-    direct = seminorm_constant(1) * K.sum() * bd.spacing ** 2
-    assert h_half_seminorm(bd) == pytest.approx(direct, rel=1e-12)
+    return (seminorm_constant(bd.boundary_dim) * K.sum()
+            * bd.spacing ** (2 * bd.boundary_dim))
 
 
-def test_seminorm_homogeneity():
-    bd = make_bd()
+REFERENCE_FACES = {"1d_129": lambda: make_bd(N=129),
+                   "2d_25x25": lambda: make_2d_bd((25, 25)),
+                   "2d_17x33": lambda: make_2d_bd((17, 33))}
+
+
+@pytest.mark.parametrize("face", sorted(REFERENCE_FACES))
+def test_seminorm_matches_direct_sum(face):
+    bd = REFERENCE_FACES[face]()
+    assert h_half_seminorm(bd) == pytest.approx(direct_pair_sum(bd),
+                                                rel=1e-13)
+
+
+@pytest.mark.parametrize("face", sorted(REFERENCE_FACES))
+def test_seminorm_flip_invariance(face):
+    bd = REFERENCE_FACES[face]()
+    semi = h_half_seminorm(bd)
+    for axis in range(bd.boundary_dim):
+        flipped = BoundaryData(bd.coords, np.flip(bd.samples, axis),
+                               bd.spacing)
+        assert h_half_seminorm(flipped) == pytest.approx(semi, rel=1e-13)
+
+
+@pytest.mark.parametrize("face", ["1d", "2d"])
+def test_seminorm_homogeneity(face):
+    bd = make_bd() if face == "1d" else make_2d_bd((25, 25))
     s1 = h_half_seminorm(bd)
     s2 = h_half_seminorm(bd.scaled(2.0))
     assert s2 == pytest.approx(4.0 * s1, rel=1e-14)
     s3 = h_half_seminorm(bd.scaled(0.3))
     assert s3 == pytest.approx(0.09 * s1, rel=1e-12)
+    # harmonic-extension normalization: 1/(2 pi) on 1D, 1/(4 pi) on 2D faces
+    assert seminorm_constant(bd.boundary_dim) == pytest.approx(
+        1.0 / (2 * np.pi * bd.boundary_dim))
 
 
 def test_seminorm_oscillation_growth():

@@ -1,6 +1,6 @@
 """Three-dimensional coverage: the modules advertise n in {1, 2, 3}; these
 exercise the 3D code paths at small sizes, plus one half-space solve at
-acceptance size."""
+acceptance size and one oscillation_atom run end to end."""
 
 import numpy as np
 import pytest
@@ -14,14 +14,9 @@ from phaselab.energy import (
     standard_potential,
     willmore_eps,
 )
-from phaselab.families import (
-    BoundaryData,
-    build_oscillating_boundary,
-    bump,
-    h_half_seminorm,
-    seminorm_constant,
-)
+from phaselab.families import build_oscillating_boundary, bump
 from phaselab.grid import make_half_space_grid
+from phaselab.runner import run
 from phaselab.solver import SolveConfig, solve_half_space
 
 
@@ -83,21 +78,6 @@ def test_3d_hoelder_offsets():
     assert probe.quotient == pytest.approx(np.hypot(0.5, 0.25), rel=1e-9)
 
 
-def test_2d_face_seminorm_direct_path():
-    # n = 3: the face is two-dimensional, kernel exponent 3, chunked sum
-    xs = np.linspace(-1.5, 1.5, 25)
-    h = xs[1] - xs[0]
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    r2 = X ** 2 + Y ** 2
-    vals = np.where(r2 < 1.0, np.exp(-r2) * (1 - r2) ** 2, 0.0)
-    bd = BoundaryData((xs, xs), vals, h, support_radius=1.0)
-    semi = h_half_seminorm(bd)
-    assert semi > 0
-    # scaling homogeneity holds on the 2D path too
-    assert h_half_seminorm(bd.scaled(2.0)) == pytest.approx(4 * semi, rel=1e-12)
-    assert seminorm_constant(2) == pytest.approx(1.0 / (4 * np.pi))
-
-
 def test_3d_oscillating_boundary():
     g, _ = make_half_space_grid(3, 1.5, 1 / 16, 1.0)
     bd = build_oscillating_boundary(0.002, 0.1, g)
@@ -106,3 +86,15 @@ def test_3d_oscillating_boundary():
     assert bd.samples.max() <= 0.1
     r = bd.radii()
     assert np.all(bd.samples[r > 1.0] == 0.0)
+
+
+def test_3d_oscillation_atom_run_passes(tmp_path):
+    # n = 3: the trace seminorm is summed on a 129x129 face; the shipped
+    # 2D target S_prime 0.1 needs a finer face than unit_spacing 1/32
+    summary = run({"experiment": "oscillation_atom", "n": 3,
+                   "output_dir": str(tmp_path),
+                   "params": {"unit_spacing": 1 / 32, "S_prime": 0.02,
+                              "delta": 0.15, "R": 2.0,
+                              "residual_tol": 1e-6}})
+    assert len(summary.assertions) == 5
+    assert summary.passed, [a.id for a in summary.assertions if not a.passed]
