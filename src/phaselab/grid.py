@@ -63,9 +63,9 @@ class Grid:
     shape : tuple of int
         Nodes per axis, each >= 3, at most ``DEFAULT_CELL_BUDGET`` in all.
     spacing : float
-        Uniform mesh width, > 0.
+        Uniform mesh width, finite and > 0.
     origin : tuple of float
-        Physical coordinate of node ``(0, ..., 0)``.
+        Finite physical coordinate of node ``(0, ..., 0)``.
     """
 
     shape: tuple[int, ...]
@@ -73,8 +73,11 @@ class Grid:
     origin: tuple[float, ...]
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite, got "
+                             f"{self.spacing}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         if len(self.shape) != len(self.origin):
             raise ValueError("shape and origin must have equal length")
         if not 1 <= len(self.shape) <= 3:
@@ -171,10 +174,10 @@ def make_half_space_grid(n: int, R: float, spacing: float, far_value: float):
     """
     if n not in (1, 2, 3):
         raise ValueError(f"n must be 1, 2 or 3, got {n}")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     if R < 4 * spacing:
         raise ValueError(f"R = {R} is below the minimum 4 * spacing = {4 * spacing}")
 

@@ -27,11 +27,12 @@ neighbour sum of ``energy`` on a zero-bordered buffer: one pass for the
 diagonal term and one per neighbour, with Newton's ``diag(d)`` folded
 into the diagonal term.  The residual ``r`` at interior nodes takes the
 same neighbour sum of the full array, so the Dirichlet data enter through
-the face layers.  The
-orthonormal type-I discrete sine transform diagonalizes ``A`` exactly
-(fast diagonalization, Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson
-1970), so the semi-implicit step, in correction form
-``u+ = u - (s I + A)^{-1} r``, costs one forward and one inverse DST-I.
+the face layers.  Along each axis an orthonormal discrete sine transform
+diagonalizes ``A`` exactly (fast diagonalization, Lynch, Rice & Thomas
+1964; Buzbee, Golub & Nielson 1970); one table, ``_AXIS_KINDS``, maps an
+axis's two face roles to its type and eigenvalues.  So the semi-implicit
+step, in correction form ``u+ = u - (s I + A)^{-1} r``, costs one
+forward and one inverse transform per type present.
 Newton systems ``(A + diag(max(W'', 0))) d = -r`` are solved by ``cg``,
 phaselab's own preconditioned conjugate-gradient loop (SciPy's recurrence,
 bit for bit, on plain callables), at relative tolerance ``LINEAR_RTOL``,
@@ -53,13 +54,12 @@ result back to the full grid.  On a folded axis the 1D operator is
 symmetric only in the inner product that gives the centre layer weight
 1/2, so CG runs on ``y = D x`` with D = 1/sqrt(2) on the centre layer of
 each folded axis: its operator ``D A D^{-1}`` is symmetric, and the
-orthonormal DST-III diagonalizes it along that axis, with eigenvalues
+table's DST-III diagonalizes it along that axis, with eigenvalues
 ``(2 - 2 cos(pi (2j + 1) / (2M))) / h^2``, j = 0..M-1 (the symmetric
-DST-I modes of the full axis).  The other axes keep the DST-I.  The link
-energy gives a centre-layer node, and a link lying in a centre layer,
-weight 1/2, and doubles the sum per folded axis, so it stays the energy of
-the full field.  In 3D both tangential axes fold, which quarters the
-unknowns.
+DST-I modes of the full axis).  The link energy gives a centre-layer
+node, and a link lying in a centre layer, weight 1/2, and doubles the sum
+per folded axis, so it stays the energy of the full field.  In 3D both
+tangential axes fold, which quarters the unknowns.
 
 ``solve_half_space`` is the one entry point.  ``SolveConfig`` holds the
 stopping rule (``residual_tol``, ``max_iterations``); the start field is
@@ -81,8 +81,8 @@ from scipy.sparse.linalg import splu
 
 from .energy import (Potential, ScalarField, STANDARD, _at, equation_layers,
                      half_space_energy, interior_neighbour_sum)
-from .grid import (HIGH, Grid, NeumannZero, face_coords, face_radii,
-                   half_space_roles)
+from .grid import (HIGH, LOW, Dirichlet, Grid, NeumannZero, face_coords,
+                   face_radii, half_space_roles)
 
 __all__ = [
     "SolveConfig",
@@ -108,6 +108,17 @@ NEWTON_BURN_IN = 2
 
 SQRT2 = 2.0 ** 0.5
 SQRT_HALF = 1.0 / SQRT2
+
+#: Axis kind by the types of its (low, high) face roles: the type of the
+#: orthonormal DST that diagonalizes its symmetrized 1D second difference,
+#: and the angles of its eigenvalues ``(2 - 2 cos(angle)) / h^2`` for k
+#: unknowns, in that DST's order.  Forward transforms run in table order.
+_AXIS_KINDS = {
+    (Dirichlet, NeumannZero):
+        (3, lambda k: np.pi * (2 * np.arange(k) + 1) / (2 * k)),
+    (Dirichlet, Dirichlet):
+        (1, lambda k: np.pi * np.arange(1, k + 1) / (k + 1)),
+}
 
 
 class InvalidBoundaryError(ValueError):
@@ -183,6 +194,7 @@ def _centre_weighted_sum(f: np.ndarray, axes: tuple) -> float:
 class _DirichletProblem:
     """Unknown-node view of A = -lap_h with eliminated Dirichlet layers.
 
+    ``transforms`` holds (DST type, axes) per ``_AXIS_KINDS`` row present.
     An axis whose high face is NeumannZero is folded: its last layer is the
     centre of a mirror-symmetric problem, an unknown layer closed by the
     mirror ghost.  ``matvec``, ``shifted_solve`` and ``sparse_matrix`` act
@@ -197,10 +209,19 @@ class _DirichletProblem:
         self.h = grid.spacing
         self.inner = equation_layers(grid.shape, roles)
         self.int_shape = tuple(s.stop - 1 for s in self.inner)
+        kinds = [_AXIS_KINDS[type(roles[(a, LOW)]), type(roles[(a, HIGH)])]
+                 for a in range(grid.n)]
+        self.transforms = tuple(
+            (kind[0], axes) for kind in _AXIS_KINDS.values()
+            if (axes := tuple(a for a in range(grid.n) if kinds[a] is kind)))
         self.folded = tuple(a for a in range(grid.n)
                             if isinstance(roles[(a, HIGH)], NeumannZero))
-        self.plain = tuple(a for a in range(grid.n) if a not in self.folded)
-        self.eigenvalues = self._eigenvalues()
+        # eigenvalues of S: sum in axis order of (2 - 2 cos(angles)) / h^2
+        lam = np.zeros(self.int_shape)
+        for a, (k, (_, angles)) in enumerate(zip(self.int_shape, kinds)):
+            lam = lam + ((2.0 - 2.0 * np.cos(angles(k))) / (self.h * self.h)
+                         ).reshape((k,) + (1,) * (grid.n - 1 - a))
+        self.eigenvalues = lam
         # dtype -> (s, s + eigenvalues in dtype) for the last shift s that
         # shifted_solve was given in that dtype; the semi-implicit shift and
         # the Newton preconditioner's shift alternate, one per dtype
@@ -265,23 +286,6 @@ class _DirichletProblem:
             A = T if A is None else sp.kronsum(T, A)
         return A.tocsr()
 
-    def _eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of S on ``int_shape``: the sum over axes of
-        ``(2 - 2 cos(pi j / (k + 1))) / h^2``, j = 1..k, in DST-I order, or
-        on a folded axis ``(2 - 2 cos(pi (2j + 1) / (2k))) / h^2``,
-        j = 0..k-1, in DST-III order."""
-        h2 = self.h * self.h
-        lam = np.zeros(self.int_shape)
-        for a, k in enumerate(self.int_shape):
-            if a in self.folded:
-                angle = np.pi * (2 * np.arange(k) + 1) / (2 * k)
-            else:
-                angle = np.pi * np.arange(1, k + 1) / (k + 1)
-            shape = [1] * len(self.int_shape)
-            shape[a] = k
-            lam = lam + ((2.0 - 2.0 * np.cos(angle)) / h2).reshape(shape)
-        return lam
-
     def interior(self, full_values: np.ndarray) -> np.ndarray:
         return full_values[self.inner].ravel()
 
@@ -310,24 +314,20 @@ class _DirichletProblem:
                       dtype=np.float64) -> np.ndarray:
         """Solve (s I + S) y = rhs by fast diagonalization, with the
         transforms and the division in ``dtype``: exact to rounding in
-        float64, to float32 rounding in float32.  Returns float64.  The
-        orthonormal DST-I diagonalizes S along a plain axis, the DST-III
-        along a folded one."""
+        float64, to float32 rounding in float32.  Returns float64.  One
+        ``dstn`` per group of ``transforms`` forward, and one ``idstn`` per
+        group in reverse order back."""
         shift, shifted = self._shifted.get(dtype, (None, None))
         if s != shift:
             shifted = (s + self.eigenvalues).astype(dtype, copy=False)
             self._shifted[dtype] = (s, shifted)
         r = rhs.reshape(self.int_shape).astype(dtype, copy=False)
-        if self.folded:
-            r = dstn(r, type=3, axes=self.folded, norm="ortho")
-        r = dstn(r, type=1, axes=self.plain, norm="ortho",
-                 overwrite_x=bool(self.folded))
+        for i, (t, axes) in enumerate(self.transforms):
+            r = dstn(r, type=t, axes=axes, norm="ortho", overwrite_x=i > 0)
         r /= shifted
-        x = idstn(r, type=1, axes=self.plain, norm="ortho", overwrite_x=True)
-        if self.folded:
-            x = idstn(x, type=3, axes=self.folded, norm="ortho",
-                      overwrite_x=True)
-        return x.ravel().astype(np.float64, copy=False)
+        for t, axes in reversed(self.transforms):
+            r = idstn(r, type=t, axes=axes, norm="ortho", overwrite_x=True)
+        return r.ravel().astype(np.float64, copy=False)
 
     def newton_solve(self, w2: np.ndarray, rhs: np.ndarray,
                      rtol: float) -> np.ndarray:

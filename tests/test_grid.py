@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -72,6 +74,16 @@ def test_construction_errors():
         make_half_space_grid(3, 10.0, 0.01, 1.0)    # 2001 x 2001 x 1001
     with pytest.raises(ValueError):
         Grid((2, 5), 0.1, (0.0, 0.0))               # < 3 nodes on an axis
+    # a non-finite spacing, R or origin is named, not gridded or overflowed
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"spacing .* got {bad}"):
+            Grid((3, 3), bad, (0.0, 0.0))
+        with pytest.raises(ValueError, match=f"spacing .* got {bad}"):
+            make_half_space_grid(2, 1.0, bad, 1.0)
+        with pytest.raises(ValueError, match=f"R .* got {bad}"):
+            make_half_space_grid(2, bad, 0.25, 1.0)
+        with pytest.raises(ValueError, match=rf"origin .* got \(0.0, {bad}\)"):
+            Grid((3, 3), 0.1, (0.0, bad))
 
 
 def test_every_grid_has_one_node_budget():

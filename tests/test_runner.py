@@ -225,6 +225,22 @@ def test_load_field_rejects_a_version_1_header(tmp_path):
         load_field(base)
 
 
+def test_load_field_rejects_a_nan_spacing(tmp_path):
+    # json.load reads the NaN literal; the grid must refuse it
+    from phaselab.energy import ScalarField
+    g, roles = _half_space_faces()
+    base = str(tmp_path / "f")
+    save_field(ScalarField(g, np.ones(g.shape), roles), base)
+    with open(base + ".json") as fh:
+        header = json.load(fh)
+    header["grid"]["spacing"] = float("nan")
+    with open(base + ".json", "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(ValueError, match="spacing must be positive and "
+                                         "finite, got nan"):
+        load_field(base)
+
+
 def test_load_field_rejects_a_free_face(tmp_path):
     from phaselab.energy import ScalarField
     g, roles = _half_space_faces()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dst
 from scipy.sparse.linalg import splu
 
 from phaselab.energy import (
@@ -15,6 +16,7 @@ from dataclasses import fields
 from phaselab.grid import (Grid, NeumannZero, face_radii, half_space_roles,
                            make_half_space_grid)
 from phaselab.solver import (
+    _AXIS_KINDS,
     _DirichletProblem,
     LINEAR_RTOL,
     InvalidBoundaryError,
@@ -368,6 +370,49 @@ def test_folded_shifted_solve_is_the_full_solve_of_mirrored_data(
     x_half = half.unweigh(half.shifted_solve(
         shift, half.weigh(rhs[part].ravel()))).reshape(half.int_shape)
     assert np.max(np.abs(x_half - x[part])) <= 1e-13 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("roles", list(_AXIS_KINDS))
+def test_each_axis_kind_diagonalizes_its_dense_1d_operator(roles):
+    # the 1D second difference of k unknowns between the two faces: the
+    # mirror row of a NeumannZero high face reads -2 u[k-2]; D = 1/sqrt(2)
+    # on that layer makes D T D^-1 symmetric
+    t, angles = _AXIS_KINDS[roles]
+    for k in range(2, 18):
+        T = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+        d = np.ones(k)
+        if roles[1] is NeumannZero:
+            T[-1, -2] = -2.0
+            d[-1] = 1.0 / math.sqrt(2.0)
+        S = d[:, None] * T / d[None, :]
+        assert np.max(np.abs(S - S.T)) <= 1e-15
+        # the rows of Q are the orthonormal transform of the unit vectors
+        Q = dst(np.eye(k), type=t, norm="ortho", axis=0)
+        assert np.max(np.abs(Q @ Q.T - np.eye(k))) <= 1e-13
+        lam = 2.0 - 2.0 * np.cos(angles(k))
+        assert np.max(np.abs(Q @ S @ Q.T - np.diag(lam))) <= 1e-13
+
+
+@pytest.mark.parametrize("n, folded, calls",
+                         [(2, False, 1), (2, True, 2), (3, True, 2)],
+                         ids=["2d", "2d-folded", "3d-folded"])
+def test_shifted_solve_transforms_once_per_dst_type(n, folded, calls,
+                                                    monkeypatch):
+    # one dstn and one idstn per DST type present, however many axes it
+    # spans: each call costs tens of microseconds of dispatch, and the
+    # Newton preconditioner solves once per CG iteration
+    import phaselab.solver as solver_mod
+    prob = _problem(*INTERIORS[n - 1], folded)
+    assert len(prob.folded) == (n - 1 if folded else 0)
+    counts = {"dstn": 0, "idstn": 0}
+    for name in counts:
+        def counted(*args, name=name, transform=getattr(solver_mod, name),
+                    **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        monkeypatch.setattr(solver_mod, name, counted)
+    prob.shifted_solve(1.0, np.ones(math.prod(prob.int_shape)))
+    assert counts == {"dstn": calls, "idstn": calls}
 
 
 @pytest.mark.parametrize("n, R, spacing", INTERIORS)
