@@ -176,7 +176,11 @@ def _as_points(obj) -> np.ndarray:
     return pts
 
 
-def hausdorff_distance(A, B, chunk: int = 4096) -> float:
+#: Rows of each block of distances ``hausdorff_distance`` forms at once.
+HAUSDORFF_CHUNK = 4096
+
+
+def hausdorff_distance(A, B) -> float:
     """Symmetric Hausdorff distance between two point clouds (or level-set
     cell collections via their centers).  Empty input raises EmptySetError.
     """
@@ -192,8 +196,8 @@ def hausdorff_distance(A, B, chunk: int = 4096) -> float:
         # metric sums them; sqrt is monotone and correctly rounded, so
         # taking it of the row minima alone gives the same bits
         worst = 0.0
-        for start in range(0, len(p), chunk):
-            block = p[start:start + chunk]
+        for start in range(0, len(p), HAUSDORFF_CHUNK):
+            block = p[start:start + HAUSDORFF_CHUNK]
             d2 = np.subtract.outer(block[:, 0], q[:, 0])
             d2 *= d2
             for k in range(1, p.shape[1]):

@@ -85,7 +85,7 @@ BUMP_SHAPES = ("exp_decay", "compact_bump")
 
 class BracketFailureError(RuntimeError):
     """The energy-vs-theta curve cannot reach the requested target below
-    the configured theta ceiling (grid or truncation radius too small)."""
+    the theta ceiling THETA_MAX (grid or truncation radius too small)."""
 
 
 class ResolutionExhaustedError(RuntimeError):
@@ -207,34 +207,31 @@ def f_of_theta(theta: float, base: BoundaryData, potential: Potential,
     return result.final_energy
 
 
-#: Relative accuracy of the theta root-find; a ``rel_offset`` must stay
-#: strictly inside it.
+#: Relative accuracy of the theta root-find (a ``rel_offset`` must stay
+#: strictly inside it), and the ceiling of its bracket.
 THETA_REL_TOL = 5e-3
+THETA_MAX = 1e4
 
 
-def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
+def find_theta_for_mass(target: float, base: BoundaryData,
                         potential: Potential, grid: Grid, cfg: SolveConfig,
                         cache: dict[float, SolveResult] | None = None,
-                        rel_offset: float = 0.0,
-                        theta_max: float = 1e4) -> float:
-    """Theta with ``f(theta) = S * eps^(1-n)`` to relative accuracy
-    ``THETA_REL_TOL``.
+                        rel_offset: float = 0.0) -> float:
+    """Theta with ``f(theta) = target``, a unit-scale energy (``c0 S
+    eps^(1-n)`` for diffuse mass S), to relative accuracy THETA_REL_TOL.
 
-    ``S`` is a unit-scale energy target (callers aiming at a diffuse-mass
-    value multiply by c0 first).  The root is found by bracketing with
-    doublings (justified by the growth bound ``f(2 theta) <= 16 f(theta)``)
-    followed by a safeguarded secant iteration on the strictly increasing
-    cached map.  ``rel_offset`` shifts the target to
-    ``S eps^(1-n) (1 + rel_offset)`` and must stay below THETA_REL_TOL; it
-    gives penalty-schedule experiments a deterministic landing point inside
-    the contractual tolerance band.
+    The root is found by bracketing with doublings up to THETA_MAX
+    (justified by the growth bound ``f(2 theta) <= 16 f(theta)``) followed
+    by a safeguarded secant iteration on the strictly increasing cached
+    map.  ``rel_offset`` shifts the aim to ``target (1 + rel_offset)`` and
+    must stay below THETA_REL_TOL; it gives penalty-schedule experiments a
+    deterministic landing point inside the contractual tolerance band.
     """
-    if S <= 0 or eps <= 0:
-        raise ValueError("S and eps must be positive")
+    if not target > 0:
+        raise ValueError(f"target must be positive, got {target!r}")
     if abs(rel_offset) >= THETA_REL_TOL:
         raise ValueError("rel_offset must be smaller than THETA_REL_TOL")
-    target_contract = S * eps ** (1 - n)
-    target = target_contract * (1.0 + rel_offset)
+    aim = target * (1.0 + rel_offset)
     if rel_offset:
         inner_tol = max(abs(rel_offset) / 10.0, 1e-12)
     else:
@@ -245,9 +242,9 @@ def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
         return f_of_theta(th, base, potential, grid, cfg, cache)
 
     lo, f_lo = 1.0, f(1.0)
-    if f_lo >= target:
+    if f_lo >= aim:
         hi, f_hi = lo, f_lo
-        while f_lo >= target:
+        while f_lo >= aim:
             lo *= 0.5
             if lo < 1e-8:
                 raise BracketFailureError("target energy below reach of any "
@@ -256,35 +253,35 @@ def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
     else:
         hi = 2.0
         f_hi = f(hi)
-        while f_hi < target:
+        while f_hi < aim:
             lo, f_lo = hi, f_hi
             hi *= 2.0
-            if hi > theta_max:
+            if hi > THETA_MAX:
                 raise BracketFailureError(
-                    f"f(theta) cannot reach {target:.4g} below the ceiling "
-                    f"theta_max = {theta_max}")
+                    f"f(theta) cannot reach {aim:.4g} below the ceiling "
+                    f"THETA_MAX = {THETA_MAX}")
             f_hi = f(hi)
 
-    best_th, best_err = (lo, abs(f_lo - target)) \
-        if abs(f_lo - target) < abs(f_hi - target) else (hi, abs(f_hi - target))
+    best_th, best_err = (lo, abs(f_lo - aim)) \
+        if abs(f_lo - aim) < abs(f_hi - aim) else (hi, abs(f_hi - aim))
     for _ in range(80):
-        if best_err <= inner_tol * target_contract:
+        if best_err <= inner_tol * target:
             break
-        th = lo + (target - f_lo) * (hi - lo) / (f_hi - f_lo)
+        th = lo + (aim - f_lo) * (hi - lo) / (f_hi - f_lo)
         th = min(max(th, lo + 0.02 * (hi - lo)), hi - 0.02 * (hi - lo))
         f_th = f(th)
-        err = abs(f_th - target)
+        err = abs(f_th - aim)
         if err < best_err:
             best_th, best_err = th, err
-        if f_th < target:
+        if f_th < aim:
             lo, f_lo = th, f_th
         else:
             hi, f_hi = th, f_th
 
-    if abs(f(best_th) - target_contract) > THETA_REL_TOL * target_contract:
+    if abs(f(best_th) - target) > THETA_REL_TOL * target:
         raise BracketFailureError(
-            f"secant landed {abs(f(best_th) - target_contract):.3g} away from "
-            f"the target {target_contract:.6g}")
+            f"secant landed {abs(f(best_th) - target):.3g} away from "
+            f"the target {target:.6g}")
     return best_th
 
 
@@ -296,7 +293,6 @@ def find_theta_for_mass(S: float, eps: float, n: int, base: BoundaryData,
 class FamilyMember:
     eps: float
     parameter: float | None
-    unit_grid: Grid
     unit_result: SolveResult
     field: ScalarField
     energy: EnergyBreakdown
@@ -322,14 +318,13 @@ def _member_from_solve(eps: float, parameter, result: SolveResult,
     certs = {
         "willmore_bound": w_bound,
         "willmore_ok": energy.W_eps <= w_bound,
-        "unit_residual": result.residual,
         "mass_bookkeeping_rel": abs(energy.S_eps - book) / max(abs(book), 1e-300),
         "sup_u": float(np.max(phys.values)),
         "min_u": float(np.min(phys.values)),
     }
     if extra_certs:
         certs.update(extra_certs)
-    return FamilyMember(eps, parameter, grid, result, phys, energy, certs)
+    return FamilyMember(eps, parameter, result, phys, energy, certs)
 
 
 def build_family(kind: str, eps_list, params: dict,
@@ -420,7 +415,8 @@ def _boundary_atom(eps, p, cfg):
     # the theta -> energy cache is grid-specific, hence per member
     cache = {}
     th = find_theta_for_mass(
-        c0() * S, eps, n, base, standard_potential(), g, cfg, cache=cache,
+        c0() * S * eps ** (1 - n), base, standard_potential(), g, cfg,
+        cache=cache,
         rel_offset=0.0 if offsets is None else float(offsets[eps]))
     return cache[th], th, {
         "f_pairs": sorted((t, r.final_energy) for t, r in cache.items()),
@@ -442,11 +438,18 @@ def _hausdorff_levelset(eps, p, cfg):
             None, None)
 
 
-def _hoelder_blowup(eps, p, cfg):
-    B = float(p["window"])
+def _hoelder_grid(n: int, eps: float, window, points_per_unit_scale):
+    """The unit grid of the hoelder_blowup member at eps, of half-width
+    ``window``, and its data frequency ``omega = eps^-1/2``."""
+    B = float(window)
     omega = eps ** -0.5
-    m = int(math.ceil(float(p["points_per_unit_scale"]) * omega * B))
-    g, _ = make_half_space_grid(int(p["n"]), B, B / m, 1.0)
+    m = int(math.ceil(float(points_per_unit_scale) * omega * B))
+    return make_half_space_grid(n, B, B / m, 1.0)[0], omega
+
+
+def _hoelder_blowup(eps, p, cfg):
+    g, omega = _hoelder_grid(int(p["n"]), eps, p["window"],
+                             p["points_per_unit_scale"])
     # data 1 - h(omega x): sample the peak-2 bump at frequency omega
     base = bump(g, 1.0, shape="compact_bump", amplitude=2.0, width=1.0 / omega)
     return (solve_half_space(-base.samples, 1.0, standard_potential(), g, cfg),
@@ -623,11 +626,8 @@ def build_oscillating_boundary(S_prime: float, delta: float,
                 f"{k_max:.1f} at spacing {grid.spacing}; refine the boundary "
                 "grid to reach the requested seminorm")
         samples = delta * window * (1.0 + np.sin(k * x_ax)) / 2.0
-        bd = BoundaryData(coords, samples, grid.spacing,
-                          support_radius=1.0,
-                          meta={"frequency": k, "delta": delta, "scale": 1.0,
-                                "constant": seminorm_constant(len(coords))})
-        semi = h_half_seminorm(bd)
+        semi = h_half_seminorm(BoundaryData(coords, samples, grid.spacing,
+                                            support_radius=1.0))
         if semi >= S_prime:
             break
         k *= 2.0
@@ -635,15 +635,16 @@ def build_oscillating_boundary(S_prime: float, delta: float,
     scale = 1.0
     if semi > OSC_BAND * S_prime:
         scale = math.sqrt(0.5 * (1.0 + OSC_BAND) * S_prime / semi)
-        bd = bd.scaled(scale)
-        semi = h_half_seminorm(bd)
+        samples = scale * samples
+        semi = h_half_seminorm(BoundaryData(coords, samples, grid.spacing,
+                                            support_radius=1.0))
     if not (S_prime <= semi <= OSC_BAND * S_prime * (1 + 1e-9)):
         raise ResolutionExhaustedError(
             f"could not land the seminorm in [{S_prime}, "
             f"{OSC_BAND * S_prime}]; got {semi}")
-    meta = dict(bd.meta)
-    meta.update({"seminorm": semi, "scale": scale})
-    return BoundaryData(bd.coords, bd.samples, bd.spacing, None, 1.0, meta)
+    return BoundaryData(coords, samples, grid.spacing, support_radius=1.0,
+                        meta={"frequency": k, "scale": scale,
+                              "seminorm": semi})
 
 
 # --------------------------------------------------------------------------
@@ -652,8 +653,8 @@ def build_oscillating_boundary(S_prime: float, delta: float,
 
 def neumann_layer_field(eps: float, L: float = 2.4,
                         interfaces: tuple[float, float] = (0.7, 1.7),
-                        bump_amp: float = 0.5, amp_power: float = 1.5,
-                        spacing: float | None = None) -> ScalarField:
+                        bump_amp: float = 0.5,
+                        amp_power: float = 1.5) -> ScalarField:
     """Stripe profile between two flat interfaces plus a small plateau
     perturbation, with zero-Neumann face roles.
 
@@ -662,11 +663,11 @@ def neumann_layer_field(eps: float, L: float = 2.4,
     The perturbation is a pair of smooth bumps of amplitude
     ``bump_amp * eps^amp_power`` supported inside the +1 plateau, which
     push the field above 1 on a fixed region; the diffuse mass of the
-    overshoot then scales like the squared amplitude over eps.
+    overshoot then scales like the squared amplitude over eps.  Each side
+    has ``round(L / (eps / 8))`` cells.
     """
     z1, z2 = interfaces
-    h = spacing if spacing is not None else eps / 8.0
-    m = round(L / h)
+    m = round(L / (eps / 8.0))
     h = L / m
     g = Grid((m + 1, m + 1), h, (0.0, 0.0))
     x, z = g.axis_coords(0), g.axis_coords(1)

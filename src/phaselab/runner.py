@@ -41,7 +41,7 @@ from .diagnostics import (
 from .energy import (MAX_FLOOR_DELTA, EnergyBreakdown, ScalarField, c0,
                      standard_potential)
 from .families import (BUMP_SHAPES, FAMILY_PARAMS, THETA_REL_TOL,
-                       build_family, neumann_layer_field)
+                       _hoelder_grid, build_family, neumann_layer_field)
 from .fieldio import save_field, write_hashed
 from .grid import make_half_space_grid
 from .solver import SolveConfig, solve_half_space
@@ -248,6 +248,18 @@ def validate(config) -> list[str]:
         except (ValueError, ArithmeticError) as exc:
             errors.append("params.domain_length and params.spacing_per_eps "
                           f"give no calibration grid at eps {eps[0]!r}: {exc}")
+    if name == "hoelder_blowup" and not errors:
+        try:
+            for e in eps:
+                g, _ = _hoelder_grid(n, e, p["window"],
+                                     p["points_per_unit_scale"])
+                if not _hoelder_interior(g.scaled(e), e).any():
+                    raise ValueError("no node lies farther than 2 eps from "
+                                     "every face, so the interior probe "
+                                     "region is empty")
+        except (ValueError, ArithmeticError) as exc:
+            errors.append("params.window and params.points_per_unit_scale "
+                          f"give no Hoelder probe at eps {e!r}: {exc}")
     return errors
 
 
@@ -305,6 +317,12 @@ def _calibration_grid(cfg):
     spacing = eps / p["spacing_per_eps"]
     return make_half_space_grid(1, p["domain_length"] / eps, spacing / eps,
                                 1.0)[0]
+
+
+def _hoelder_interior(grid, eps):
+    """The region of the interior Hoelder quotient on a member's physical
+    grid: the nodes farther than 2 eps from every face."""
+    return interior_region_mask(grid, 2.0 * eps)
 
 
 def run_tanh_calibration(cfg):
@@ -519,7 +537,7 @@ def run_hoelder_blowup(cfg):
         strip = np.zeros(g.shape, dtype=bool)
         strip[..., :3] = True
         qb = hoelder_quotient(m.field, m.eps, gamma, strip)
-        interior = interior_region_mask(g, 2.0 * m.eps)
+        interior = _hoelder_interior(g, m.eps)
         qi = hoelder_quotient(m.field, m.eps, gamma, interior, mode="dyadic")
         scaled_boundary.append(m.eps ** gamma * qb.quotient)
         interior_raw.append(qi.quotient)

@@ -252,16 +252,16 @@ class _DirichletProblem:
         """``D^{-1} y``."""
         return self._centre_scaled(y, SQRT2)
 
-    def matvec(self, v: np.ndarray, diag=None) -> np.ndarray:
+    def matvec(self, v: np.ndarray, diag) -> np.ndarray:
         """``(S + diag(d)) v`` matrix-free, as ``D ((2n/h^2 + d) D^{-1} v
         - (1/h^2) sum of neighbours of D^{-1} v)``: one pass for the
         diagonal term and one per neighbour, read from the zero-bordered
         buffer, and D on the centre layers only.  ``diag`` is
-        ``2n/h^2 + d``; None gives S v."""
+        ``2n/h^2 + d``; ``self.centre`` gives S v."""
         buf = self._buf[self.inner]
         np.multiply(v.reshape(self.int_shape), -1.0 / (self.h * self.h),
                     out=buf)
-        out = np.multiply(self.centre if diag is None else diag, v)
+        out = np.multiply(diag, v)
         grid_out = out.reshape(self.int_shape)
         for a in self.folded:
             centre = _at(buf.ndim, a, -1)

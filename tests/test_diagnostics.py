@@ -188,7 +188,8 @@ def test_hausdorff_identity_and_pythagoras():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_hausdorff_matches_cdist_bitwise(n):
+def test_hausdorff_matches_cdist_bitwise(n, monkeypatch):
+    import phaselab.diagnostics as diagnostics_mod
     from scipy.spatial.distance import cdist
 
     def reference(p, q, chunk):
@@ -203,7 +204,8 @@ def test_hausdorff_matches_cdist_bitwise(n):
                      + rng.uniform(-1, 1, n))
         chunk = int(rng.integers(1, len(A) // 2))
         expected = max(reference(A, B, chunk), reference(B, A, chunk))
-        assert hausdorff_distance(A, B, chunk=chunk) == expected
+        monkeypatch.setattr(diagnostics_mod, "HAUSDORFF_CHUNK", chunk)
+        assert hausdorff_distance(A, B) == expected
 
 
 def test_hausdorff_rejects_mixed_dimensions():

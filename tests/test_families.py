@@ -174,9 +174,7 @@ def test_find_theta_roundtrip_and_self_consistency():
     cfg = SolveConfig(residual_tol=1e-9)
     cache = {}
     f2 = f_of_theta(2.0, base, P, g, cfg, cache)
-    eps, n = 0.5, 2
-    th = find_theta_for_mass(f2 * eps ** (n - 1), eps, n, base, P, g, cfg,
-                             cache=cache)
+    th = find_theta_for_mass(f2, base, P, g, cfg, cache=cache)
     assert th == pytest.approx(2.0, rel=5e-3)
     # self-consistency oracle: fresh solve at the returned theta
     from phaselab.solver import solve_half_space
@@ -190,16 +188,29 @@ def test_find_theta_monotone_in_eps():
     for eps in (0.5, 0.35, 0.25):
         g = small_grid(R=4.0, hu=0.25)
         base = bump(g, 1.0, shape="exp_decay", amplitude=0.5, width=3.0)
-        thetas.append(find_theta_for_mass(c0(), eps, 2, base, P, g, cfg))
+        # the mass-c0 target of a 2D member at scale eps
+        thetas.append(find_theta_for_mass(c0() * eps ** -1, base, P, g, cfg))
     assert thetas[0] < thetas[1] < thetas[2]
 
 
-def test_find_theta_bracket_failure():
+def test_find_theta_bracket_failure(monkeypatch):
+    import phaselab.families as families_mod
+    monkeypatch.setattr(families_mod, "THETA_MAX", 4.0)
     g = small_grid(R=4.0, hu=0.25)
     base = bump(g, 1.0, shape="exp_decay", amplitude=0.5, width=3.0)
-    with pytest.raises(BracketFailureError):
-        find_theta_for_mass(1.0, 1e-3, 2, base, P, g,
-                            SolveConfig(residual_tol=1e-8), theta_max=4.0)
+    with pytest.raises(BracketFailureError, match="THETA_MAX = 4.0"):
+        find_theta_for_mass(1e3, base, P, g, SolveConfig(residual_tol=1e-8))
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0, math.nan])
+def test_find_theta_rejects_a_target_that_is_not_positive(target,
+                                                         monkeypatch):
+    calls = _spy_on_solves(monkeypatch)
+    g = small_grid(R=4.0, hu=0.25)
+    base = bump(g, 1.0, shape="exp_decay", amplitude=0.5, width=3.0)
+    with pytest.raises(ValueError, match="target must be positive"):
+        find_theta_for_mass(target, base, P, g, SolveConfig())
+    assert calls == []
 
 
 # --------------------------------------------------------------------------
@@ -296,7 +307,7 @@ def test_small_unbounded_family_certificates():
         assert m.certificates["mass_bookkeeping_rel"] <= 0.02
         assert m.certificates["min_u"] >= 1.0 - 1e-6
         # physical grid is the exact scaled image
-        assert m.field.grid.shape == m.unit_grid.shape
+        assert m.field.grid.shape == m.unit_result.field.grid.shape
         assert np.array_equal(m.field.values, m.unit_result.field.values)
 
 
@@ -461,12 +472,10 @@ def test_neumann_layer_field_roles_and_overshoot():
 
 
 def _reference_neumann_layer_values(eps, L=2.4, interfaces=(0.7, 1.7),
-                                    bump_amp=0.5, amp_power=1.5,
-                                    spacing=None):
+                                    bump_amp=0.5, amp_power=1.5):
     """Full-grid formula of the stripe profile plus plateau bumps."""
     z1, z2 = interfaces
-    h = spacing if spacing is not None else eps / 8.0
-    m = round(L / h)
+    m = round(L / (eps / 8.0))
     g = Grid((m + 1, m + 1), L / m, (0.0, 0.0))
     X, Z = g.meshgrid()
     s2 = math.sqrt(2.0)
@@ -492,7 +501,7 @@ def _reference_neumann_layer_values(eps, L=2.4, interfaces=(0.7, 1.7),
     {"eps": 0.016},
     {"eps": 0.03, "L": 1.5},                         # the two discs overlap
     {"eps": 0.05, "L": 0.9, "interfaces": (0.2, 0.7)},  # discs leave the grid
-    {"eps": 0.02, "L": 3.0, "spacing": 0.013, "bump_amp": 2.0},
+    {"eps": 0.07, "L": 2.4, "bump_amp": 2.0},   # L / (eps/8) = 274.29
     {"eps": 0.1, "L": 0.5, "interfaces": (0.1, 0.2)},
     {"eps": 0.05, "interfaces": (5.0, 6.0)},            # no disc on the grid
 ])

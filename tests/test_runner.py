@@ -442,6 +442,9 @@ def test_validate_rejects_unknown_keys(config, key):
     ("neumann_layer", {"L": 1.5}, "params.interfaces"),
     ("unbounded", {"slope_window": [0.7, 0.3]}, "params.slope_window"),
     ("unbounded", {"slope_window": [0.5, 0.5]}, "params.slope_window"),
+    # no node 2 eps inside every face, and a box of fewer than 4 cells
+    ("hoelder_blowup", {"window": 4.0}, "params.window"),
+    ("hoelder_blowup", {"points_per_unit_scale": 0.01}, "params.window"),
 ])
 def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
                                                   tmp_path, monkeypatch):
@@ -457,6 +460,17 @@ def test_validate_rejects_values_that_crash_a_run(experiment, params, key,
     assert len(errs) == 1 and errs[0].startswith(key + " ")
     with pytest.raises(ValueError, match="invalid config: " + key):
         run({"output_dir": str(tmp_path), **cfg})
+
+
+def test_validate_takes_the_hoelder_window_rule_from_the_grid(tmp_path):
+    # 4.0 leaves no node 2 eps inside every face, 4.2 does: validate
+    # accepts it, and the run gives a verdict (its interior quotients vary
+    # too much) instead of an error
+    cfg = {"experiment": "hoelder_blowup", "params": {"window": 4.2}}
+    assert validate(cfg) == []
+    summary = run({**cfg, "output_dir": str(tmp_path)})
+    assert [a.id for a in summary.assertions if not a.passed] == [
+        "hoelder.interior_stable"]
 
 
 def test_shipped_configs_and_benchmark_runs_validate():

@@ -320,7 +320,7 @@ def test_matrix_free_operator_matches_sparse_matrix(n, R, spacing, folded,
     assert abs(A - A.T).max() == 0.0
     rng = np.random.default_rng(20 + n)
     v = rng.standard_normal(m)
-    cases = [(prob.matvec, np.zeros(m))]
+    cases = [(lambda v: prob.matvec(v, prob.centre), np.zeros(m))]
     for w2 in (-np.ones(m), rng.uniform(-1.0, 66.0, m)):
         _, (matvec, *_), _ = _handed_to_cg(prob, w2, v, LINEAR_RTOL,
                                            monkeypatch)
@@ -657,7 +657,7 @@ def test_the_hoelder_benchmark_run_folds_every_member(monkeypatch):
                        {"n": cfg["n"], **params},
                        max_iterations=cfg["solver"]["max_iterations"],
                        workers=cfg["workers"])
-    grids = [m.unit_grid.shape for m in fam.members]
+    grids = [m.unit_result.field.grid.shape for m in fam.members]
     assert len(grids) == len(cfg["eps_list"])
     assert sorted(shapes) == sorted(((m0 - 1) // 2, m1 - 2)
                                     for m0, m1 in grids)
@@ -668,7 +668,7 @@ def test_the_3d_hoelder_family_folds_both_tangential_axes(monkeypatch):
     shapes = _spy_on_unknowns(monkeypatch)
     fam = build_family("hoelder_blowup", (0.2,),
                        {"n": 3, "window": 5.0, "points_per_unit_scale": 3.0})
-    m = fam.members[0].unit_grid.shape
+    m = fam.members[0].unit_result.field.grid.shape
     assert shapes == [((m[0] - 1) // 2, (m[1] - 1) // 2, m[2] - 2)]
 
 
@@ -703,10 +703,14 @@ def test_cg_reports_iterations_without_convergence():
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(m)
     shape = (m, m)
+
+    def S(v):
+        return prob.matvec(v, prob.centre)
+
     with np.errstate(all="ignore"):
-        x_ref, info_ref = scipy_cg(LinearOperator(shape, matvec=prob.matvec),
-                                   rhs, rtol=1e-300, atol=0.0)
-        x, info = solver_mod.cg(prob.matvec, rhs, 1e-300, lambda r: r)
+        x_ref, info_ref = scipy_cg(LinearOperator(shape, matvec=S), rhs,
+                                   rtol=1e-300, atol=0.0)
+        x, info = solver_mod.cg(S, rhs, 1e-300, lambda r: r)
     assert info == info_ref == 10 * m
     assert np.array_equal(x, x_ref, equal_nan=True)
 
@@ -715,8 +719,8 @@ def test_cg_zero_right_hand_side():
     import phaselab.solver as solver_mod
     prob = _problem(2, 4.0, 0.25)
     m = math.prod(prob.int_shape)       # unknowns
-    x, info = solver_mod.cg(prob.matvec, np.zeros(m), 1e-10,
-                            lambda r: r)
+    x, info = solver_mod.cg(lambda v: prob.matvec(v, prob.centre),
+                            np.zeros(m), 1e-10, lambda r: r)
     assert info == 0 and not x.any()
 
 
@@ -879,3 +883,26 @@ def test_newton_stall_near_the_tolerance_gives_up(monkeypatch):
         log[i + 1][0] for i, e in enumerate(log) if e == ("newton",)))
     assert log[-9:-2] == [("newton",)] + [("rejected",)] * 6
     assert [e[0] for e in log[-2:]] == ["shift", "energy"]
+
+
+def test_the_shift_retries_give_up_after_sixty_doublings(monkeypatch):
+    # reject every semi-implicit candidate: each retry at least doubles the
+    # shift, and the 61st rejection ends the solve before its first
+    # iteration, with the start iterate as the best one
+    cfg = SolveConfig(residual_tol=1e-9)
+    with pytest.raises(NonConvergenceError) as info:
+        _solve_spied(SolveConfig(residual_tol=1e-9, max_iterations=0))
+    start = info.value.result
+    log = _spy_on_the_loop(monkeypatch, lambda log: log[-1][0] == "shift")
+    with pytest.raises(NonConvergenceError) as info:
+        _solve_spied(cfg)
+    res = info.value.result
+    shifts = [e[1] for e in log if e[0] == "shift"]
+    assert len(shifts) == 61 == log.count(("rejected",))
+    assert all(b >= 2.0 * a for a, b in zip(shifts, shifts[1:]))
+    assert ("newton",) not in log
+    assert res.iterations == 0 and not res.converged
+    assert res.energy_trace == start.energy_trace
+    assert len(res.energy_trace) == 1
+    assert res.residual == start.residual == pytest.approx(17.22, abs=0.01)
+    assert np.array_equal(res.field.values, start.field.values)
