@@ -30,9 +30,14 @@ same neighbour sum of the full array, so the Dirichlet data enter through
 the face layers.  Along each axis an orthonormal discrete sine transform
 diagonalizes ``A`` exactly (fast diagonalization, Lynch, Rice & Thomas
 1964; Buzbee, Golub & Nielson 1970); one table, ``_AXIS_KINDS``, maps an
-axis's two face roles to its type and eigenvalues.  So the semi-implicit
-step, in correction form ``u+ = u - (s I + A)^{-1} r``, costs one
-forward and one inverse transform per type present.
+axis's two face roles to its type, eigenvalues and dense orthonormal
+matrix.  So the semi-implicit step, in correction form
+``u+ = u - (s I + A)^{-1} r``, costs one matrix product each way per axis
+of at most ``DENSE_AXIS_MAX`` unknowns, and one forward and one inverse
+``scipy.fft`` transform per type present on the longer axes; at the
+sizes below that bound the product is faster than scipy.fft's per-call
+dispatch, and ``scipy.fft`` is imported only for a problem with a long
+axis.
 Newton systems ``(A + diag(max(W'', 0))) d = -r`` are solved by ``cg``,
 phaselab's own preconditioned conjugate-gradient loop (SciPy's recurrence,
 bit for bit, on plain callables), at relative tolerance ``LINEAR_RTOL``,
@@ -72,11 +77,11 @@ solver's residual against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import splu
 
 from .energy import (Potential, ScalarField, STANDARD, _at, equation_layers,
@@ -109,15 +114,51 @@ NEWTON_BURN_IN = 2
 SQRT2 = 2.0 ** 0.5
 SQRT_HALF = 1.0 / SQRT2
 
+#: Axes of at most this many unknowns are transformed by a product with
+#: their dense DST matrix, longer ones by ``scipy.fft``.  Timed as 2D
+#: shifted solves of k x k unknowns on a 2-core Xeon, one BLAS thread: the
+#: product wins by 1.4-2.5x up to k = 95, where scipy.fft's per-call
+#: dispatch costs as much as its kernel, and by up to 8x wherever 2(k + 1)
+#: has a large prime factor; where it has none the two tie from k = 127 to
+#: 191 in float64 (the product still wins 1.1-1.6x in float32) and the
+#: product loses from about 223 on, since it does O(k) work per node
+#: against the FFT's O(log k).
+DENSE_AXIS_MAX = 144
+
+
+def _sines(rows: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+    """``sin(pi rows_i cols_j / p)`` for integers, looked up among the 2p
+    values ``sin(pi n / p)`` by ``n = rows_i cols_j mod 2p``: the angles
+    are reduced exactly, and a k x k matrix takes 2p sines, not k^2."""
+    return np.sin(np.pi * np.arange(2 * p) / p)[np.outer(rows, cols) % (2 * p)]
+
+
+def _dst1_matrix(k: int) -> np.ndarray:
+    """The orthonormal DST-I of k points, ``sqrt(2/(k+1)) sin(pi i j/(k+1))``
+    for i, j = 1..k."""
+    i = np.arange(1, k + 1)
+    return np.sqrt(2.0 / (k + 1)) * _sines(i, i, k + 1)
+
+
+def _dst3_matrix(k: int) -> np.ndarray:
+    """The orthonormal DST-III of k points, ``sqrt(2/k) sin(pi (2m+1) j/(2k))``
+    for m = 0..k-1, j = 1..k, with the last column times 1/sqrt(2)."""
+    q = np.sqrt(2.0 / k) * _sines(2 * np.arange(k) + 1, np.arange(1, k + 1),
+                                  2 * k)
+    q[:, -1] *= SQRT_HALF
+    return q
+
+
 #: Axis kind by the types of its (low, high) face roles: the type of the
 #: orthonormal DST that diagonalizes its symmetrized 1D second difference,
-#: and the angles of its eigenvalues ``(2 - 2 cos(angle)) / h^2`` for k
-#: unknowns, in that DST's order.  Forward transforms run in table order.
+#: the angles of its eigenvalues ``(2 - 2 cos(angle)) / h^2`` for k
+#: unknowns, in that DST's order, and that DST's matrix for k unknowns
+#: (its eigenbasis).  Forward transforms run in table order.
 _AXIS_KINDS = {
     (Dirichlet, NeumannZero):
-        (3, lambda k: np.pi * (2 * np.arange(k) + 1) / (2 * k)),
+        (3, lambda k: np.pi * (2 * np.arange(k) + 1) / (2 * k), _dst3_matrix),
     (Dirichlet, Dirichlet):
-        (1, lambda k: np.pi * np.arange(1, k + 1) / (k + 1)),
+        (1, lambda k: np.pi * np.arange(1, k + 1) / (k + 1), _dst1_matrix),
 }
 
 
@@ -194,10 +235,12 @@ def _centre_weighted_sum(f: np.ndarray, axes: tuple) -> float:
 class _DirichletProblem:
     """Unknown-node view of A = -lap_h with eliminated Dirichlet layers.
 
-    ``transforms`` holds (DST type, axes) per ``_AXIS_KINDS`` row present.
-    An axis whose high face is NeumannZero is folded: its last layer is the
-    centre of a mirror-symmetric problem, an unknown layer closed by the
-    mirror ghost.  ``matvec``, ``shifted_solve`` and ``sparse_matrix`` act
+    ``dense`` holds (axis, DST matrix) per axis of at most
+    ``DENSE_AXIS_MAX`` unknowns, and ``transforms`` (DST type, axes) per
+    ``_AXIS_KINDS`` row present on the longer axes.  An axis whose high
+    face is NeumannZero is folded: its last layer is the centre of a
+    mirror-symmetric problem, an unknown layer closed by the mirror
+    ghost.  ``matvec``, ``shifted_solve`` and ``sparse_matrix`` act
     on ``y = D x``, where D is 1/sqrt(2) on the centre layer of each folded
     axis, so that the operator ``S = D A D^{-1}`` is symmetric;
     ``weigh`` and ``unweigh`` apply D and its inverse."""
@@ -209,16 +252,27 @@ class _DirichletProblem:
         self.h = grid.spacing
         self.inner = equation_layers(grid.shape, roles)
         self.int_shape = tuple(s.stop - 1 for s in self.inner)
-        kinds = [_AXIS_KINDS[type(roles[(a, LOW)]), type(roles[(a, HIGH)])]
-                 for a in range(grid.n)]
+        kinds = []
+        for a in range(grid.n):
+            pair = (type(roles[(a, LOW)]), type(roles[(a, HIGH)]))
+            if pair not in _AXIS_KINDS:
+                raise ValueError(
+                    f"axis {a}: no spectral transform for the face roles "
+                    f"({pair[0].__name__}, {pair[1].__name__})")
+            kinds.append(_AXIS_KINDS[pair])
+        self.dense = tuple((a, kinds[a][2](k))
+                           for a, k in enumerate(self.int_shape)
+                           if k <= DENSE_AXIS_MAX)
+        long_axes = [a for a, k in enumerate(self.int_shape)
+                     if k > DENSE_AXIS_MAX]
         self.transforms = tuple(
             (kind[0], axes) for kind in _AXIS_KINDS.values()
-            if (axes := tuple(a for a in range(grid.n) if kinds[a] is kind)))
+            if (axes := tuple(a for a in long_axes if kinds[a] is kind)))
         self.folded = tuple(a for a in range(grid.n)
                             if isinstance(roles[(a, HIGH)], NeumannZero))
         # eigenvalues of S: sum in axis order of (2 - 2 cos(angles)) / h^2
         lam = np.zeros(self.int_shape)
-        for a, (k, (_, angles)) in enumerate(zip(self.int_shape, kinds)):
+        for a, (k, (_, angles, _)) in enumerate(zip(self.int_shape, kinds)):
             lam = lam + ((2.0 - 2.0 * np.cos(angles(k))) / (self.h * self.h)
                          ).reshape((k,) + (1,) * (grid.n - 1 - a))
         self.eigenvalues = lam
@@ -226,6 +280,8 @@ class _DirichletProblem:
         # shifted_solve was given in that dtype; the semi-implicit shift and
         # the Newton preconditioner's shift alternate, one per dtype
         self._shifted = {}
+        # dtype -> the dense matrices in that dtype
+        self._dense_in = {}
         # zero-bordered buffer that matvec writes -D^{-1} v/h^2 into
         self._buf = np.zeros(grid.shape)
         # the centre weight 2n/h^2 of A's stencil
@@ -314,19 +370,34 @@ class _DirichletProblem:
                       dtype=np.float64) -> np.ndarray:
         """Solve (s I + S) y = rhs by fast diagonalization, with the
         transforms and the division in ``dtype``: exact to rounding in
-        float64, to float32 rounding in float32.  Returns float64.  One
-        ``dstn`` per group of ``transforms`` forward, and one ``idstn`` per
-        group in reverse order back."""
+        float64, to float32 rounding in float32.  Returns float64 and
+        leaves ``rhs`` unchanged.  Forward, one matrix product per
+        ``dense`` axis, then one ``dstn`` per group of ``transforms``; back,
+        the inverses in reverse order, the transposed matrix on a dense
+        axis."""
         shift, shifted = self._shifted.get(dtype, (None, None))
         if s != shift:
             shifted = (s + self.eigenvalues).astype(dtype, copy=False)
             self._shifted[dtype] = (s, shifted)
+        dense = self._dense_in.get(dtype)
+        if dense is None:
+            dense = self._dense_in[dtype] = tuple(
+                (a, q.astype(dtype, copy=False)) for a, q in self.dense)
         r = rhs.reshape(self.int_shape).astype(dtype, copy=False)
+        for a, q in dense:
+            r = _along(q, r, a)
+        if self.transforms:
+            # scipy.fft loads scipy.special, about 170 ms of import, so only
+            # a problem with a long axis imports it
+            from scipy.fft import dstn, idstn
         for i, (t, axes) in enumerate(self.transforms):
-            r = dstn(r, type=t, axes=axes, norm="ortho", overwrite_x=i > 0)
+            r = dstn(r, type=t, axes=axes, norm="ortho",
+                     overwrite_x=bool(dense) or i > 0)
         r /= shifted
         for t, axes in reversed(self.transforms):
             r = idstn(r, type=t, axes=axes, norm="ortho", overwrite_x=True)
+        for a, q in reversed(dense):
+            r = _along(q.T, r, a)
         return r.ravel().astype(np.float64, copy=False)
 
     def newton_solve(self, w2: np.ndarray, rhs: np.ndarray,
@@ -352,6 +423,16 @@ class _DirichletProblem:
         if info != 0:
             y = splu((self.sparse_matrix() + sp.diags(d)).tocsc()).solve(b)
         return self.unweigh(y)
+
+
+def _along(q: np.ndarray, r: np.ndarray, axis: int) -> np.ndarray:
+    """``q`` applied to every line of ``r`` along ``axis``, as one matrix
+    product (batched over the axes before ``axis``)."""
+    k = r.shape[axis]
+    if axis == r.ndim - 1:
+        return (r.reshape(-1, k) @ q.T).reshape(r.shape)
+    return (q @ r.reshape(-1, k, math.prod(r.shape[axis + 1:]))
+            ).reshape(r.shape)
 
 
 def cg(matvec, b: np.ndarray, rtol: float, psolve):

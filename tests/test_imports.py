@@ -10,6 +10,9 @@ import pass (its imports are the package's re-exports), and so is
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,16 @@ def test_the_check_sees_an_unread_parameter():
               "h = lambda y, z: y\n")
     assert unread_parameters(source) == [
         "f: b", "f: args", "f: kw", "f.g: d", "K.m: x", "<lambda line 9>: z"]
+
+
+def test_importing_phaselab_does_not_load_scipy_fft():
+    # scipy.fft pulls in scipy.special, about 170 ms of import; the solver
+    # imports it on the first solve with an axis too long for its dense
+    # transform, so a top-level import must not bring it back
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, phaselab; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from phaselab.grid import (Grid, NeumannZero, face_radii, half_space_roles,
 from phaselab.solver import (
     _AXIS_KINDS,
     _DirichletProblem,
+    DENSE_AXIS_MAX,
     LINEAR_RTOL,
     InvalidBoundaryError,
     NonConvergenceError,
@@ -291,6 +292,14 @@ PROBLEMS = ([pytest.param(*i, False, id="-".join(map(str, i)))
              for i in INTERIORS]
             + [pytest.param(*i, True, id="-".join(map(str, i)) + "-folded")
                for i in INTERIORS if i[0] > 1])
+# every axis above is dense; these reach scipy.fft's long path: a 1D
+# interior of DENSE_AXIS_MAX + 1 nodes, and a 2D one whose normal axis of
+# DENSE_AXIS_MAX nodes is dense and whose tangential axis is long, with
+# 2 DENSE_AXIS_MAX + 1 nodes, or DENSE_AXIS_MAX + 1 folded
+LONG = [(1, (DENSE_AXIS_MAX + 2) / 16, 1 / 16),
+        (2, (DENSE_AXIS_MAX + 1) / 16, 1 / 16)]
+LONG_PROBLEMS = ([pytest.param(*i, False, id=f"{i[0]}d-long") for i in LONG]
+                 + [pytest.param(*LONG[1], True, id="2d-long-folded")])
 
 
 def _handed_to_cg(prob, w2, rhs, rtol, monkeypatch):
@@ -341,7 +350,7 @@ def test_solver_residual_is_residual_field(n, R, spacing):
                           residual_field(u, P).values[inner].ravel())
 
 
-@pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS)
+@pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS + LONG_PROBLEMS)
 @pytest.mark.parametrize("shift", [0.0, 3.0])
 def test_shifted_solve_matches_sparse_direct(n, R, spacing, folded, shift):
     prob = _problem(n, R, spacing, folded)
@@ -377,8 +386,8 @@ def test_each_axis_kind_diagonalizes_its_dense_1d_operator(roles):
     # the 1D second difference of k unknowns between the two faces: the
     # mirror row of a NeumannZero high face reads -2 u[k-2]; D = 1/sqrt(2)
     # on that layer makes D T D^-1 symmetric
-    t, angles = _AXIS_KINDS[roles]
-    for k in range(2, 18):
+    t, angles, matrix = _AXIS_KINDS[roles]
+    for k in [*range(2, 18), DENSE_AXIS_MAX]:
         T = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
         d = np.ones(k)
         if roles[1] is NeumannZero:
@@ -386,36 +395,70 @@ def test_each_axis_kind_diagonalizes_its_dense_1d_operator(roles):
             d[-1] = 1.0 / math.sqrt(2.0)
         S = d[:, None] * T / d[None, :]
         assert np.max(np.abs(S - S.T)) <= 1e-15
-        # the rows of Q are the orthonormal transform of the unit vectors
-        Q = dst(np.eye(k), type=t, norm="ortho", axis=0)
+        # the columns of Q are the orthonormal transform of the unit vectors,
+        # and the row's closed form is that matrix
+        Q = matrix(k)
+        assert np.max(np.abs(
+            Q - dst(np.eye(k), type=t, norm="ortho", axis=0))) <= 1e-13
         assert np.max(np.abs(Q @ Q.T - np.eye(k))) <= 1e-13
         lam = 2.0 - 2.0 * np.cos(angles(k))
         assert np.max(np.abs(Q @ S @ Q.T - np.diag(lam))) <= 1e-13
 
 
-@pytest.mark.parametrize("n, folded, calls",
-                         [(2, False, 1), (2, True, 2), (3, True, 2)],
-                         ids=["2d", "2d-folded", "3d-folded"])
-def test_shifted_solve_transforms_once_per_dst_type(n, folded, calls,
-                                                    monkeypatch):
-    # one dstn and one idstn per DST type present, however many axes it
-    # spans: each call costs tens of microseconds of dispatch, and the
-    # Newton preconditioner solves once per CG iteration
-    import phaselab.solver as solver_mod
-    prob = _problem(*INTERIORS[n - 1], folded)
-    assert len(prob.folded) == (n - 1 if folded else 0)
+@pytest.mark.parametrize("case, folded, dense, calls", [
+    (INTERIORS[1], False, (0, 1), 0), (INTERIORS[1], True, (0, 1), 0),
+    (INTERIORS[2], True, (0, 1, 2), 0), (LONG[0], False, (), 1),
+    (LONG[1], False, (1,), 1), (LONG[1], True, (1,), 1),
+    ((2, (DENSE_AXIS_MAX + 2) / 16, 1 / 16), False, (), 1),
+    ((2, (DENSE_AXIS_MAX + 2) / 16, 1 / 16), True, (), 2)],
+    ids=["2d", "2d-folded", "3d-folded", "1d-long", "2d-mixed",
+         "2d-mixed-folded", "2d-long", "2d-long-folded"])
+def test_shifted_solve_transforms_once_per_dst_type(case, folded, dense,
+                                                    calls, monkeypatch):
+    # a matrix product per axis of at most DENSE_AXIS_MAX unknowns, and no
+    # scipy.fft call unless an axis is longer; the long axes take one dstn
+    # and one idstn per DST type present, however many axes it spans: each
+    # call costs tens of microseconds of dispatch, and the Newton
+    # preconditioner solves once per CG iteration
+    import scipy.fft
+    prob = _problem(*case, folded)
+    assert len(prob.folded) == (case[0] - 1 if folded else 0)
+    assert tuple(a for a, _ in prob.dense) == dense
     counts = {"dstn": 0, "idstn": 0}
     for name in counts:
-        def counted(*args, name=name, transform=getattr(solver_mod, name),
+        def counted(*args, name=name, transform=getattr(scipy.fft, name),
                     **kwargs):
             counts[name] += 1
             return transform(*args, **kwargs)
-        monkeypatch.setattr(solver_mod, name, counted)
+        monkeypatch.setattr(scipy.fft, name, counted)
     prob.shifted_solve(1.0, np.ones(math.prod(prob.int_shape)))
     assert counts == {"dstn": calls, "idstn": calls}
 
 
-@pytest.mark.parametrize("n, R, spacing", INTERIORS)
+@pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS + LONG_PROBLEMS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_shifted_solve_leaves_its_right_hand_side_unchanged(
+        n, R, spacing, folded, dtype):
+    # the transforms may work in place on an array of their own, never on
+    # the caller's (astype(copy=False) passes a float64 rhs through)
+    prob = _problem(n, R, spacing, folded)
+    rhs = np.random.default_rng(40 + n).standard_normal(
+        math.prod(prob.int_shape))
+    kept = rhs.copy()
+    prob.shifted_solve(2.0, rhs, dtype)
+    assert np.array_equal(rhs, kept)
+
+
+def test_a_face_role_pair_without_a_transform_is_rejected():
+    g = Grid((5, 5), 0.25, (0.0, 0.0))
+    roles = half_space_roles(g)
+    roles[(0, "low")] = NeumannZero()
+    with pytest.raises(ValueError,
+                       match=r"axis 0: .*\(NeumannZero, Dirichlet\)"):
+        _DirichletProblem(g, roles, P)
+
+
+@pytest.mark.parametrize("n, R, spacing", INTERIORS + LONG)
 def test_newton_cg_matches_sparse_direct(n, R, spacing):
     prob = _problem(n, R, spacing)
     m = math.prod(prob.int_shape)       # unknowns
@@ -447,7 +490,7 @@ def _scipy_newton_cg(matvec, psolve, rhs, rtol):
     return x, info, len(steps)
 
 
-@pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS)
+@pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS + LONG_PROBLEMS)
 def test_cg_matches_scipy_cg_bitwise(n, R, spacing, folded, monkeypatch):
     prob = _problem(n, R, spacing, folded)
     m = math.prod(prob.int_shape)       # unknowns
