@@ -6,11 +6,12 @@ Subcommands:
 * ``phaselab validate <config.json>``  check a config without side effects
 * ``phaselab report <run-dir>``        re-render the summary table
 
-Exit code 0 means every assertion of the run passed, 2 that one failed,
-and 1 that the config file is missing, is not a JSON object or is invalid,
-that a grid would exceed the node budget, or that a solve or search gave
-up (``error:`` on stderr; a config error names the file).
-"""
+``run`` ends with the ``report`` of its output directory.  Exit code 0
+means every assertion passed, 2 that one failed, and 1 that the config file
+is missing, is not a JSON object or is invalid, that the output directory
+cannot be made, that a grid would exceed the node budget, that a solve or
+search gave up, or that ``summary.json`` is unreadable or malformed
+(``error:`` on stderr; a config or summary error names the file)."""
 
 from __future__ import annotations
 
@@ -38,6 +39,23 @@ def _read_config(path: str, output_dir: str | None = None):
     if output_dir and isinstance(config, dict):
         config["output_dir"] = output_dir
     return config, validate(config)
+
+
+def _report(run_dir: str) -> int:
+    """Print the summary table of a run directory; 0 when every assertion
+    passed, 2 when one failed.  An unreadable or malformed ``summary.json``
+    raises an ``OSError`` or a ``ValueError`` that names it."""
+    path = os.path.join(run_dir, "summary.json")
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+            text = render_summary(doc)
+            if not isinstance(doc["passed"], bool):
+                raise TypeError(f"passed is {doc['passed']!r}, not a boolean")
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    print(text, end="")
+    return 0 if doc["passed"] else 2
 
 
 def main(argv=None) -> int:
@@ -72,30 +90,15 @@ def main(argv=None) -> int:
         print("ok")
         return 0
 
-    if args.command == "run":
-        try:
-            summary = run(config)
-        except (ValueError, NonConvergenceError, BracketFailureError,
-                ResolutionExhaustedError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        out = expand_config(config)["output_dir"]
-        with open(os.path.join(out, "summary.json")) as fh:
-            print(render_summary(json.load(fh)), end="")
-        return 0 if summary.passed else 2
-
-    if args.command == "report":
-        spath = os.path.join(args.run_dir, "summary.json")
-        if not os.path.exists(spath):
-            print(f"error: no summary.json under {args.run_dir}",
-                  file=sys.stderr)
-            return 1
-        with open(spath) as fh:
-            doc = json.load(fh)
-        print(render_summary(doc), end="")
-        return 0 if doc["passed"] else 2
-
-    return 1
+    try:
+        if args.command == "run":
+            run(config)
+            return _report(expand_config(config)["output_dir"])
+        return _report(args.run_dir)
+    except (OSError, ValueError, NonConvergenceError, BracketFailureError,
+            ResolutionExhaustedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

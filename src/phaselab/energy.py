@@ -104,27 +104,24 @@ class Potential:
     def floor_level(self) -> float | None:
         return None if self.floor_delta is None else 1.0 - 2.0 * self.floor_delta
 
-    def value(self, s):
+    def _clamped(self, s, formula, floor_is_level: bool):
+        """``formula`` at ``s``, below the floor level replaced by its value
+        at that level (``floor_is_level``) or by 0; a float at a scalar."""
         s = np.asarray(s, dtype=float)
-        w = (s * s - 1.0) ** 2 / 4.0
+        out = formula(s)
         if self.floor_delta is not None:
             lvl = self.floor_level
-            w = np.where(s <= lvl, (lvl * lvl - 1.0) ** 2 / 4.0, w)
-        return w if w.ndim else float(w)
+            out = np.where(s < lvl, formula(lvl) if floor_is_level else 0.0, out)
+        return out if out.ndim else float(out)
+
+    def value(self, s):
+        return self._clamped(s, lambda s: (s * s - 1.0) ** 2 / 4.0, True)
 
     def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        d = s ** 3 - s
-        if self.floor_delta is not None:
-            d = np.where(s < self.floor_level, 0.0, d)
-        return d if d.ndim else float(d)
+        return self._clamped(s, lambda s: s ** 3 - s, False)
 
     def second_derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        d2 = 3.0 * s * s - 1.0
-        if self.floor_delta is not None:
-            d2 = np.where(s < self.floor_level, 0.0, d2)
-        return d2 if d2.ndim else float(d2)
+        return self._clamped(s, lambda s: 3.0 * s * s - 1.0, False)
 
 
 def standard_potential() -> Potential:

@@ -149,6 +149,16 @@ class BoundaryData:
         return len(self.coords)
 
 
+def _window(q2):
+    """The smooth window ``exp(1 - 1/(1 - q2))`` where the squared radius
+    ratio ``q2`` is below 1 and 0 elsewhere, written into ``q2``."""
+    ins = q2 < 1.0
+    inside = np.exp(1.0 - 1.0 / (1.0 - q2[ins]))
+    q2.fill(0.0)
+    q2[ins] = inside
+    return q2
+
+
 def bump(grid: Grid, theta: float, shape: str = "exp_decay",
          width: float = 1.0, amplitude: float = 1.0) -> BoundaryData:
     """``theta`` times a base profile centred at the origin, sampled on the
@@ -165,14 +175,12 @@ def bump(grid: Grid, theta: float, shape: str = "exp_decay",
         raise ValueError(f"unknown bump shape {shape!r}")
     coords = face_coords(grid)
     r = face_radii(coords)
-    base = np.zeros_like(r)
-    ins = r < width
-    window = np.exp(1.0 - 1.0 / (1.0 - (r[ins] / width) ** 2))
+    window = _window((r / width) ** 2)
     if shape == "exp_decay":
-        base[ins] = amplitude * np.exp(-r[ins]) * window
+        base = amplitude * np.exp(-r) * window
         envelope = (theta * amplitude, 1.0)
     else:
-        base[ins] = amplitude * window
+        base = amplitude * window
         envelope = None
     return BoundaryData(coords, theta * base, grid.spacing, envelope,
                         support_radius=width)
@@ -607,10 +615,7 @@ def build_oscillating_boundary(S_prime: float, delta: float,
     if not coords:
         raise ValueError("oscillating data needs a face of dimension >= 1")
 
-    r = face_radii(coords)
-    window = np.zeros_like(r)
-    ins = r < 1.0
-    window[ins] = np.exp(1.0 - 1.0 / (1.0 - r[ins] ** 2))
+    window = _window(face_radii(coords) ** 2)
 
     x0 = coords[0]
     sh = [1] * len(coords)
@@ -682,15 +687,11 @@ def neumann_layer_field(eps: float, L: float = 2.4,
     zc = 0.5 * (z1 + z2)
 
     def plateau_bump(box, cx, w):
-        # exp(1 - 1/(1 - r^2)) inside the disc, zero outside, built in the
-        # storage of r^2 so that one box-size array is live
-        bump = (x[box[0], None] - cx) ** 2 + (z[None, box[1]] - zc) ** 2
-        bump /= w ** 2
-        ins = bump < 1.0
-        inside = np.exp(1.0 - 1.0 / (1.0 - bump[ins]))
-        bump.fill(0.0)
-        bump[ins] = inside
-        return bump
+        # the window of the disc, built in the storage of its squared
+        # radius ratios so that one box-size array is live
+        q2 = (x[box[0], None] - cx) ** 2 + (z[None, box[1]] - zc) ** 2
+        q2 /= w ** 2
+        return _window(q2)
 
     # (centre x, radius, weight) of each disc
     discs = ((L / 3.0, 0.3, 1.0), (2.0 * L / 3.0, 0.35, 0.7))

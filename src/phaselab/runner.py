@@ -164,10 +164,10 @@ def _is_number(v) -> bool:
 
 def _value_errors(key: str, value, default) -> list[str]:
     """What is wrong with one value alone: a type other than its default's
-    (an integer, a finite number, a list of finite numbers or a string), or
-    a value that breaks its rule in ``_RULES``."""
+    (an integer, a finite number, a list of finite numbers or a non-empty
+    string), or a value that breaks its rule in ``_RULES``."""
     if isinstance(default, str):
-        ok, kind = isinstance(value, str), "a string"
+        ok, kind = isinstance(value, str) and value != "", "a non-empty string"
     elif isinstance(default, list):
         ok = isinstance(value, list) and all(_is_number(v) for v in value)
         kind = "a list of finite numbers"
@@ -748,20 +748,19 @@ def render_summary(summary_doc) -> str:
 def run(config: dict) -> VerificationSummary:
     """Validate, execute and emit one experiment run.
 
-    Raises ValueError on an invalid config.  Returns the verification
-    summary; all artifacts are written under ``config['output_dir']``.
+    Raises ValueError on an invalid config and OSError, before the sweep
+    runs, when ``config['output_dir']`` cannot be made a directory.
+    Returns the verification summary; all artifacts are written there.
     """
     errors = validate(config)
     if errors:
         raise ValueError("invalid config: " + "; ".join(errors))
     cfg = expand_config(config)
+    out = cfg["output_dir"]
+    os.makedirs(os.path.join(out, "fields"), exist_ok=True)
 
     rows, assertions, fields = RUNNERS[cfg["experiment"]](cfg)
     summary = VerificationSummary.of(cfg["experiment"], assertions)
-
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    os.makedirs(os.path.join(out, "fields"), exist_ok=True)
     # each file's digest is taken from the bytes as they are written
     digests = {}
 

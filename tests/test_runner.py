@@ -558,6 +558,70 @@ def test_cli_run_reports_an_over_budget_grid(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("text", [
+    "not json\n",
+    '{"experiment": "unbounded"}',
+    '{"experiment": "unbounded", "passed": "yes", "assertions": []}',
+    None,
+], ids=["not-json", "no-passed", "string-passed", "a-directory"])
+def test_cli_report_rejects_a_bad_summary_in_one_line(text, tmp_path, capsys):
+    path = tmp_path / "summary.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    assert cli_main(["report", str(tmp_path)]) == 1
+    assert str(path) in _one_error_line(capsys)
+
+
+def test_cli_run_to_an_existing_file_fails_before_the_sweep(
+        tmp_path, monkeypatch, capsys):
+    def stub(cfg):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
+    cfg_path, afile = tmp_path / "cfg.json", tmp_path / "afile"
+    cfg_path.write_text('{"experiment": "tanh_calibration"}')
+    afile.write_text("")
+    assert cli_main(["run", str(cfg_path), "--output-dir", str(afile)]) == 1
+    assert str(afile) in _one_error_line(capsys)
+
+
+def test_validate_rejects_an_empty_output_dir(tmp_path, capsys):
+    config = {"experiment": "tanh_calibration", "output_dir": ""}
+    assert validate(config) == [
+        "output_dir must be a non-empty string, got ''"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli_main(["run", str(cfg_path)]) == 1
+    assert _one_error_line(capsys).startswith(f"error: {cfg_path}: output_dir")
+
+
+def test_cli_run_reports_an_os_error_but_not_a_key_error(tmp_path, monkeypatch,
+                                                        capsys):
+    # an OSError is a failure a user can cause; a KeyError is a program
+    # fault and keeps its traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "tanh_calibration",
+                                    "output_dir": str(tmp_path / "out")}))
+
+    def stub(cfg):
+        raise exc
+    monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
+    exc = PermissionError(13, "Permission denied", "x.npy")
+    assert cli_main(["run", str(cfg_path)]) == 1
+    assert "Permission denied" in _one_error_line(capsys)
+    exc = KeyError("eps")
+    with pytest.raises(KeyError):
+        cli_main(["run", str(cfg_path)])
+
+
 def test_validate_rejects_negative_max_iterations():
     errs = validate({"experiment": "boundary_atom",
                      "solver": {"max_iterations": -1}})
