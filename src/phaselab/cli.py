@@ -36,7 +36,7 @@ def _read_config(path: str, output_dir: str | None = None):
         return None, [exc.strerror]
     except ValueError as exc:
         return None, [str(exc)]
-    if output_dir and isinstance(config, dict):
+    if output_dir is not None and isinstance(config, dict):
         config["output_dir"] = output_dir
     return config, validate(config)
 

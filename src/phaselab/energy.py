@@ -18,7 +18,8 @@ against.
 
 Every stencil is built from two unscaled per-axis primitives,
 ``centred_difference`` and ``neighbour_sum``; the solver's operator and
-residual use the same neighbour sum.  ``density_fields`` returns per-cell
+residual add the same neighbour sums, from slices it derives once per
+problem.  ``density_fields`` returns per-cell
 densities whose region sums are the energies up to summation order.  The
 curvature density is the squared defect of the discrete stationarity
 equation; it is set to zero on Dirichlet face layers, where no equation
@@ -223,26 +224,6 @@ def neighbour_sum(values: np.ndarray, axis: int, out: np.ndarray,
             out[at(face - lo)] += 2.0 * values[at(ghost)]
 
 
-def equation_layers(shape: tuple, roles=None) -> tuple:
-    """Per-axis slices of the nodes that carry an equation: layers 1..m-2,
-    and 1..m-1 on an axis whose high face is NeumannZero (its last layer
-    is closed by the mirror ghost).  No roles means Dirichlet faces."""
-    return tuple(slice(1, m if roles and isinstance(roles[(a, HIGH)],
-                                                    NeumannZero) else m - 1)
-                 for a, m in enumerate(shape))
-
-
-def interior_neighbour_sum(values: np.ndarray, out: np.ndarray,
-                           roles=None) -> None:
-    """Add the neighbour sums of all axes at the ``equation_layers`` nodes
-    into the out of their shape; the Dirichlet face layers enter only as
-    neighbours."""
-    inner = equation_layers(values.shape, roles)
-    for a, s in enumerate(inner):
-        neighbour_sum(values[inner[:a] + (slice(None),) + inner[a + 1:]], a,
-                      out, 1, s.stop, roles)
-
-
 def grad_squared(u: ScalarField) -> np.ndarray:
     """``|grad u|^2`` at every node, from ``centred_difference`` on each
     axis."""
@@ -348,11 +329,14 @@ def _energy_sums(u: ScalarField, eps: float,
     without theta), without a full-size density array.
 
     Each slab is summed pairwise by ``np.sum``; the slab partials are
-    combined with ``math.fsum`` in slab order.
+    combined with ``math.fsum`` in slab order; the slab buffers are sliced
+    from one allocation per pass.
     """
     mu_parts, alpha_parts, excess_parts = [], [], []
-    for lo, hi in _slabs(u, eps):
-        mu, alpha, t = np.empty((3, hi - lo) + u.grid.shape[1:])
+    slabs = _slabs(u, eps)
+    buffers = np.empty((3, slabs[0][1]) + u.grid.shape[1:])
+    for lo, hi in slabs:
+        mu, alpha, t = buffers[:, :hi - lo]
         _slab_densities(u, eps, lo, hi, mu, alpha, t)
         mu_parts.append(np.sum(mu))
         alpha_parts.append(np.sum(alpha))

@@ -22,33 +22,31 @@ The descent scheme combines two ingredients:
   ``-lap_h(u) + W'(u)`` to solver-certificate levels.
 
 The interior operator ``A = -lap_h`` (zero Dirichlet border) is applied
-matrix-free as ``(2n/h^2) v - (1/h^2) sum of neighbours``, from the
-neighbour sum of ``energy`` on a zero-bordered buffer: one pass for the
-diagonal term and one per neighbour, with Newton's ``diag(d)`` folded
-into the diagonal term.  The residual ``r`` at interior nodes takes the
-same neighbour sum of the full array, so the Dirichlet data enter through
-the face layers.  Along each axis an orthonormal discrete sine transform
-diagonalizes ``A`` exactly (fast diagonalization, Lynch, Rice & Thomas
-1964; Buzbee, Golub & Nielson 1970); one table, ``_AXIS_KINDS``, maps an
-axis's two face roles to its type, eigenvalues and dense orthonormal
-matrix.  So the semi-implicit step, in correction form
-``u+ = u - (s I + A)^{-1} r``, costs one matrix product each way per axis
+matrix-free as ``(2n/h^2) v - (1/h^2) sum of neighbours`` on a
+zero-bordered buffer, with Newton's ``diag(d)`` in the diagonal term; the
+residual ``r`` takes the neighbour sum of the full array, so the
+Dirichlet data enter through the face layers.  Both add
+``energy.neighbour_sum`` by a plan of slices that each problem derives
+once.  Along each axis an orthonormal DST diagonalizes ``A`` exactly
+(fast diagonalization, Lynch, Rice & Thomas 1964; Buzbee, Golub &
+Nielson 1970); ``_AXIS_KINDS`` maps an axis's two face roles to its type,
+eigenvalues and a lazy cache of its dense orthonormal matrices by length,
+read-only and shared by the member threads.  So the semi-implicit step
+``u+ = u - (s I + A)^{-1} r`` costs one matrix product each way per axis
 of at most ``DENSE_AXIS_MAX`` unknowns, and one forward and one inverse
-``scipy.fft`` transform per type present on the longer axes; at the
-sizes below that bound the product is faster than scipy.fft's per-call
-dispatch, and ``scipy.fft`` is imported only for a problem with a long
-axis.
-Newton systems ``(A + diag(max(W'', 0))) d = -r`` are solved by ``cg``,
-phaselab's own preconditioned conjugate-gradient loop (SciPy's recurrence,
-bit for bit, on plain callables), at relative tolerance ``LINEAR_RTOL``,
-preconditioned by the DST solve of ``A + mean(diag) I`` in float32
-(inexact preconditioning, Golub & Ye 1999: CG's float64 recurrence and
-stopping test fix the accuracy of the Newton step, the preconditioner
-only its iteration count); only should CG fail is ``A`` assembled as a
-sparse matrix, for a direct factorization.  The semi-implicit step, which
-updates the iterate directly, keeps the exact float64 DST solve.
-Newton steps start after ``NEWTON_BURN_IN`` semi-implicit iterations.
-The stopping rule is the sup-norm residual on interior nodes.
+``scipy.fft`` transform per type present on longer axes, which alone
+import ``scipy.fft``.  Newton systems ``(A + diag(max(W'', 0))) d = -r``
+are solved by ``cg``, SciPy's preconditioned conjugate-gradient recurrence
+bit for bit, on plain callables and preallocated vectors, at relative
+tolerance ``LINEAR_RTOL``, preconditioned by the DST solve of
+``A + mean(diag) I`` in float32 (inexact preconditioning, Golub & Ye
+1999: CG's float64 recurrence fixes the accuracy of the Newton step, the
+preconditioner only its iteration count); only should CG fail is ``A``
+assembled as a sparse matrix, for a direct factorization.  The
+semi-implicit step keeps the exact float64 DST solve.  The operator, the
+DST solve and the link energy write into their problem's scratch arrays.
+Newton steps start after ``NEWTON_BURN_IN`` semi-implicit iterations; the
+stopping rule is the sup-norm residual on interior nodes.
 
 Mirror-symmetric problems are solved on the folded half.  A tangential
 axis with ``2M + 1`` nodes, on which the face data and the start field
@@ -84,8 +82,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import (Potential, ScalarField, STANDARD, _at, equation_layers,
-                     half_space_energy, interior_neighbour_sum)
+from .energy import Potential, ScalarField, STANDARD, _at, half_space_energy
 from .grid import (HIGH, LOW, Dirichlet, Grid, NeumannZero, face_coords,
                    face_radii, half_space_roles)
 
@@ -149,16 +146,38 @@ def _dst3_matrix(k: int) -> np.ndarray:
     return q
 
 
+class _Matrices(dict):
+    """k -> {dtype: (Q, Q.T)}: the matrix Q of k points from ``build`` and
+    its transpose, read-only, in float64 and float32.  Filled on first use
+    and shared by every problem and thread (``setdefault`` keeps one entry
+    per k); ``self(k)`` is the float64 Q."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __call__(self, k: int) -> np.ndarray:
+        return self[k][np.float64][0]
+
+    def __missing__(self, k: int) -> dict:
+        q = self.build(k)
+        qs = {t: q.astype(t, copy=False) for t in (np.float64, np.float32)}
+        for m in qs.values():
+            m.flags.writeable = False
+        return self.setdefault(k, {t: (m, m.T) for t, m in qs.items()})
+
+
 #: Axis kind by the types of its (low, high) face roles: the type of the
 #: orthonormal DST that diagonalizes its symmetrized 1D second difference,
 #: the angles of its eigenvalues ``(2 - 2 cos(angle)) / h^2`` for k
-#: unknowns, in that DST's order, and that DST's matrix for k unknowns
-#: (its eigenbasis).  Forward transforms run in table order.
+#: unknowns, in that DST's order, and the cache of that DST's matrices
+#: (its eigenbasis) by k.  Forward transforms run in table order.
 _AXIS_KINDS = {
     (Dirichlet, NeumannZero):
-        (3, lambda k: np.pi * (2 * np.arange(k) + 1) / (2 * k), _dst3_matrix),
+        (3, lambda k: np.pi * (2 * np.arange(k) + 1) / (2 * k),
+         _Matrices(_dst3_matrix)),
     (Dirichlet, Dirichlet):
-        (1, lambda k: np.pi * np.arange(1, k + 1) / (k + 1), _dst1_matrix),
+        (1, lambda k: np.pi * np.arange(1, k + 1) / (k + 1),
+         _Matrices(_dst1_matrix)),
 }
 
 
@@ -211,13 +230,41 @@ class SolveResult:
 # the interior operator
 # --------------------------------------------------------------------------
 
+def _neighbour_plan(shape: tuple, folded: tuple = ()) -> tuple:
+    """The equation layers of an array of ``shape`` (1..m-2 per axis, 1..m-1
+    on an axis in ``folded``, closed by the mirror ghost), and per axis the
+    slices (out, plus, minus, ghost) by which ``_add_neighbours`` adds its
+    ``energy.neighbour_sum`` there; ghost is None on an unfolded axis."""
+    n = len(shape)
+    inner = tuple(slice(1, m - (a not in folded)) for a, m in enumerate(shape))
+    def layers(a, index):
+        return inner[:a] + (index,) + inner[a + 1:]
+    return inner, tuple(
+        (_at(n, a, slice(0, m - 2)), layers(a, slice(2, m)),
+         layers(a, slice(0, m - 2)),
+         (_at(n, a, m - 2), layers(a, m - 2)) if a in folded else None)
+        for a, m in enumerate(shape))
+
+
+def _add_neighbours(values: np.ndarray, out: np.ndarray, steps) -> None:
+    """Add values[plus], then values[minus], into out[out] per plan step,
+    and on a folded axis 2 values[ghost[1]] into out[ghost[0]]."""
+    for mid, plus, minus, ghost in steps:
+        layer = out[mid]
+        layer += values[plus]
+        layer += values[minus]
+        if ghost:
+            out[ghost[0]] += 2.0 * values[ghost[1]]
+
+
 def _defect(values: np.ndarray, h: float, potential: Potential,
-            roles=None) -> np.ndarray:
-    """``-lap_h(u) + W'(u)`` at the ``equation_layers`` nodes, in their
+            plan: tuple) -> np.ndarray:
+    """``-lap_h(u) + W'(u)`` at the equation layers of ``plan``, in their
     shape, as ``(2n u - N) / h^2 + W'(u)`` with N the neighbour sum."""
-    u = values[equation_layers(values.shape, roles)]
+    inner, steps = plan
+    u = values[inner]
     out = u * (-2.0 * values.ndim)
-    interior_neighbour_sum(values, out, roles)
+    _add_neighbours(values, out, steps)
     out *= -1.0 / (h * h)
     out += potential.derivative(u)
     return out
@@ -235,7 +282,7 @@ def _centre_weighted_sum(f: np.ndarray, axes: tuple) -> float:
 class _DirichletProblem:
     """Unknown-node view of A = -lap_h with eliminated Dirichlet layers.
 
-    ``dense`` holds (axis, DST matrix) per axis of at most
+    ``dense`` holds (axis, its ``_Matrices`` entry) per axis of at most
     ``DENSE_AXIS_MAX`` unknowns, and ``transforms`` (DST type, axes) per
     ``_AXIS_KINDS`` row present on the longer axes.  An axis whose high
     face is NeumannZero is folded: its last layer is the centre of a
@@ -243,15 +290,14 @@ class _DirichletProblem:
     ghost.  ``matvec``, ``shifted_solve`` and ``sparse_matrix`` act
     on ``y = D x``, where D is 1/sqrt(2) on the centre layer of each folded
     axis, so that the operator ``S = D A D^{-1}`` is symmetric;
-    ``weigh`` and ``unweigh`` apply D and its inverse."""
+    ``weigh`` and ``unweigh`` apply D and its inverse.  Problems share
+    only the read-only matrices, never their plan or scratch arrays."""
 
     def __init__(self, grid: Grid, roles: dict, potential: Potential):
         self.grid = grid
         self.roles = roles
         self.potential = potential
         self.h = grid.spacing
-        self.inner = equation_layers(grid.shape, roles)
-        self.int_shape = tuple(s.stop - 1 for s in self.inner)
         kinds = []
         for a in range(grid.n):
             pair = (type(roles[(a, LOW)]), type(roles[(a, HIGH)]))
@@ -260,7 +306,12 @@ class _DirichletProblem:
                     f"axis {a}: no spectral transform for the face roles "
                     f"({pair[0].__name__}, {pair[1].__name__})")
             kinds.append(_AXIS_KINDS[pair])
-        self.dense = tuple((a, kinds[a][2](k))
+        self.folded = tuple(a for a in range(grid.n)
+                            if isinstance(roles[(a, HIGH)], NeumannZero))
+        self.inner, self.steps = _neighbour_plan(grid.shape, self.folded)
+        self.int_shape = tuple(s.stop - 1 for s in self.inner)
+        self._centres = tuple(_at(grid.n, a, -1) for a in self.folded)
+        self.dense = tuple((a, kinds[a][2][k])
                            for a, k in enumerate(self.int_shape)
                            if k <= DENSE_AXIS_MAX)
         long_axes = [a for a, k in enumerate(self.int_shape)
@@ -268,8 +319,6 @@ class _DirichletProblem:
         self.transforms = tuple(
             (kind[0], axes) for kind in _AXIS_KINDS.values()
             if (axes := tuple(a for a in long_axes if kinds[a] is kind)))
-        self.folded = tuple(a for a in range(grid.n)
-                            if isinstance(roles[(a, HIGH)], NeumannZero))
         # eigenvalues of S: sum in axis order of (2 - 2 cos(angles)) / h^2
         lam = np.zeros(self.int_shape)
         for a, (k, (_, angles, _)) in enumerate(zip(self.int_shape, kinds)):
@@ -280,10 +329,17 @@ class _DirichletProblem:
         # shifted_solve was given in that dtype; the semi-implicit shift and
         # the Newton preconditioner's shift alternate, one per dtype
         self._shifted = {}
-        # dtype -> the dense matrices in that dtype
-        self._dense_in = {}
+        # shifted_solve's two product outputs per dtype, and float32's result
+        self._work = {t: np.empty((2,) + self.int_shape, t)
+                      for t in (np.float64, np.float32)}
+        self._result32 = np.empty(self.int_shape)
         # zero-bordered buffer that matvec writes -D^{-1} v/h^2 into
         self._buf = np.zeros(grid.shape)
+        # per axis: link_energy's differences, their layers, folded axes across
+        self._links = tuple(
+            (np.empty(tuple(m - (b == a) for b, m in enumerate(grid.shape))),
+             _at(grid.n, a, slice(1, None)), _at(grid.n, a, slice(None, -1)),
+             tuple(b for b in self.folded if b != a)) for a in range(grid.n))
         # the centre weight 2n/h^2 of A's stencil
         self.centre = 2.0 * grid.n / (self.h * self.h)
         # each folded axis stands for two mirror halves that share the
@@ -296,8 +352,8 @@ class _DirichletProblem:
         if not self.folded:
             return v
         out = v.reshape(self.int_shape).copy()
-        for a in self.folded:
-            out[_at(out.ndim, a, -1)] *= factor
+        for centre in self._centres:
+            out[centre] *= factor
         return out.ravel()
 
     def weigh(self, x: np.ndarray) -> np.ndarray:
@@ -319,13 +375,12 @@ class _DirichletProblem:
                     out=buf)
         out = np.multiply(diag, v)
         grid_out = out.reshape(self.int_shape)
-        for a in self.folded:
-            centre = _at(buf.ndim, a, -1)
+        for centre in self._centres:
             buf[centre] *= SQRT2
             grid_out[centre] *= SQRT2
-        interior_neighbour_sum(self._buf, grid_out, self.roles)
-        for a in self.folded:
-            grid_out[_at(buf.ndim, a, -1)] *= SQRT_HALF
+        _add_neighbours(self._buf, grid_out, self.steps)
+        for centre in self._centres:
+            grid_out[centre] *= SQRT_HALF
         return out
 
     def sparse_matrix(self) -> sp.csr_matrix:
@@ -342,78 +397,71 @@ class _DirichletProblem:
             A = T if A is None else sp.kronsum(T, A)
         return A.tocsr()
 
-    def interior(self, full_values: np.ndarray) -> np.ndarray:
-        return full_values[self.inner].ravel()
-
     def embed(self, interior_vec: np.ndarray, full_values: np.ndarray) -> np.ndarray:
         out = full_values.copy()
         out[self.inner] = interior_vec.reshape(self.int_shape)
         return out
 
     def residual(self, full_values: np.ndarray) -> np.ndarray:
-        return _defect(full_values, self.h, self.potential, self.roles).ravel()
+        return _defect(full_values, self.h, self.potential,
+                       (self.inner, self.steps)).ravel()
 
     def link_energy(self, full_values: np.ndarray) -> float:
         """The link energy of the full mirrored field: a node or a link on
         the centre layer of a folded axis counts half, and the sum is
         doubled per folded axis."""
-        h = self.h
         total = _centre_weighted_sum(self.potential.value(full_values),
                                      self.folded)
-        for a in range(self.grid.n):
-            d = np.diff(full_values, axis=a) / h
-            total += 0.5 * _centre_weighted_sum(
-                d * d, tuple(b for b in self.folded if b != a))
+        for d, hi, lo, across in self._links:
+            np.subtract(full_values[hi], full_values[lo], out=d)
+            d /= self.h
+            d *= d
+            total += 0.5 * _centre_weighted_sum(d, across)
         return total * self.measure
 
     def shifted_solve(self, s: float, rhs: np.ndarray,
                       dtype=np.float64) -> np.ndarray:
         """Solve (s I + S) y = rhs by fast diagonalization, with the
         transforms and the division in ``dtype``: exact to rounding in
-        float64, to float32 rounding in float32.  Returns float64 and
-        leaves ``rhs`` unchanged.  Forward, one matrix product per
-        ``dense`` axis, then one ``dstn`` per group of ``transforms``; back,
-        the inverses in reverse order, the transposed matrix on a dense
-        axis."""
+        float64, to float32 rounding in float32.  Returns float64, which the
+        next call in that dtype may overwrite, and leaves ``rhs`` unchanged.
+        Forward, one matrix product per ``dense`` axis, then one ``dstn``
+        per group of ``transforms``; back, the inverses in reverse order,
+        the transposed matrix on a dense axis.  The products alternate
+        between the two scratch arrays of ``dtype``."""
         shift, shifted = self._shifted.get(dtype, (None, None))
         if s != shift:
             shifted = (s + self.eigenvalues).astype(dtype, copy=False)
             self._shifted[dtype] = (s, shifted)
-        dense = self._dense_in.get(dtype)
-        if dense is None:
-            dense = self._dense_in[dtype] = tuple(
-                (a, q.astype(dtype, copy=False)) for a, q in self.dense)
+        work = self._work[dtype]
         r = rhs.reshape(self.int_shape).astype(dtype, copy=False)
-        for a, q in dense:
-            r = _along(q, r, a)
+        for i, (a, qs) in enumerate(self.dense):
+            r = _along(qs[dtype][0], r, a, work[i % 2])
         if self.transforms:
             # scipy.fft loads scipy.special, about 170 ms of import, so only
             # a problem with a long axis imports it
             from scipy.fft import dstn, idstn
         for i, (t, axes) in enumerate(self.transforms):
             r = dstn(r, type=t, axes=axes, norm="ortho",
-                     overwrite_x=bool(dense) or i > 0)
+                     overwrite_x=bool(self.dense) or i > 0)
         r /= shifted
         for t, axes in reversed(self.transforms):
             r = idstn(r, type=t, axes=axes, norm="ortho", overwrite_x=True)
-        for a, q in reversed(dense):
-            r = _along(q.T, r, a)
-        return r.ravel().astype(np.float64, copy=False)
+        for i, (a, qs) in enumerate(reversed(self.dense), len(self.dense)):
+            r = _along(qs[dtype][1], r, a, work[i % 2])
+        if r.dtype != np.float64:
+            np.copyto(self._result32, r)
+            r = self._result32
+        return r.ravel()
 
     def newton_solve(self, w2: np.ndarray, rhs: np.ndarray,
                      rtol: float) -> np.ndarray:
         """Solve (A + diag(max(w2, 0))) x = rhs by CG at relative tolerance
         ``rtol`` on ``y = D x``, preconditioned by the DST solve of
         S + mean(diag) I; a sparse direct solve takes over if CG does not
-        converge.
-
-        The preconditioner is applied in float32, where the transforms move
-        half the bytes and run faster than in float64.  CG needs from it only an
-        approximation of the inverse system matrix, and float32 rounding
-        perturbs that approximation by about 1e-7 relative (inexact
-        preconditioning, Golub & Ye 1999).  The recurrence, the residual and
-        the stopping test stay in float64, so ``x`` meets ``rtol`` as
-        before; the rounding may cost an extra CG iteration."""
+        converge.  The preconditioner runs in float32, where the transforms
+        move half the bytes; its rounding, about 1e-7 relative, may cost a
+        CG iteration but not accuracy, which CG's float64 recurrence fixes."""
         d = np.maximum(w2, 0.0)
         diag = d + self.centre
         shift = float(np.mean(d))
@@ -425,14 +473,17 @@ class _DirichletProblem:
         return self.unweigh(y)
 
 
-def _along(q: np.ndarray, r: np.ndarray, axis: int) -> np.ndarray:
-    """``q`` applied to every line of ``r`` along ``axis``, as one matrix
-    product (batched over the axes before ``axis``)."""
+def _along(q: np.ndarray, r: np.ndarray, axis: int,
+           out: np.ndarray) -> np.ndarray:
+    """``q`` applied to every line of ``r`` along ``axis`` by one matrix
+    product, batched over the axes before it, into ``out`` (not r)."""
     k = r.shape[axis]
     if axis == r.ndim - 1:
-        return (r.reshape(-1, k) @ q.T).reshape(r.shape)
-    return (q @ r.reshape(-1, k, math.prod(r.shape[axis + 1:]))
-            ).reshape(r.shape)
+        np.matmul(r.reshape(-1, k), q.T, out=out.reshape(-1, k))
+    else:
+        rest = math.prod(r.shape[axis + 1:])
+        np.matmul(q, r.reshape(-1, k, rest), out=out.reshape(-1, k, rest))
+    return out
 
 
 def cg(matvec, b: np.ndarray, rtol: float, psolve):
@@ -445,6 +496,8 @@ def cg(matvec, b: np.ndarray, rtol: float, psolve):
     and its order of operations are those of ``scipy.sparse.linalg.cg`` at
     ``atol=0``, so the iterates are the same to the bit; unlike a
     ``LinearOperator``, the two callables are not probed on a zero vector.
+    ``alpha p`` and ``alpha q`` go to a work vector allocated once, and the
+    two callables may return scratch that their next call overwrites.
     """
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
@@ -452,6 +505,8 @@ def cg(matvec, b: np.ndarray, rtol: float, psolve):
     atol = float(rtol) * float(bnrm2)
     x = np.zeros_like(b)
     r = b.copy()
+    p = np.empty_like(b)
+    work = np.empty_like(b)
     maxiter = 10 * len(b)
     for iteration in range(maxiter):
         if np.linalg.norm(r) < atol:
@@ -462,11 +517,11 @@ def cg(matvec, b: np.ndarray, rtol: float, psolve):
             p *= rho_cur / rho_prev
             p += z
         else:
-            p = z.copy()
+            np.copyto(p, z)
         q = matvec(p)
         alpha = rho_cur / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, q, out=work)
         rho_prev = rho_cur
     return x, maxiter
 
@@ -565,7 +620,7 @@ def solve_half_space(h_samples: np.ndarray, far_value: float,
     while iterations < cfg.max_iterations:
         tried_newton = False
         accepted = False
-        u_int = prob.interior(u_full)
+        u_int = u_full[prob.inner].ravel()
 
         if iterations >= NEWTON_BURN_IN:
             tried_newton = True
@@ -642,8 +697,9 @@ def _finish(grid, folded, u, trace_vals, res, iterations, converged):
 def residual_field(u: ScalarField, potential: Potential | None = None) -> ScalarField:
     """``-lap(u) + W'(u)`` at interior nodes, zero on all face layers."""
     out = np.zeros(u.grid.shape)
-    out[tuple(slice(1, -1) for _ in u.grid.shape)] = \
-        _defect(u.values, u.grid.spacing, potential or STANDARD)
+    out[tuple(slice(1, -1) for _ in u.grid.shape)] = _defect(
+        u.values, u.grid.spacing, potential or STANDARD,
+        _neighbour_plan(u.grid.shape))
     return u.with_values(out)
 
 

@@ -129,3 +129,16 @@ def test_importing_phaselab_does_not_load_scipy_fft():
          "print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_importing_phaselab_builds_no_dst_matrix():
+    # the solver's DST matrices are cached by length on first use; an
+    # import builds none
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import phaselab; "
+         "from phaselab.solver import _AXIS_KINDS; "
+         "print([len(row[2]) for row in _AXIS_KINDS.values()])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0]"

@@ -603,6 +603,22 @@ def test_validate_rejects_an_empty_output_dir(tmp_path, capsys):
     assert _one_error_line(capsys).startswith(f"error: {cfg_path}: output_dir")
 
 
+def test_cli_run_rejects_an_empty_output_dir(tmp_path, monkeypatch, capsys):
+    # an empty --output-dir is the empty output_dir of a config, not "no
+    # override": it used to run into the config's own runs/<name>
+    def stub(cfg):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"experiment": "tanh_calibration"}')
+    assert cli_main(["run", str(cfg_path), "--output-dir", ""]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {cfg_path}: output_dir must be a non-empty string, "
+        "got ''\n")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_run_reports_an_os_error_but_not_a_key_error(tmp_path, monkeypatch,
                                                         capsys):
     # an OSError is a failure a user can cause; a KeyError is a program

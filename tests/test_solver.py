@@ -9,12 +9,13 @@ from scipy.sparse.linalg import splu
 from phaselab.energy import (
     ScalarField,
     half_space_energy,
+    neighbour_sum,
     standard_potential,
 )
 from dataclasses import fields
 
-from phaselab.grid import (Grid, NeumannZero, face_radii, half_space_roles,
-                           make_half_space_grid)
+from phaselab.grid import (Dirichlet, Grid, NeumannZero, face_radii,
+                           half_space_roles, make_half_space_grid)
 from phaselab.solver import (
     _AXIS_KINDS,
     _DirichletProblem,
@@ -348,6 +349,131 @@ def test_solver_residual_is_residual_field(n, R, spacing):
     inner = tuple(slice(1, -1) for _ in g.shape)
     assert np.array_equal(prob.residual(vals),
                           residual_field(u, P).values[inner].ravel())
+
+
+def _reference_neighbour_sum(values, out, roles):
+    """The per-axis ``neighbour_sum`` loop over the equation layers (1..m-2,
+    1..m-1 under a NeumannZero high face) that the solver's plan of slices
+    replaces; returns those layers."""
+    inner = tuple(slice(1, m if isinstance(roles[(a, "high")], NeumannZero)
+                        else m - 1) for a, m in enumerate(values.shape))
+    for a, s in enumerate(inner):
+        neighbour_sum(values[inner[:a] + (slice(None),) + inner[a + 1:]], a,
+                      out, 1, s.stop, roles)
+    return inner
+
+
+# shapes with the axes whose high face is NeumannZero (folded); in 1D the
+# one axis, and in 3D the last, stand for a fold of the normal axis too
+PLAN_CASES = [((9,), ()), ((9,), (0,)), ((7, 6), ()), ((7, 6), (0,)),
+              ((7, 6), (0, 1)), ((5, 4, 6), ()), ((5, 4, 6), (0, 1)),
+              ((5, 4, 6), (2,))]
+
+
+@pytest.mark.parametrize("shape, folded", PLAN_CASES,
+                         ids=[f"{len(s)}d-" + ("fold" + "".join(map(str, f))
+                                               if f else "full")
+                              for s, f in PLAN_CASES])
+def test_matvec_and_residual_are_the_neighbour_sum_loop_bitwise(shape,
+                                                                folded):
+    from phaselab.solver import SQRT2, SQRT_HALF, _add_neighbours, \
+        _neighbour_plan
+    g = Grid(shape, 0.3, (0.0,) * len(shape))
+    roles = half_space_roles(g)
+    for a in folded:
+        roles[(a, "high")] = NeumannZero()
+    prob = _DirichletProblem(g, roles, P)
+    assert prob.folded == folded
+    rng = np.random.default_rng(len(shape) + 10 * len(folded))
+    vals = 1.0 + rng.uniform(-0.5, 2.0, shape)
+    # the plan adds what the loop adds, to the bit
+    out = rng.standard_normal(prob.int_shape)
+    ref = out.copy()
+    inner = _reference_neighbour_sum(vals, ref, roles)
+    plan_inner, steps = _neighbour_plan(shape, folded)
+    assert plan_inner == inner == prob.inner
+    _add_neighbours(vals, out, steps)
+    assert np.array_equal(out, ref)
+    # the residual: (2n u - N) / h^2 + W'(u) at the equation layers
+    h = g.spacing
+    u = vals[inner]
+    ref = u * (-2.0 * len(shape))
+    _reference_neighbour_sum(vals, ref, roles)
+    ref *= -1.0 / (h * h)
+    ref += P.derivative(u)
+    assert np.array_equal(prob.residual(vals), ref.ravel())
+    if not folded:
+        assert np.array_equal(residual_field(ScalarField(g, vals, roles), P)
+                              .values[inner], ref)
+    # the operator, D (diag D^-1 v - N(D^-1 v) / h^2) from a zero border
+    v = rng.standard_normal(math.prod(prob.int_shape))
+    diag = prob.centre + rng.uniform(0.0, 66.0, v.size)
+    buf = np.zeros(shape)
+    buf[inner] = v.reshape(prob.int_shape) * (-1.0 / (h * h))
+    ref = diag * v
+    grid_ref = ref.reshape(prob.int_shape)
+    for a in folded:
+        centre = (slice(None),) * a + (-1,)
+        buf[inner][centre] *= SQRT2
+        grid_ref[centre] *= SQRT2
+    _reference_neighbour_sum(buf, grid_ref, roles)
+    for a in folded:
+        grid_ref[(slice(None),) * a + (-1,)] *= SQRT_HALF
+    assert np.array_equal(prob.matvec(v, diag), ref)
+
+
+def test_problems_share_read_only_matrices_and_keep_their_own_scratch():
+    # the DST matrices of an axis kind and length are built once and shared
+    # by every problem (and member thread); what a solve writes is not
+    p1, p2 = _problem(2, 4.0, 0.25, True), _problem(2, 4.0, 0.25, True)
+    assert len(p1.dense) == 2
+    for (a, m1), (_, m2) in zip(p1.dense, p2.dense):
+        assert m1 is m2
+        roles = (Dirichlet, type(p1.roles[(a, "high")]))
+        assert m1[np.float64][0] is _AXIS_KINDS[roles][2](p1.int_shape[a])
+        for dtype in (np.float64, np.float32):
+            q, qt = m1[dtype]
+            assert q.dtype == dtype and np.array_equal(qt, q.T)
+            assert not q.flags.writeable and not qt.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                q[0, 0] = 0.0
+    scratch = [lambda p: p._buf, lambda p: p._result32,
+               lambda p: p._work[np.float64], lambda p: p._work[np.float32],
+               *(lambda p, a=a: p._links[a][0] for a in range(2))]
+    for arr in scratch:
+        assert arr(p1) is not arr(p2)
+        assert not np.shares_memory(arr(p1), arr(p2))
+    # a solve on one leaves the other's results unchanged
+    rhs = np.random.default_rng(8).standard_normal(
+        math.prod(p1.int_shape))
+    x = p1.shifted_solve(2.0, rhs, np.float32).copy()
+    y = p2.shifted_solve(2.0, rhs, np.float32)
+    p1.shifted_solve(5.0, 3.0 * rhs, np.float32)
+    assert np.array_equal(y, x)
+
+
+def test_threads_that_build_one_length_at_once_share_one_matrix():
+    # member threads may miss the cache for the same length together; they
+    # must still end up with one entry, the one that each of them uses
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    from phaselab.solver import _dst1_matrix, _Matrices
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(40, 48):
+            cache, start = _Matrices(_dst1_matrix), threading.Barrier(8)
+
+            def fetch():
+                start.wait(timeout=10)
+                return cache[k]
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(fetch) for _ in range(8)]
+                got = [f.result(timeout=30) for f in futures]
+            assert all(m is cache[k] for m in got) and len(cache) == 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS + LONG_PROBLEMS)
