@@ -16,16 +16,18 @@ one user, the ``penalty_zero`` runner.  ``grad_squared`` and ``laplacian``
 stay as the whole-grid references that the tests check the slab densities
 against.
 
-Every stencil is built from two unscaled per-axis primitives,
-``centred_difference`` and ``neighbour_sum``; the solver's operator and
-residual add the same neighbour sums, from slices it derives once per
-problem.  ``density_fields`` returns per-cell
-densities whose region sums are the energies up to summation order.  The
-curvature density is the squared defect of the discrete stationarity
-equation; it is set to zero on Dirichlet face layers, where no equation
-is imposed (the continuum density there sits on a node layer of measure
-O(h), which the cell-sum quadrature is free to drop at its accuracy
-order).
+Every stencil is built from two unscaled primitives: the per-axis
+``centred_difference``, and the neighbour sums over the axes, closed at
+each face by its role.  ``add_neighbours`` adds the sums by a
+``neighbour_plan`` of slices over one region: the whole grid for
+``laplacian``, one slab for the densities, and the equation layers for
+the solver's operator and residual, whose plan each problem builds once.
+``density_fields`` returns per-cell densities whose region sums are the
+energies up to summation order.  The curvature density is the squared
+defect of the discrete stationarity equation; it is set to zero on
+Dirichlet face layers, where no equation is imposed (the continuum
+density there sits on a node layer of measure O(h), which the cell-sum
+quadrature is free to drop at its accuracy order).
 
 The densities are evaluated in slabs of at most ``SLAB_NODES`` nodes,
 each a run of axis-0 layers that reads one neighbouring layer on either
@@ -200,28 +202,49 @@ def centred_difference(values: np.ndarray, axis: int, out: np.ndarray,
     return out
 
 
-def neighbour_sum(values: np.ndarray, axis: int, out: np.ndarray,
-                  lo: int = 0, hi: int | None = None, roles=None) -> None:
-    """Add the unscaled neighbour sum ``u[i+1] + u[i-1]`` along axis at the
-    layers lo <= i < hi (default: all) into out; the sums over the axes,
-    less ``2n u``, over h^2 are the discrete Laplacian.  At the grid's own
-    faces the face roles close it: the mirror ghost gives ``2 u1`` at a
-    NeumannZero face, and a Dirichlet face layer reads ``2 u0``, so that
-    the axis adds nothing to the Laplacian of a layer with no equation.
-    Layers in 1..m-2 need no roles."""
-    at = partial(_at, values.ndim, axis)
-    m = values.shape[axis]
-    hi = m if hi is None else hi
-    a, b = max(lo, 1), min(hi, m - 1)
-    if a < b:
-        mid = out[at(slice(a - lo, b - lo))]
-        mid += values[at(slice(a + 1, b + 1))]
-        mid += values[at(slice(a - 1, b - 1))]
-    for face, step, side in ((0, 1, LOW), (m - 1, -1, HIGH)):
-        if lo <= face < hi:
-            role = roles[(axis, side)]
-            ghost = face + step if isinstance(role, NeumannZero) else face
-            out[at(face - lo)] += 2.0 * values[at(ghost)]
+def neighbour_plan(shape: tuple, roles: dict, region: tuple = ()) -> tuple:
+    """The slices by which ``add_neighbours`` adds the unscaled neighbour
+    sums ``u[i+1] + u[i-1]`` of an array of ``shape`` along every axis,
+    at the nodes of ``region`` (slices per leading axis, default all), into
+    an array of the region's shape; the sums over the axes, less ``2n u``,
+    over h^2 are the discrete Laplacian.  Per axis: the slices (out, plus,
+    minus) of the layers in 1..m-2, None if the region holds none, then
+    (out, closing layer) per grid face inside the region.  The face roles
+    close it: the mirror ghost ``u1`` at a NeumannZero face, and ``u0``
+    on a Dirichlet face layer, so that the axis adds nothing to the
+    Laplacian of a layer with no equation."""
+    n = len(shape)
+    region = tuple(slice(*s.indices(m)[:2]) for s, m in
+                   zip(tuple(region) + (slice(None),) * n, shape))
+    plan = []
+    for a, (m, s) in enumerate(zip(shape, region)):
+        def at(index):
+            return region[:a] + (index,) + region[a + 1:]
+        lo, hi = s.start, s.stop
+        x, y = max(lo, 1), min(hi, m - 1)
+        mid = ((_at(n, a, slice(x - lo, y - lo)), at(slice(x + 1, y + 1)),
+                at(slice(x - 1, y - 1))) if x < y else None)
+        faces = tuple(
+            (_at(n, a, face - lo),
+             at(face + step if isinstance(roles[(a, side)], NeumannZero)
+                else face))
+            for face, step, side in ((0, 1, LOW), (m - 1, -1, HIGH))
+            if lo <= face < hi)
+        plan.append((mid, faces))
+    return tuple(plan)
+
+
+def add_neighbours(values: np.ndarray, out: np.ndarray, plan: tuple) -> None:
+    """Add the neighbour sums of values by a ``neighbour_plan`` into out:
+    per axis values[plus], then values[minus], then 2 values[closing
+    layer] at each face."""
+    for mid, faces in plan:
+        if mid:
+            layers = out[mid[0]]
+            layers += values[mid[1]]
+            layers += values[mid[2]]
+        for face, closing in faces:
+            out[face] += 2.0 * values[closing]
 
 
 def grad_squared(u: ScalarField) -> np.ndarray:
@@ -235,13 +258,12 @@ def grad_squared(u: ScalarField) -> np.ndarray:
 
 
 def laplacian(u: ScalarField) -> ScalarField:
-    """Three/five/seven-point Laplacian from ``neighbour_sum`` on each axis:
-    the mirror closure at a NeumannZero face, and no term from the normal
-    axis on a Dirichlet face layer."""
+    """Three/five/seven-point Laplacian from the neighbour sums of the
+    whole grid: the mirror closure at a NeumannZero face, and no term from
+    the normal axis on a Dirichlet face layer."""
     g = u.grid
     out = u.values * (-2.0 * g.n)
-    for a in range(g.n):
-        neighbour_sum(u.values, a, out, roles=u.roles)
+    add_neighbours(u.values, out, neighbour_plan(g.shape, u.roles))
     out *= 1.0 / (g.spacing * g.spacing)
     return u.with_values(out)
 
@@ -300,9 +322,8 @@ def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
     t *= -(h / eps) ** 2
     t -= 2.0 * n
     np.multiply(t, s, out=alpha)
-    neighbour_sum(v, 0, alpha, lo, hi, roles)
-    for a in range(1, n):
-        neighbour_sum(s, a, alpha, roles=roles)
+    add_neighbours(v, alpha, neighbour_plan(g.shape, roles,
+                                            (slice(lo, hi),)))
     alpha *= alpha
     alpha *= eps / (c * h ** 4)
     for (axis, side), role in roles.items():    # zero Dirichlet layers

@@ -1,4 +1,4 @@
-"""Field and grid serialization.
+"""Field and grid serialization; this module owns the field-file format.
 
 A field is stored as a pair of files sharing one base path: a JSON header
 ``<base>.json`` (grid metadata, face roles, array layout) and the raw
@@ -15,11 +15,48 @@ import os
 import numpy as np
 
 from .energy import ScalarField
-from .grid import grid_from_dict, grid_to_dict, roles_from_dict, roles_to_dict
+from .grid import Dirichlet, Grid, NeumannZero
 
 __all__ = ["save_field", "load_field"]
 
 FORMAT = "phaselab-field-2"     # face roles hold no face values
+
+_ROLE_KINDS = {"dirichlet": Dirichlet, "neumann_zero": NeumannZero}
+
+
+def _grid_to_dict(grid: Grid) -> dict:
+    return {
+        "n": grid.n,
+        "shape": list(grid.shape),
+        "spacing": grid.spacing,
+        "origin": list(grid.origin),
+    }
+
+
+def _grid_from_dict(d: dict) -> Grid:
+    return Grid(tuple(int(m) for m in d["shape"]), float(d["spacing"]),
+                tuple(float(o) for o in d["origin"]))
+
+
+def _roles_to_dict(roles: dict) -> dict:
+    kinds = {cls: kind for kind, cls in _ROLE_KINDS.items()}
+    out = {}
+    for (axis, side), role in roles.items():
+        if type(role) not in kinds:
+            raise TypeError(f"unknown role {role!r}")
+        out[f"{axis}:{side}"] = {"role": kinds[type(role)]}
+    return out
+
+
+def _roles_from_dict(d: dict) -> dict:
+    roles = {}
+    for key, spec in d.items():
+        axis_s, side = key.split(":")
+        kind = spec["role"]
+        if kind not in _ROLE_KINDS:
+            raise ValueError(f"unknown role kind {kind!r}")
+        roles[(int(axis_s), side)] = _ROLE_KINDS[kind]()
+    return roles
 
 
 def write_hashed(path: str, *chunks) -> str:
@@ -39,8 +76,8 @@ def save_field(field: ScalarField, base_path: str) -> dict[str, str]:
     digest}`` of the files written, in that order."""
     header = {
         "format": FORMAT,
-        "grid": grid_to_dict(field.grid),
-        "faces": roles_to_dict(field.roles),
+        "grid": _grid_to_dict(field.grid),
+        "faces": _roles_to_dict(field.roles),
         "layout": {"order": "C", "dtype": "float64"},
     }
     json_path = base_path + ".json"
@@ -62,7 +99,7 @@ def load_field(base_path: str) -> ScalarField:
         header = json.load(fh)
     if header.get("format") != FORMAT:
         raise ValueError(f"unrecognized field file format in {base_path}.json")
-    grid = grid_from_dict(header["grid"])
-    roles = roles_from_dict(header["faces"])
+    grid = _grid_from_dict(header["grid"])
+    roles = _roles_from_dict(header["faces"])
     values = np.load(base_path + ".npy")
     return ScalarField(grid, values, roles)

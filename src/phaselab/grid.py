@@ -37,10 +37,6 @@ __all__ = [
     "half_space_roles",
     "make_half_space_grid",
     "tail_bound",
-    "grid_to_dict",
-    "grid_from_dict",
-    "roles_to_dict",
-    "roles_from_dict",
 ]
 
 LOW, HIGH = "low", "high"
@@ -245,45 +241,3 @@ def tail_bound(n: int, R: float, theta: float = 1.0) -> float:
     else:
         raise ValueError(f"n must be 1, 2 or 3, got {n}")
     return max(theta ** 2, theta ** 4) * poly * math.exp(-2.0 * R)
-
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-def grid_to_dict(grid: Grid) -> dict:
-    return {
-        "n": grid.n,
-        "shape": list(grid.shape),
-        "spacing": grid.spacing,
-        "origin": list(grid.origin),
-    }
-
-
-def grid_from_dict(d: dict) -> Grid:
-    return Grid(tuple(int(m) for m in d["shape"]), float(d["spacing"]),
-                tuple(float(o) for o in d["origin"]))
-
-
-_ROLE_KINDS = {"dirichlet": Dirichlet, "neumann_zero": NeumannZero}
-
-
-def roles_to_dict(roles: dict) -> dict:
-    kinds = {cls: kind for kind, cls in _ROLE_KINDS.items()}
-    out = {}
-    for (axis, side), role in roles.items():
-        if type(role) not in kinds:
-            raise TypeError(f"unknown role {role!r}")
-        out[f"{axis}:{side}"] = {"role": kinds[type(role)]}
-    return out
-
-
-def roles_from_dict(d: dict) -> dict:
-    roles = {}
-    for key, spec in d.items():
-        axis_s, side = key.split(":")
-        kind = spec["role"]
-        if kind not in _ROLE_KINDS:
-            raise ValueError(f"unknown role kind {kind!r}")
-        roles[(int(axis_s), side)] = _ROLE_KINDS[kind]()
-    return roles

@@ -25,13 +25,14 @@ The interior operator ``A = -lap_h`` (zero Dirichlet border) is applied
 matrix-free as ``(2n/h^2) v - (1/h^2) sum of neighbours`` on a
 zero-bordered buffer, with Newton's ``diag(d)`` in the diagonal term; the
 residual ``r`` takes the neighbour sum of the full array, so the
-Dirichlet data enter through the face layers.  Both add
-``energy.neighbour_sum`` by a plan of slices that each problem derives
-once.  Along each axis an orthonormal DST diagonalizes ``A`` exactly
-(fast diagonalization, Lynch, Rice & Thomas 1964; Buzbee, Golub &
-Nielson 1970); ``_AXIS_KINDS`` maps an axis's two face roles to its type,
-eigenvalues and a lazy cache of its dense orthonormal matrices by length,
-read-only and shared by the member threads.  So the semi-implicit step
+Dirichlet data enter through the face layers.  Both add the neighbour
+sums by ``energy.add_neighbours``, through the ``neighbour_plan`` of the
+equation layers that each problem builds once.  Along each axis an
+orthonormal DST diagonalizes ``A`` exactly (fast diagonalization, Lynch,
+Rice & Thomas 1964; Buzbee, Golub & Nielson 1970); ``_AXIS_KINDS`` maps
+an axis's two face roles to its type, eigenvalues and a lazy cache of its
+dense orthonormal matrices by length, read-only and shared by the member
+threads.  So the semi-implicit step
 ``u+ = u - (s I + A)^{-1} r`` costs one matrix product each way per axis
 of at most ``DENSE_AXIS_MAX`` unknowns, and one forward and one inverse
 ``scipy.fft`` transform per type present on longer axes, which alone
@@ -82,7 +83,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import Potential, ScalarField, STANDARD, _at, half_space_energy
+from .energy import (Potential, ScalarField, STANDARD, _at, add_neighbours,
+                     half_space_energy, neighbour_plan)
 from .grid import (HIGH, LOW, Dirichlet, Grid, NeumannZero, face_coords,
                    face_radii, half_space_roles)
 
@@ -150,13 +152,10 @@ class _Matrices(dict):
     """k -> {dtype: (Q, Q.T)}: the matrix Q of k points from ``build`` and
     its transpose, read-only, in float64 and float32.  Filled on first use
     and shared by every problem and thread (``setdefault`` keeps one entry
-    per k); ``self(k)`` is the float64 Q."""
+    per k)."""
 
     def __init__(self, build):
         self.build = build
-
-    def __call__(self, k: int) -> np.ndarray:
-        return self[k][np.float64][0]
 
     def __missing__(self, k: int) -> dict:
         q = self.build(k)
@@ -230,41 +229,14 @@ class SolveResult:
 # the interior operator
 # --------------------------------------------------------------------------
 
-def _neighbour_plan(shape: tuple, folded: tuple = ()) -> tuple:
-    """The equation layers of an array of ``shape`` (1..m-2 per axis, 1..m-1
-    on an axis in ``folded``, closed by the mirror ghost), and per axis the
-    slices (out, plus, minus, ghost) by which ``_add_neighbours`` adds its
-    ``energy.neighbour_sum`` there; ghost is None on an unfolded axis."""
-    n = len(shape)
-    inner = tuple(slice(1, m - (a not in folded)) for a, m in enumerate(shape))
-    def layers(a, index):
-        return inner[:a] + (index,) + inner[a + 1:]
-    return inner, tuple(
-        (_at(n, a, slice(0, m - 2)), layers(a, slice(2, m)),
-         layers(a, slice(0, m - 2)),
-         (_at(n, a, m - 2), layers(a, m - 2)) if a in folded else None)
-        for a, m in enumerate(shape))
-
-
-def _add_neighbours(values: np.ndarray, out: np.ndarray, steps) -> None:
-    """Add values[plus], then values[minus], into out[out] per plan step,
-    and on a folded axis 2 values[ghost[1]] into out[ghost[0]]."""
-    for mid, plus, minus, ghost in steps:
-        layer = out[mid]
-        layer += values[plus]
-        layer += values[minus]
-        if ghost:
-            out[ghost[0]] += 2.0 * values[ghost[1]]
-
-
 def _defect(values: np.ndarray, h: float, potential: Potential,
-            plan: tuple) -> np.ndarray:
-    """``-lap_h(u) + W'(u)`` at the equation layers of ``plan``, in their
-    shape, as ``(2n u - N) / h^2 + W'(u)`` with N the neighbour sum."""
-    inner, steps = plan
+            inner: tuple, plan: tuple) -> np.ndarray:
+    """``-lap_h(u) + W'(u)`` at the equation layers ``inner``, in their
+    shape, as ``(2n u - N) / h^2 + W'(u)`` with N the neighbour sum that
+    ``plan``, a ``neighbour_plan`` of ``inner``, adds."""
     u = values[inner]
     out = u * (-2.0 * values.ndim)
-    _add_neighbours(values, out, steps)
+    add_neighbours(values, out, plan)
     out *= -1.0 / (h * h)
     out += potential.derivative(u)
     return out
@@ -308,7 +280,11 @@ class _DirichletProblem:
             kinds.append(_AXIS_KINDS[pair])
         self.folded = tuple(a for a in range(grid.n)
                             if isinstance(roles[(a, HIGH)], NeumannZero))
-        self.inner, self.steps = _neighbour_plan(grid.shape, self.folded)
+        # the equation layers: all but the Dirichlet face layers, so on a
+        # folded axis the centre, closed by its NeumannZero role
+        self.inner = tuple(slice(1, m - (a not in self.folded))
+                           for a, m in enumerate(grid.shape))
+        self.plan = neighbour_plan(grid.shape, roles, self.inner)
         self.int_shape = tuple(s.stop - 1 for s in self.inner)
         self._centres = tuple(_at(grid.n, a, -1) for a in self.folded)
         self.dense = tuple((a, kinds[a][2][k])
@@ -378,7 +354,7 @@ class _DirichletProblem:
         for centre in self._centres:
             buf[centre] *= SQRT2
             grid_out[centre] *= SQRT2
-        _add_neighbours(self._buf, grid_out, self.steps)
+        add_neighbours(self._buf, grid_out, self.plan)
         for centre in self._centres:
             grid_out[centre] *= SQRT_HALF
         return out
@@ -403,8 +379,8 @@ class _DirichletProblem:
         return out
 
     def residual(self, full_values: np.ndarray) -> np.ndarray:
-        return _defect(full_values, self.h, self.potential,
-                       (self.inner, self.steps)).ravel()
+        return _defect(full_values, self.h, self.potential, self.inner,
+                       self.plan).ravel()
 
     def link_energy(self, full_values: np.ndarray) -> float:
         """The link energy of the full mirrored field: a node or a link on
@@ -428,13 +404,17 @@ class _DirichletProblem:
         Forward, one matrix product per ``dense`` axis, then one ``dstn``
         per group of ``transforms``; back, the inverses in reverse order,
         the transposed matrix on a dense axis.  The products alternate
-        between the two scratch arrays of ``dtype``."""
+        between the two scratch arrays of ``dtype``; in float32, rhs is
+        first rounded into the second."""
         shift, shifted = self._shifted.get(dtype, (None, None))
         if s != shift:
             shifted = (s + self.eigenvalues).astype(dtype, copy=False)
             self._shifted[dtype] = (s, shifted)
         work = self._work[dtype]
-        r = rhs.reshape(self.int_shape).astype(dtype, copy=False)
+        r = rhs.reshape(self.int_shape)
+        if r.dtype != dtype:
+            np.copyto(work[1], r)
+            r = work[1]
         for i, (a, qs) in enumerate(self.dense):
             r = _along(qs[dtype][0], r, a, work[i % 2])
         if self.transforms:
@@ -697,9 +677,9 @@ def _finish(grid, folded, u, trace_vals, res, iterations, converged):
 def residual_field(u: ScalarField, potential: Potential | None = None) -> ScalarField:
     """``-lap(u) + W'(u)`` at interior nodes, zero on all face layers."""
     out = np.zeros(u.grid.shape)
-    out[tuple(slice(1, -1) for _ in u.grid.shape)] = _defect(
-        u.values, u.grid.spacing, potential or STANDARD,
-        _neighbour_plan(u.grid.shape))
+    inner = tuple(slice(1, -1) for _ in u.grid.shape)
+    out[inner] = _defect(u.values, u.grid.spacing, potential or STANDARD,
+                         inner, neighbour_plan(u.grid.shape, u.roles, inner))
     return u.with_values(out)
 
 

@@ -10,6 +10,7 @@ from phaselab import energy as energy_module
 from phaselab.energy import (
     EnergyBreakdown,
     ScalarField,
+    add_neighbours,
     barrier_profile,
     c0,
     density_fields,
@@ -19,6 +20,7 @@ from phaselab.energy import (
     laplacian,
     modica_mortola,
     modified_floor_potential,
+    neighbour_plan,
     standard_potential,
     supersolution_margin,
     willmore_eps,
@@ -29,6 +31,7 @@ from phaselab.grid import (
     NeumannZero,
     make_half_space_grid,
 )
+from stencil_reference import neighbour_sum
 
 
 def neumann_box(grid, values):
@@ -414,7 +417,7 @@ def test_slab_densities_match_whole_grid_operators(monkeypatch, roles):
     assert mu.tobytes() == want_mu.tobytes()
     defect = (t * -(h / eps) ** 2 - 4.0) * s
     for a in (0, 1):
-        energy_module.neighbour_sum(s, a, defect, roles=u.roles)
+        neighbour_sum(s, a, defect, roles=u.roles)
     want_alpha = defect * defect * (eps / (c * h ** 4))
     on_dirichlet = np.zeros(s.shape, dtype=bool)
     for (axis, side), role in u.roles.items():
@@ -434,6 +437,62 @@ def test_slab_densities_match_whole_grid_operators(monkeypatch, roles):
     want_alpha[on_dirichlet] = 0.0
     np.testing.assert_allclose(alpha, want_alpha, rtol=1e-12,
                                atol=1e-12 * want_alpha.max())
+
+
+# the four role pairs (low, high) of an axis, NeumannZero on a low face too
+_ROLE_PAIRS = [(Dirichlet, Dirichlet), (Dirichlet, NeumannZero),
+               (NeumannZero, Dirichlet), (NeumannZero, NeumannZero)]
+
+
+def _padded_neighbour_sum(values, axis, pair):
+    """``u[i+1] + u[i-1]`` along axis from a one-layer ``np.pad`` ghost on
+    each side: the even reflection u1 at a NeumannZero face, the odd
+    reflection ``2 u0 - u1`` at a Dirichlet face, whose layer so reads
+    ``2 u0``."""
+    widths = [(0, 0)] * values.ndim
+    widths[axis] = (1, 1)
+    padded = np.pad(values, widths, mode="reflect")
+    odd = np.pad(values, widths, mode="reflect", reflect_type="odd")
+    for ghost, role in zip((0, -1), pair):
+        if role is Dirichlet:
+            idx = (slice(None),) * axis + (ghost,)
+            padded[idx] = odd[idx]
+    return padded[(slice(None),) * axis + (slice(2, None),)] \
+        + padded[(slice(None),) * axis + (slice(None, -2),)]
+
+
+def _regions(shape, pairs):
+    """The regions the code adds neighbours over: the whole grid, the
+    axis-0 slabs of every slab size (1-layer tail slabs included), and the
+    equation layers, all but the Dirichlet face layers (on a folded axis,
+    the centre too)."""
+    m = shape[0]
+    yield ()
+    for step in range(1, m + 1):
+        for lo in range(0, m, step):
+            yield (slice(lo, min(lo + step, m)),)
+    yield tuple(slice(int(low is Dirichlet), k - (high is Dirichlet))
+                for k, (low, high) in zip(shape, pairs))
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 4, 6)])
+@pytest.mark.parametrize("first", range(len(_ROLE_PAIRS)))
+def test_neighbour_plan_is_the_padded_ghost_sum(shape, first):
+    # axis a takes role pair first + a (mod 4), so every pair meets every
+    # dimension; integer values keep each sum exact, so any order of
+    # addition gives the same bits
+    pairs = [_ROLE_PAIRS[(first + a) % 4] for a in range(len(shape))]
+    roles = {(a, side): cls() for a, pair in enumerate(pairs)
+             for side, cls in zip(("low", "high"), pair)}
+    rng = np.random.default_rng(first + 10 * len(shape))
+    values = rng.integers(-1000, 1000, shape).astype(float)
+    start = rng.integers(-1000, 1000, shape).astype(float)
+    want = start + sum(_padded_neighbour_sum(values, a, pair)
+                       for a, pair in enumerate(pairs))
+    for region in _regions(shape, pairs):
+        out = start[region].copy()
+        add_neighbours(values, out, neighbour_plan(shape, roles, region))
+        assert np.array_equal(out, want[region]), region
 
 
 def test_density_peak_memory_stays_near_the_two_outputs():

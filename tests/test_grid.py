@@ -15,7 +15,6 @@ from phaselab.grid import (
     check_roles,
     half_space_roles,
     make_half_space_grid,
-    roles_to_dict,
     tail_bound,
 )
 
@@ -41,8 +40,7 @@ def test_half_space_2d_example():
 def test_half_space_grid_roles_match_the_role_builder(n):
     g, roles = make_half_space_grid(n, 2.0, 0.25, 0.5)
     built = half_space_roles(g)
-    assert list(roles_to_dict(roles).items()) \
-        == list(roles_to_dict(built).items())
+    assert list(roles.items()) == list(built.items())
 
 
 def test_check_roles_admits_only_dirichlet_and_neumann_zero():

@@ -8,8 +8,9 @@ from scipy.sparse.linalg import splu
 
 from phaselab.energy import (
     ScalarField,
+    add_neighbours,
     half_space_energy,
-    neighbour_sum,
+    neighbour_plan,
     standard_potential,
 )
 from dataclasses import fields
@@ -30,6 +31,7 @@ from phaselab.solver import (
     solve_half_space,
     uniqueness_check,
 )
+from stencil_reference import neighbour_sum
 
 P = standard_potential()
 
@@ -354,7 +356,7 @@ def test_solver_residual_is_residual_field(n, R, spacing):
 def _reference_neighbour_sum(values, out, roles):
     """The per-axis ``neighbour_sum`` loop over the equation layers (1..m-2,
     1..m-1 under a NeumannZero high face) that the solver's plan of slices
-    replaces; returns those layers."""
+    stands for; returns those layers."""
     inner = tuple(slice(1, m if isinstance(roles[(a, "high")], NeumannZero)
                         else m - 1) for a, m in enumerate(values.shape))
     for a, s in enumerate(inner):
@@ -376,8 +378,7 @@ PLAN_CASES = [((9,), ()), ((9,), (0,)), ((7, 6), ()), ((7, 6), (0,)),
                               for s, f in PLAN_CASES])
 def test_matvec_and_residual_are_the_neighbour_sum_loop_bitwise(shape,
                                                                 folded):
-    from phaselab.solver import SQRT2, SQRT_HALF, _add_neighbours, \
-        _neighbour_plan
+    from phaselab.solver import SQRT2, SQRT_HALF
     g = Grid(shape, 0.3, (0.0,) * len(shape))
     roles = half_space_roles(g)
     for a in folded:
@@ -390,9 +391,9 @@ def test_matvec_and_residual_are_the_neighbour_sum_loop_bitwise(shape,
     out = rng.standard_normal(prob.int_shape)
     ref = out.copy()
     inner = _reference_neighbour_sum(vals, ref, roles)
-    plan_inner, steps = _neighbour_plan(shape, folded)
-    assert plan_inner == inner == prob.inner
-    _add_neighbours(vals, out, steps)
+    assert inner == prob.inner
+    assert prob.plan == neighbour_plan(shape, roles, inner)
+    add_neighbours(vals, out, prob.plan)
     assert np.array_equal(out, ref)
     # the residual: (2n u - N) / h^2 + W'(u) at the equation layers
     h = g.spacing
@@ -430,7 +431,8 @@ def test_problems_share_read_only_matrices_and_keep_their_own_scratch():
     for (a, m1), (_, m2) in zip(p1.dense, p2.dense):
         assert m1 is m2
         roles = (Dirichlet, type(p1.roles[(a, "high")]))
-        assert m1[np.float64][0] is _AXIS_KINDS[roles][2](p1.int_shape[a])
+        assert m1[np.float64][0] \
+            is _AXIS_KINDS[roles][2][p1.int_shape[a]][np.float64][0]
         for dtype in (np.float64, np.float32):
             q, qt = m1[dtype]
             assert q.dtype == dtype and np.array_equal(qt, q.T)
@@ -523,7 +525,7 @@ def test_each_axis_kind_diagonalizes_its_dense_1d_operator(roles):
         assert np.max(np.abs(S - S.T)) <= 1e-15
         # the columns of Q are the orthonormal transform of the unit vectors,
         # and the row's closed form is that matrix
-        Q = matrix(k)
+        Q = matrix[k][np.float64][0]
         assert np.max(np.abs(
             Q - dst(np.eye(k), type=t, norm="ortho", axis=0))) <= 1e-13
         assert np.max(np.abs(Q @ Q.T - np.eye(k))) <= 1e-13
