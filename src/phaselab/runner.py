@@ -16,7 +16,12 @@ readable artifacts into the run directory:
 
 Runs are deterministic for a fixed config and platform; the members of a
 family experiment may be built on up to ``workers`` threads (a positive
-integer, default 1) while emission stays serialized in epsilon order.
+integer, default 1).  Each run also owns one writer thread, whatever
+``workers`` is: an experiment hands each field to ``save`` as soon as the
+field is final, and the writer hashes and writes it while the experiment
+goes on.  ``run`` takes the digests in hand-over order once the
+experiment has returned, then writes the CSV, the summaries and the
+manifest.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import math
 import numbers
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -274,11 +280,13 @@ def _row(experiment, n, eps, **kw):
     return row
 
 
-def _family_outputs(cfg, fam, prefix, columns=None):
-    """Sweep rows and fields of a family run: one row per member, whose
-    ``mass_total`` is ``S_eps`` unless its dict in ``columns`` (one per
-    member) sets it, and one field ``<prefix>_eps<i>`` per member."""
+def _family_outputs(cfg, fam, prefix, save, columns=None):
+    """Sweep rows of a family run, one per member, whose ``mass_total`` is
+    ``S_eps`` unless its dict in ``columns`` (one per member) sets it; each
+    member's field is handed to ``save`` as ``<prefix>_eps<i>``."""
     columns = columns or [{}] * len(fam.members)
+    for i, m in enumerate(fam.members):
+        save(f"{prefix}_eps{i}", m.field)
     rows = [_row(cfg["experiment"], cfg["n"], m.eps,
                  theta_or_omega="" if m.parameter is None else m.parameter,
                  F_unit=m.unit_result.final_energy,
@@ -288,8 +296,7 @@ def _family_outputs(cfg, fam, prefix, columns=None):
                  iterations=m.unit_result.iterations,
                  **{"mass_total": m.energy.S_eps, **extra})
             for m, extra in zip(fam.members, columns)]
-    fields = [(f"{prefix}_eps{i}", m.field) for i, m in enumerate(fam.members)]
-    return rows, fields
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +332,7 @@ def _hoelder_interior(grid, eps):
     return interior_region_mask(grid, 2.0 * eps)
 
 
-def run_tanh_calibration(cfg):
+def run_tanh_calibration(cfg, save):
     p = cfg["params"]
     eps = cfg["eps_list"][0]
     x0 = p["interface_position"]
@@ -366,11 +373,12 @@ def run_tanh_calibration(cfg):
                  residual=res.residual, iterations=res.iterations),
             _row("tanh_calibration", 1, eps, theta_or_omega="sampled",
                  S_eps=S_raw, W_eps=W_raw, sup_u=float(raw.values.max()))]
-    fields = [("calibration_relaxed", relaxed), ("calibration_sampled", raw)]
-    return rows, assertions, fields
+    save("calibration_relaxed", relaxed)
+    save("calibration_sampled", raw)
+    return rows, assertions
 
 
-def run_unbounded(cfg):
+def run_unbounded(cfg, save):
     p = cfg["params"]
     eps_list = cfg["eps_list"]
     fam = _family(cfg, "unbounded")
@@ -402,11 +410,10 @@ def run_unbounded(cfg):
                "curvature energy vanishes for every member",
                max(W), "<=", 1e-6),
     ]
-    rows, fields = _family_outputs(cfg, fam, "unbounded")
-    return rows, assertions, fields
+    return _family_outputs(cfg, fam, "unbounded", save), assertions
 
 
-def run_boundary_atom(cfg):
+def run_boundary_atom(cfg, save):
     p = cfg["params"]
     n = cfg["n"]
     S_target = p["S"]
@@ -459,8 +466,8 @@ def run_boundary_atom(cfg):
                 "mass_in_R2": crow.ball_masses[r2],
                 "mass_outside_Reps": crow.mass_outside_sqrt_eps}
                for crow in report.rows]
-    rows, fields = _family_outputs(cfg, fam, "boundary_atom", columns)
-    return rows, assertions, fields
+    return (_family_outputs(cfg, fam, "boundary_atom", save, columns),
+            assertions)
 
 
 def _f_bound_margins(fam):
@@ -484,7 +491,7 @@ def _f_bound_margins(fam):
     return worst_pair, worst_trace
 
 
-def run_hausdorff_levelset(cfg):
+def run_hausdorff_levelset(cfg, save):
     p = cfg["params"]
     n = cfg["n"]
     fam = _family(cfg, "hausdorff_levelset")
@@ -519,11 +526,10 @@ def run_hausdorff_levelset(cfg):
         _check("hausdorff.willmore_zero", "curvature energies vanish",
                max(m.energy.W_eps for m in fam.members), "<=", 1e-6),
     ]
-    rows, fields = _family_outputs(cfg, fam, "hausdorff")
-    return rows, assertions, fields
+    return _family_outputs(cfg, fam, "hausdorff", save), assertions
 
 
-def run_hoelder_blowup(cfg):
+def run_hoelder_blowup(cfg, save):
     p = cfg["params"]
     gamma = p["gamma"]
     fam = _family(cfg, "hoelder_blowup")
@@ -556,11 +562,10 @@ def run_hoelder_blowup(cfg):
         _check("hoelder.willmore_zero", "curvature energies vanish",
                max(m.energy.W_eps for m in fam.members), "<=", 1e-6),
     ]
-    rows, fields = _family_outputs(cfg, fam, "hoelder", columns)
-    return rows, assertions, fields
+    return _family_outputs(cfg, fam, "hoelder", save, columns), assertions
 
 
-def run_oscillation_atom(cfg):
+def run_oscillation_atom(cfg, save):
     p = cfg["params"]
     fam = _family(cfg, "oscillation_atom")
 
@@ -587,22 +592,24 @@ def run_oscillation_atom(cfg):
         _check("oscillation.willmore_zero", "curvature energies vanish",
                max(m.energy.W_eps for m in fam.members), "<=", 1e-6),
     ]
-    rows, fields = _family_outputs(cfg, fam, "oscillation")
-    return rows, assertions, fields
+    return _family_outputs(cfg, fam, "oscillation", save), assertions
 
 
-def run_neumann_layer(cfg):
+def run_neumann_layer(cfg, save):
     p = cfg["params"]
     n = cfg["n"]
     eps_list = cfg["eps_list"]
     masses = []
     rows = []
-    fields = []
     for i, eps in enumerate(eps_list):
         u = neumann_layer_field(eps, L=p["L"],
                                 interfaces=tuple(p["interfaces"]),
                                 bump_amp=p["bump_amp"],
                                 amp_power=p["amp_power"])
+        if i == len(eps_list) - 1:
+            # handed over before the energy pass, so the writer thread
+            # hashes and writes the largest field while that pass runs
+            save("neumann_layer_finest", u)
         # S_eps, W_eps and the excess mass from one pass over the density
         # slabs, with no full-size density array
         energy = EnergyBreakdown.of(u, eps, theta=1.0)
@@ -612,8 +619,6 @@ def run_neumann_layer(cfg):
                          S_eps=energy.S_eps, W_eps=energy.W_eps,
                          boundary_layer_mass=energy.excess_mass,
                          sup_u=max(float(v.max()), -float(v.min()))))
-        if i == len(eps_list) - 1:
-            fields.append(("neumann_layer_finest", u))
         # drop this member's field before the next, finer one is built
         del u, v
     if all(m > 0 for m in masses):
@@ -629,10 +634,10 @@ def run_neumann_layer(cfg):
                "the excess set carries positive mass at every eps",
                min(masses), ">", 0.0),
     ]
-    return rows, assertions, fields
+    return rows, assertions
 
 
-def run_penalty_zero(cfg):
+def run_penalty_zero(cfg, save):
     p = cfg["params"]
     eps_list = cfg["eps_list"]
     eps0 = eps_list[0]
@@ -650,8 +655,7 @@ def run_penalty_zero(cfg):
                pen[-1], "<=", 1e-4),
     ]
     columns = [{"F_eps_penalized": f} for f in pen]
-    rows, fields = _family_outputs(cfg, fam, "penalty_zero", columns)
-    return rows, assertions, fields
+    return _family_outputs(cfg, fam, "penalty_zero", save, columns), assertions
 
 
 def _family_keys(kind: str) -> dict:
@@ -749,7 +753,11 @@ def run(config: dict) -> VerificationSummary:
     """Validate, execute and emit one experiment run.
 
     Raises ValueError on an invalid config and OSError, before the sweep
-    runs, when ``config['output_dir']`` cannot be made a directory.
+    runs, when ``config['output_dir']`` cannot be made a directory, or
+    after it, when a field cannot be written.  The experiment runs as
+    ``RUNNERS[name](cfg, save)``: ``save(name, field)`` makes the field's
+    array read-only and queues it on the run's one writer thread, which
+    is joined before ``run`` returns or raises.
     Returns the verification summary; all artifacts are written there.
     """
     errors = validate(config)
@@ -758,19 +766,33 @@ def run(config: dict) -> VerificationSummary:
     cfg = expand_config(config)
     out = cfg["output_dir"]
     os.makedirs(os.path.join(out, "fields"), exist_ok=True)
-
-    rows, assertions, fields = RUNNERS[cfg["experiment"]](cfg)
-    summary = VerificationSummary.of(cfg["experiment"], assertions)
     # each file's digest is taken from the bytes as they are written
     digests = {}
+
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        pending = []
+
+        def save(name, field):
+            # an in-place write after this raises instead of racing the
+            # writer; save_field is looked up at each call, so a wrapper
+            # bound to this module's name sees every write
+            field.values.flags.writeable = False
+            pending.append(writer.submit(
+                save_field, field, os.path.join(out, "fields", name)))
+
+        rows, assertions = RUNNERS[cfg["experiment"]](cfg, save)
+        # one wake-up once every write is done: waking after each one
+        # would take the interpreter lock from the writer between writes
+        wait(pending)
+        for future in pending:
+            digests.update(future.result())
+    summary = VerificationSummary.of(cfg["experiment"], assertions)
 
     def write_text(name, text):
         path = os.path.join(out, name)
         digests[path] = write_hashed(path, text.encode("utf-8"))
 
     write_text("sweep.csv", _csv_text(rows))
-    for name, fld in fields:
-        digests.update(save_field(fld, os.path.join(out, "fields", name)))
 
     summary_doc = {
         "experiment": cfg["experiment"],

@@ -1,13 +1,17 @@
 import hashlib
+import io
 import json
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaselab import runner
 from phaselab.cli import main as cli_main
 from phaselab.families import FAMILY_PARAMS
 from phaselab.fieldio import load_field, save_field
@@ -68,8 +72,8 @@ def test_run_dispatches_through_the_runners_dict(tmp_path, monkeypatch):
     row = {c: "" for c in CSV_COLUMNS}
     row.update(experiment="tanh_calibration", n=1, eps=0.1, S_eps=0.25)
 
-    def stub(cfg):
-        return [row], [], []
+    def stub(cfg, save):
+        return [row], []
     monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
     out = tmp_path / "out"
     assert run({"experiment": "tanh_calibration", "output_dir": str(out)}
@@ -140,16 +144,24 @@ def test_family_run_byte_identical_across_workers_and_reruns(tmp_path):
 
 
 def _assert_manifest_matches_disk(out):
+    # every digest is the file's, and every field's samples are written as
+    # np.save writes them
     manifest = json.loads((out / "manifest.json").read_text())
     on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
     assert set(manifest["files"]) == on_disk - {"manifest.json"}
     for rel, digest in manifest["files"].items():
-        assert digest == hashlib.sha256((out / rel).read_bytes()).hexdigest()
+        data = (out / rel).read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()
+        if rel.endswith(".npy"):
+            ref = io.BytesIO()
+            np.save(ref, load_field(str(out / rel[:-4])).values)
+            assert data == ref.getvalue(), rel
 
 
 def test_neumann_run_byte_identical_across_workers_and_reruns(tmp_path):
     # two members of 301^2 and 601^2 nodes, each spanning several density
-    # slabs, so the slab threads have work to split
+    # slabs; the finer one is handed to the writer thread before its
+    # energy pass, and is hashed and written during it
     cfg = {"experiment": "neumann_layer", "eps_list": [0.064, 0.032]}
     outs = [tmp_path / f"run{i}" for i in range(3)]
     for out, workers in zip(outs, (1, 2, 1)):
@@ -164,11 +176,83 @@ def test_manifest_digests_are_the_files_on_disk(tmp_path):
     out = tmp_path / "cal"
     run({"experiment": "tanh_calibration", "output_dir": str(out)})
     _assert_manifest_matches_disk(out)
-    # the field samples are written as np.save writes them
-    fld = load_field(str(out / "fields" / "calibration_relaxed"))
-    np.save(tmp_path / "ref.npy", fld.values)
-    assert ((out / "fields" / "calibration_relaxed.npy").read_bytes()
-            == (tmp_path / "ref.npy").read_bytes())
+
+
+def _ones_field():
+    from phaselab.energy import ScalarField
+    g, roles = _half_space_faces()
+    return ScalarField(g, np.ones(g.shape), roles)
+
+
+def test_save_makes_the_handed_over_array_read_only(tmp_path, monkeypatch):
+    # an in-place write after the hand-over would race the writer thread
+    fld = _ones_field()
+
+    def stub(cfg, save):
+        save("f", fld)
+        with pytest.raises(ValueError, match="read-only"):
+            fld.values[0, 0] = 2.0
+        return [], []
+    monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
+    out = tmp_path / "out"
+    run({"experiment": "tanh_calibration", "output_dir": str(out)})
+    assert np.array_equal(load_field(str(out / "fields" / "f")).values,
+                          np.ones(fld.grid.shape))
+    _assert_manifest_matches_disk(out)
+
+
+def test_every_experiment_hands_over_read_only_fields(acceptance_runs,
+                                                      acceptance_handovers):
+    for name, (summary, out) in acceptance_runs.items():
+        writeable = acceptance_handovers[name]
+        assert summary.passed, name
+        assert len(writeable) == len(list((out / "fields").glob("*.npy")))
+        assert writeable and not any(writeable), name
+
+
+def test_cli_run_reports_a_field_write_error_in_one_line(tmp_path, monkeypatch,
+                                                        capsys):
+    # the writer thread's OSError reaches the CLI through the future
+    threads = []
+
+    def refuse(field, base_path):
+        threads.append(threading.current_thread())
+        raise PermissionError(13, "Permission denied", base_path + ".npy")
+    monkeypatch.setattr(runner, "save_field", refuse)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"experiment": "tanh_calibration",
+                                    "output_dir": str(out)}))
+    assert cli_main(["run", str(cfg_path)]) == 1
+    err = _one_error_line(capsys)
+    assert "Permission denied" in err
+    assert str(out / "fields" / "calibration_relaxed.npy") in err
+    assert threads and threading.main_thread() not in threads
+
+
+def test_run_raises_the_experiment_error_after_its_writes(tmp_path,
+                                                         monkeypatch):
+    # the write ends only after the experiment has raised, and run must
+    # wait for it and leave no thread behind
+    raised, written = threading.Event(), []
+
+    def slow_save(field, base_path):
+        raised.wait(timeout=10)
+        time.sleep(0.05)
+        written.append(save_field(field, base_path))
+        return written[-1]
+
+    def stub(cfg, save):
+        save("f", _ones_field())
+        raised.set()
+        raise KeyError("eps")
+    monkeypatch.setattr(runner, "save_field", slow_save)
+    monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
+    out = tmp_path / "out"
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="eps"):
+        run({"experiment": "tanh_calibration", "output_dir": str(out)})
+    assert len(written) == 1 and (out / "fields" / "f.npy").exists()
+    assert threading.active_count() == before
 
 
 def test_csv_floats_round_trip(tmp_path):
@@ -583,7 +667,7 @@ def test_cli_report_rejects_a_bad_summary_in_one_line(text, tmp_path, capsys):
 
 def test_cli_run_to_an_existing_file_fails_before_the_sweep(
         tmp_path, monkeypatch, capsys):
-    def stub(cfg):
+    def stub(cfg, save):
         raise AssertionError("the sweep ran")
     monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
     cfg_path, afile = tmp_path / "cfg.json", tmp_path / "afile"
@@ -606,7 +690,7 @@ def test_validate_rejects_an_empty_output_dir(tmp_path, capsys):
 def test_cli_run_rejects_an_empty_output_dir(tmp_path, monkeypatch, capsys):
     # an empty --output-dir is the empty output_dir of a config, not "no
     # override": it used to run into the config's own runs/<name>
-    def stub(cfg):
+    def stub(cfg, save):
         raise AssertionError("the sweep ran")
     monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
     monkeypatch.chdir(tmp_path)
@@ -627,7 +711,7 @@ def test_cli_run_reports_an_os_error_but_not_a_key_error(tmp_path, monkeypatch,
     cfg_path.write_text(json.dumps({"experiment": "tanh_calibration",
                                     "output_dir": str(tmp_path / "out")}))
 
-    def stub(cfg):
+    def stub(cfg, save):
         raise exc
     monkeypatch.setitem(RUNNERS, "tanh_calibration", stub)
     exc = PermissionError(13, "Permission denied", "x.npy")
