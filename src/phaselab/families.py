@@ -198,8 +198,7 @@ def f_of_theta(theta: float, base: BoundaryData, potential: Potential,
     ``cache`` maps each theta solved so far to its solve.  When one is
     supplied, a cached theta is not solved again, a new one is
     warm-started from the nearest cached theta, and its solve is recorded.
-    Each family member or mass search owns its cache, so it is never
-    shared across threads.
+    Each family member or mass search owns its cache.
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
@@ -336,8 +335,7 @@ def _member_from_solve(eps: float, parameter, result: SolveResult,
 
 
 def build_family(kind: str, eps_list, params: dict,
-                 max_iterations: int = 400,
-                 workers: int = 1) -> CounterexampleFamily:
+                 max_iterations: int = 400) -> CounterexampleFamily:
     """Construct one counterexample family over ``eps_list``, a non-empty,
     strictly decreasing sequence of finite positive eps values.
 
@@ -346,9 +344,8 @@ def build_family(kind: str, eps_list, params: dict,
     at ``eps * params["residual_tol"]`` and stop with NonConvergenceError
     after ``max_iterations`` iterations.
 
-    Members are independent across epsilon and are built on up to
-    ``workers`` threads; the returned tuple is always ordered by
-    ``eps_list``, so results do not depend on the worker count.
+    Members are built one after the other, in the order of ``eps_list``,
+    on the calling thread.
     """
     if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -373,19 +370,14 @@ def build_family(kind: str, eps_list, params: dict,
         return _member_from_solve(eps, parameter, result, tol_phys,
                                   extra_certs)
 
-    members = _map_members(build_one, eps_list, max(1, int(workers)))
+    members = _map_members(build_one, eps_list)
     return CounterexampleFamily(kind, tuple(members), params)
 
 
-def _map_members(fn, eps_list, workers: int) -> list:
-    """``[fn(eps) for eps in eps_list]``, on up to ``workers`` threads when
-    there are several members; the result keeps the order of eps_list.
+def _map_members(fn, eps_list) -> list:
+    """``[fn(eps) for eps in eps_list]``, in order on the calling thread.
     ``perfbench/tracing.py`` wraps it as the span of one family member."""
-    if workers <= 1 or len(eps_list) <= 1:
-        return [fn(eps) for eps in eps_list]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(workers, len(eps_list))) as pool:
-        return list(pool.map(fn, eps_list))
+    return [fn(eps) for eps in eps_list]
 
 
 def _half_space_unit_grid(n: int, R: float, unit_spacing: float) -> Grid:

@@ -15,13 +15,12 @@ readable artifacts into the run directory:
                      the bytes as they are written
 
 Runs are deterministic for a fixed config and platform; the members of a
-family experiment may be built on up to ``workers`` threads (a positive
-integer, default 1).  Each run also owns one writer thread, whatever
-``workers`` is: an experiment hands each field to ``save`` as soon as the
-field is final, and the writer hashes and writes it while the experiment
-goes on.  ``run`` takes the digests in hand-over order once the
-experiment has returned, then writes the CSV, the summaries and the
-manifest.
+family experiment are built in eps order on the calling thread.  Each run
+also owns one writer thread: an experiment hands each field to ``save``
+as soon as the field is final, and the writer hashes and writes it while
+the experiment goes on.  ``run`` takes the digests in hand-over order
+once the experiment has returned, then writes the CSV, the summaries and
+the manifest.
 """
 
 from __future__ import annotations
@@ -312,8 +311,7 @@ def _family(cfg, kind, **extra):
               if k in FAMILY_PARAMS[kind]}
     return build_family(kind, cfg["eps_list"],
                         {"n": cfg["n"], **params, **extra},
-                        max_iterations=cfg["solver"]["max_iterations"],
-                        workers=cfg["workers"])
+                        max_iterations=cfg["solver"]["max_iterations"])
 
 
 def _calibration_grid(cfg):

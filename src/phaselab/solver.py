@@ -31,8 +31,8 @@ equation layers that each problem builds once.  Along each axis an
 orthonormal DST diagonalizes ``A`` exactly (fast diagonalization, Lynch,
 Rice & Thomas 1964; Buzbee, Golub & Nielson 1970); ``_AXIS_KINDS`` maps
 an axis's two face roles to its type, eigenvalues and a lazy cache of its
-dense orthonormal matrices by length, read-only and shared by the member
-threads.  So the semi-implicit step
+dense orthonormal matrices by length, read-only and shared by every
+problem.  So the semi-implicit step
 ``u+ = u - (s I + A)^{-1} r`` costs one matrix product each way per axis
 of at most ``DENSE_AXIS_MAX`` unknowns, and one forward and one inverse
 ``scipy.fft`` transform per type present on longer axes, which alone

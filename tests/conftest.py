@@ -22,9 +22,8 @@ def acceptance_runs(tmp_path_factory):
     """Run every named experiment once at its acceptance-grade defaults.
 
     Shared across the acceptance tests so families are built a single time
-    per session.  The runs use two workers, as the shipped configs of the
-    multi-member family experiments do, so the golden test can compare
-    them with those configs' outputs.
+    per session; the golden test compares them with the outputs of the
+    shipped configs that expand to the same settings.
     No run may build the sparse matrix of the direct-solve fallback: a
     Newton CG solve that stalls fails every acceptance test instead of
     quietly costing an LU factorization.  Each solve's folded axes are
@@ -48,8 +47,7 @@ def acceptance_runs(tmp_path_factory):
                        handed.append(field.values.flags.writeable)
                        or save_field(field, base))
             outdir = base / name
-            summary = run({"experiment": name, "output_dir": str(outdir),
-                           "workers": 2})
+            summary = run({"experiment": name, "output_dir": str(outdir)})
             results[name] = (summary, outdir)
     return results
 

@@ -250,7 +250,7 @@ def test_unbounded_rejects_theta_exponent_at_or_above_the_bound(monkeypatch):
         with pytest.raises(ValueError, match="theta_exponent"):
             build_family("unbounded", (0.2, 0.1),
                          {"n": n, "L": 0.4, "unit_spacing": 0.25,
-                          "theta_exponent": exponent}, workers=2)
+                          "theta_exponent": exponent})
     assert calls == []
 
 

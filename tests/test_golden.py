@@ -10,8 +10,8 @@ at the round-off floor and are held to their certificates instead: the
 residual to the unit solve's tolerance, ``W_eps`` to the threshold of the
 run's own curvature assertion.
 
-A config that expands to its experiment's defaults at two workers, up to
-the output directory, is not run again: its sweep is the one the session's
+A config that expands to its experiment's defaults, up to the output
+directory, is not run again: its sweep is the one the session's
 ``acceptance_runs`` fixture wrote with the same settings.
 """
 
@@ -74,7 +74,7 @@ def _settings(cfg):
 def test_sweep_matches_golden(name, tmp_path, acceptance_runs):
     with open(os.path.join(CONFIGS, name + ".json")) as fh:
         cfg = json.load(fh)
-    if _settings(cfg) == _settings({"experiment": name, "workers": 2}):
+    if _settings(cfg) == _settings({"experiment": name}):
         summary, outdir = acceptance_runs[name]
     else:
         summary, outdir = run({**cfg, "output_dir": str(tmp_path)}), tmp_path

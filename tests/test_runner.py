@@ -143,6 +143,26 @@ def test_family_run_byte_identical_across_workers_and_reruns(tmp_path):
         assert all(r == first for r in rest), name
 
 
+def test_family_members_solve_in_eps_order_on_the_calling_thread(
+        tmp_path, monkeypatch):
+    # workers is validated but read by nothing: each member's one solve
+    # runs at eps * residual_tol, in eps_list order, on the thread of run
+    import phaselab.families as families_mod
+    solves = []
+    solve = families_mod.solve_half_space
+
+    def spy(h, far, potential, grid, cfg, *rest, **kw):
+        solves.append((threading.get_ident(), cfg.residual_tol))
+        return solve(h, far, potential, grid, cfg, *rest, **kw)
+    monkeypatch.setattr(families_mod, "solve_half_space", spy)
+    eps_list, tol = [0.2, 0.1, 0.05], 1e-6
+    run({"experiment": "unbounded", "eps_list": eps_list, "workers": 2,
+         "params": {"L": 0.4, "unit_spacing": 0.25, "residual_tol": tol},
+         "output_dir": str(tmp_path)})
+    assert solves == [(threading.get_ident(), pytest.approx(eps * tol))
+                      for eps in eps_list]
+
+
 def _assert_manifest_matches_disk(out):
     # every digest is the file's, and every field's samples are written as
     # np.save writes them

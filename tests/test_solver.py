@@ -455,8 +455,8 @@ def test_problems_share_read_only_matrices_and_keep_their_own_scratch():
 
 
 def test_threads_that_build_one_length_at_once_share_one_matrix():
-    # member threads may miss the cache for the same length together; they
-    # must still end up with one entry, the one that each of them uses
+    # threads may miss the cache for the same length together; they must
+    # still end up with one entry, the one that each of them uses
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -826,8 +826,7 @@ def test_the_hoelder_benchmark_run_folds_every_member(monkeypatch):
     shapes = _spy_on_unknowns(monkeypatch)
     fam = build_family("hoelder_blowup", tuple(cfg["eps_list"]),
                        {"n": cfg["n"], **params},
-                       max_iterations=cfg["solver"]["max_iterations"],
-                       workers=cfg["workers"])
+                       max_iterations=cfg["solver"]["max_iterations"])
     grids = [m.unit_result.field.grid.shape for m in fam.members]
     assert len(grids) == len(cfg["eps_list"])
     assert sorted(shapes) == sorted(((m0 - 1) // 2, m1 - 2)
