@@ -20,8 +20,10 @@ Every stencil is built from two unscaled primitives: the per-axis
 ``centred_difference``, and the neighbour sums over the axes, closed at
 each face by its role.  ``add_neighbours`` adds the sums by a
 ``neighbour_plan`` of slices over one region: the whole grid for
-``laplacian``, one slab for the densities, and the equation layers for
-the solver's operator and residual, whose plan each problem builds once.
+``laplacian``, one slab of its view with a one-layer halo for the
+densities (the interior slabs of one height share one plan), and the
+equation layers for the solver's operator and residual, whose plan each
+problem builds once.
 ``density_fields`` returns per-cell densities whose region sums are the
 energies up to summation order.  The curvature density is the squared
 defect of the discrete stationarity equation; it is set to zero on
@@ -282,20 +284,37 @@ def laplacian(u: ScalarField) -> ScalarField:
 SLAB_NODES = 1 << 16
 
 
-def _slabs(u: ScalarField, eps: float) -> list[tuple[int, int]]:
-    """The axis-0 layer ranges (lo, hi) of the density slabs of u; they
-    depend on the grid and ``SLAB_NODES`` only."""
+def _slabs(u: ScalarField, eps: float) -> list[tuple[int, int, tuple]]:
+    """The density slabs of u as (lo, hi, plan): the axis-0 layer range
+    lo <= i < hi, and the ``neighbour_plan`` of those layers relative to
+    the slab's view with its one-layer halo, ``u.values[max(lo - 1, 0):
+    min(hi + 1, m)]``.  They depend on the grid and ``SLAB_NODES`` only, and
+    slabs whose views and layers match share one plan: the interior slabs
+    of one height, so a grid builds at most three."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    m = u.grid.shape[0]
+    shape = u.grid.shape
+    m = shape[0]
     step = max(1, SLAB_NODES // (u.values.size // m))
-    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    plans, slabs = {}, []
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        start, stop = max(lo - 1, 0), min(hi + 1, m)
+        key = (lo - start, hi - start, stop - start)
+        if key not in plans:
+            plans[key] = neighbour_plan((stop - start,) + shape[1:], u.roles,
+                                        (slice(lo - start, hi - start),))
+        slabs.append((lo, hi, plans[key]))
+    return slabs
 
 
 def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
-                    mu: np.ndarray, alpha: np.ndarray, t: np.ndarray) -> None:
+                    plan: tuple, mu: np.ndarray, alpha: np.ndarray,
+                    t: np.ndarray) -> None:
     """Write (mu, alpha) of ``density_fields`` on the axis-0 layers
-    lo <= i < hi into the slab buffers mu and alpha, with t for scratch.
+    lo <= i < hi into the slab buffers mu and alpha, with t for scratch;
+    ``plan`` adds the neighbour sums of those layers from the slab's view
+    with its one-layer halo (see ``_slabs``).
     With D_a the centred difference, N the neighbour sums over the axes and
     ``t = s^2 - 1``,
 
@@ -322,8 +341,7 @@ def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
     t *= -(h / eps) ** 2
     t -= 2.0 * n
     np.multiply(t, s, out=alpha)
-    add_neighbours(v, alpha, neighbour_plan(g.shape, roles,
-                                            (slice(lo, hi),)))
+    add_neighbours(v[max(lo - 1, 0):hi + 1], alpha, plan)
     alpha *= alpha
     alpha *= eps / (c * h ** 4)
     for (axis, side), role in roles.items():    # zero Dirichlet layers
@@ -338,8 +356,8 @@ def _densities(u: ScalarField, eps: float):
     alpha = np.empty(u.grid.shape)
     slabs = _slabs(u, eps)
     scratch = np.empty_like(mu[:slabs[0][1]])
-    for lo, hi in slabs:
-        _slab_densities(u, eps, lo, hi, mu[lo:hi], alpha[lo:hi],
+    for lo, hi, plan in slabs:
+        _slab_densities(u, eps, lo, hi, plan, mu[lo:hi], alpha[lo:hi],
                         scratch[:hi - lo])
     return mu, alpha
 
@@ -356,9 +374,9 @@ def _energy_sums(u: ScalarField, eps: float,
     mu_parts, alpha_parts, excess_parts = [], [], []
     slabs = _slabs(u, eps)
     buffers = np.empty((3, slabs[0][1]) + u.grid.shape[1:])
-    for lo, hi in slabs:
+    for lo, hi, plan in slabs:
         mu, alpha, t = buffers[:, :hi - lo]
-        _slab_densities(u, eps, lo, hi, mu, alpha, t)
+        _slab_densities(u, eps, lo, hi, plan, mu, alpha, t)
         mu_parts.append(np.sum(mu))
         alpha_parts.append(np.sum(alpha))
         if theta is not None:

@@ -26,8 +26,10 @@ matrix-free as ``(2n/h^2) v - (1/h^2) sum of neighbours`` on a
 zero-bordered buffer, with Newton's ``diag(d)`` in the diagonal term; the
 residual ``r`` takes the neighbour sum of the full array, so the
 Dirichlet data enter through the face layers.  Both add the neighbour
-sums by ``energy.add_neighbours``, through the ``neighbour_plan`` of the
-equation layers that each problem builds once.  Along each axis an
+sums in the order and with the operands of ``energy.add_neighbours``, by
+the ``neighbour_plan`` of the equation layers that each problem builds
+once, each add one pass over a contiguous run of the flat grid
+(``_flat_adds``).  Along each axis an
 orthonormal DST diagonalizes ``A`` exactly (fast diagonalization, Lynch,
 Rice & Thomas 1964; Buzbee, Golub & Nielson 1970); ``_AXIS_KINDS`` maps
 an axis's two face roles to its type, eigenvalues and a lazy cache of its
@@ -44,10 +46,17 @@ tolerance ``LINEAR_RTOL``, preconditioned by the DST solve of
 1999: CG's float64 recurrence fixes the accuracy of the Newton step, the
 preconditioner only its iteration count); only should CG fail is ``A``
 assembled as a sparse matrix, for a direct factorization.  The
-semi-implicit step keeps the exact float64 DST solve.  The operator, the
-DST solve and the link energy write into their problem's scratch arrays.
-Newton steps start after ``NEWTON_BURN_IN`` semi-implicit iterations; the
-stopping rule is the sup-norm residual on interior nodes.
+semi-implicit step keeps the exact float64 DST solve.  Each problem binds
+at construction what the Newton-CG loop touches: the output and scratch
+arrays of ``matvec``, ``shifted_solve``, ``residual``, ``weigh`` and
+``unweigh``, the views over them, and the calls of the operator and the
+residual and the matrix products of the DST solve.  So these calls
+allocate no vector (``shifted_solve``: on dense axes, at a repeated
+shift), and each returns an array that its own next call overwrites
+(``shifted_solve``: its next call in that dtype).  The link energy writes
+into scratch arrays of its problem too.  Newton steps start after
+``NEWTON_BURN_IN`` semi-implicit iterations; the stopping rule is the
+sup-norm residual on interior nodes.
 
 Mirror-symmetric problems are solved on the folded half.  A tangential
 axis with ``2M + 1`` nodes, on which the face data and the start field
@@ -78,6 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -251,6 +261,57 @@ def _centre_weighted_sum(f: np.ndarray, axes: tuple) -> float:
         f[_at(f.ndim, a, slice(-1, None))], rest))
 
 
+def _flat_adds(values: np.ndarray, out: np.ndarray, inner: tuple,
+               plan: tuple) -> tuple:
+    """The adds of ``add_neighbours(values, out[inner], plan)``, for a
+    ``neighbour_plan`` of ``inner`` and two C-contiguous arrays of one
+    shape, as calls bound to views of their flat layout, in its order and
+    with its operands at every node of ``inner``.  Along each axis the
+    ``mid`` layers become one contiguous run of out, from their first to
+    their last node, and the two runs of values one stride of the axis
+    after and before it, so numpy adds each in one pass with no iterator
+    buffers.  A run also covers nodes outside ``inner``, whose out it
+    leaves as junk that no caller reads, and, on an axis past the first,
+    the axis's own face layers: their out is kept before the runs and
+    restored after them, plus twice the closing layer as ``add_neighbours``
+    adds it.  Face views use length-1 slices, so that they are arrays in 1D
+    too."""
+    def layers(index):
+        return tuple(slice(i, i + 1) if isinstance(i, int) else i
+                     for i in index)
+    flat_values, flat_out = values.reshape(-1), out.reshape(-1)
+    nodes = np.arange(out.size).reshape(out.shape)[inner]
+    ops = []
+    for a, (mid, faces) in enumerate(plan):
+        stride = values.strides[a] // values.itemsize
+        lo = hi = 0
+        if mid:
+            lo, hi = int(nodes[mid[0]].min()), int(nodes[mid[0]].max()) + 1
+        kept = []
+        for face, closing in faces:
+            face = layers(face)
+            layer, keep = out[inner][face], None
+            if np.any((nodes[face] >= lo) & (nodes[face] < hi)):
+                keep = np.empty(layer.shape)
+                ops.append(partial(np.copyto, keep, layer))
+            kept.append((layer, values[layers(closing)], keep))
+        if mid:
+            run = flat_out[lo:hi]
+            ops += [partial(np.add, run, flat_values[lo + stride:hi + stride],
+                            run),
+                    partial(np.add, run, flat_values[lo - stride:hi - stride],
+                            run)]
+        for layer, closing, keep in kept:
+            twice = np.empty(layer.shape)
+            ops.append(partial(np.multiply, closing, 2.0, twice))
+            if keep is None:
+                ops.append(partial(np.add, layer, twice, layer))
+            else:
+                ops += [partial(np.add, keep, twice, keep),
+                        partial(np.copyto, layer, keep)]
+    return tuple(ops)
+
+
 class _DirichletProblem:
     """Unknown-node view of A = -lap_h with eliminated Dirichlet layers.
 
@@ -262,8 +323,18 @@ class _DirichletProblem:
     ghost.  ``matvec``, ``shifted_solve`` and ``sparse_matrix`` act
     on ``y = D x``, where D is 1/sqrt(2) on the centre layer of each folded
     axis, so that the operator ``S = D A D^{-1}`` is symmetric;
-    ``weigh`` and ``unweigh`` apply D and its inverse.  Problems share
-    only the read-only matrices, never their plan or scratch arrays."""
+    ``weigh`` and ``unweigh`` apply D and its inverse.
+
+    The constructor binds what the Newton-CG loop touches: the output and
+    scratch arrays of ``matvec``, ``shifted_solve``, ``residual``, ``weigh``
+    and ``unweigh``, the views of their layers, the calls of ``matvec``
+    and ``residual`` after their first products (``_bind_matvec``,
+    ``_bind_residual``) and the matrix products of ``shifted_solve``
+    (``_products``).  Each of the five returns an array that its own next
+    call overwrites (``shifted_solve``: its next call in the same dtype),
+    except that ``weigh`` and ``unweigh`` return their argument when no
+    axis is folded.  Problems share only the read-only matrices, never
+    their plan or scratch arrays."""
 
     def __init__(self, grid: Grid, roles: dict, potential: Potential):
         self.grid = grid
@@ -286,7 +357,10 @@ class _DirichletProblem:
                            for a, m in enumerate(grid.shape))
         self.plan = neighbour_plan(grid.shape, roles, self.inner)
         self.int_shape = tuple(s.stop - 1 for s in self.inner)
-        self._centres = tuple(_at(grid.n, a, -1) for a in self.folded)
+        unknowns = math.prod(self.int_shape)
+        # length-1 slices, so that a centre layer's view is an array in 1D
+        self._centres = tuple(_at(grid.n, a, slice(-1, None))
+                              for a in self.folded)
         self.dense = tuple((a, kinds[a][2][k])
                            for a, k in enumerate(self.int_shape)
                            if k <= DENSE_AXIS_MAX)
@@ -305,12 +379,26 @@ class _DirichletProblem:
         # shifted_solve was given in that dtype; the semi-implicit shift and
         # the Newton preconditioner's shift alternate, one per dtype
         self._shifted = {}
-        # shifted_solve's two product outputs per dtype, and float32's result
-        self._work = {t: np.empty((2,) + self.int_shape, t)
+        # dtype -> shifted_solve's two product arrays and its products over
+        # them (see _products); float32's result
+        self._work = {t: self._products(np.empty((2, unknowns), t))
                       for t in (np.float64, np.float32)}
-        self._result32 = np.empty(self.int_shape)
-        # zero-bordered buffer that matvec writes -D^{-1} v/h^2 into
+        self._result32 = np.empty(unknowns)
+        # matvec's output, and -D^{-1} v/h^2, with their centre layers, and
+        # the calls from there to its output (see _bind_matvec)
+        self._matvec = self._centred(np.empty(unknowns))
+        self._scaled = self._centred(np.empty(unknowns))
+        self._scale = -1.0 / (self.h * self.h)
         self._buf = np.zeros(grid.shape)
+        self._matvec_ops = self._bind_matvec()
+        # residual's output, and its copy of the field and the calls from
+        # there to its output (see _bind_residual)
+        self._residual = np.empty(unknowns)
+        self._values = np.empty(grid.shape)
+        self._residual_ops = self._bind_residual()
+        # weigh's and unweigh's outputs with their centre layers
+        self._weighed = self._centred(np.empty(unknowns))
+        self._unweighed = self._centred(np.empty(unknowns))
         # per axis: link_energy's differences, their layers, folded axes across
         self._links = tuple(
             (np.empty(tuple(m - (b == a) for b, m in enumerate(grid.shape))),
@@ -322,42 +410,123 @@ class _DirichletProblem:
         # centre layer
         self.measure = grid.cell_measure * 2 ** len(self.folded)
 
-    def _centre_scaled(self, v: np.ndarray, factor: float) -> np.ndarray:
-        """v with its centre layer on each folded axis times ``factor``
-        (v itself when no axis is folded)."""
+    def _centred(self, out: np.ndarray) -> tuple:
+        """out, a vector of the unknowns, with the views of its centre
+        layers."""
+        layers = out.reshape(self.int_shape)
+        return out, tuple(layers[c] for c in self._centres)
+
+    def _products(self, work: np.ndarray) -> tuple:
+        """(work, forward, middle, back): shifted_solve's bound products
+        over ``work``, its two product arrays of the unknowns in one dtype.
+        One ``np.matmul`` (lhs, rhs, out) per ``dense`` axis applies Q to
+        every line along the axis, batched over the axes before it; forward
+        in axis order, then back by Q.T in reverse order, alternating
+        between the two arrays from the second, which receives rhs.  The
+        forward products end in ``middle``, which the transforms and the
+        division work on; with a dense axis the back products end in the
+        second array."""
+        grids = work.reshape((2,) + self.int_shape)
+        dtype = work.dtype.type
+
+        def product(i, a, q):
+            r, out, k = grids[(i + 1) % 2], grids[i % 2], self.int_shape[a]
+            if a == self.grid.n - 1:
+                return r.reshape(-1, k), q.T, out.reshape(-1, k)
+            rest = math.prod(self.int_shape[a + 1:])
+            return q, r.reshape(-1, k, rest), out.reshape(-1, k, rest)
+        forward = tuple(product(i, a, qs[dtype][0])
+                        for i, (a, qs) in enumerate(self.dense))
+        back = tuple(product(i, a, qs[dtype][1]) for i, (a, qs)
+                     in enumerate(reversed(self.dense), len(self.dense)))
+        return work, forward, grids[(len(self.dense) - 1) % 2], back
+
+    def _span(self, a: np.ndarray) -> np.ndarray:
+        """The contiguous run of the flat a, of the grid's shape, from the
+        first to the last node of the equation layers."""
+        first = sum(s.start * st for s, st in zip(self.inner, a.strides))
+        last = sum((s.stop - 1) * st for s, st in zip(self.inner, a.strides))
+        return a.reshape(-1)[first // a.itemsize:last // a.itemsize + 1]
+
+    def _bind_matvec(self) -> tuple:
+        """matvec's calls after its two products: D^{-1} on the centre
+        layers of ``_scaled`` and of the output, the copy of ``_scaled``
+        into the equation layers of the zero-bordered buffer, and of the
+        output into a grid-shaped array, cleared first so that the junk of
+        the neighbour runs cannot grow; the neighbour adds from the buffer
+        (``_flat_adds``), the copy back and D on the output's centres."""
+        out, centres = self._matvec
+        scaled, scaled_centres = self._scaled
+        grid_out = np.empty(self.grid.shape)
+        ops = [partial(np.multiply, c, SQRT2, c)
+               for c in scaled_centres + centres]
+        ops += [partial(np.copyto, self._buf[self.inner],
+                        scaled.reshape(self.int_shape)),
+                partial(np.copyto, grid_out, 0.0),
+                partial(np.copyto, grid_out[self.inner],
+                        out.reshape(self.int_shape))]
+        ops += _flat_adds(self._buf, grid_out, self.inner, self.plan)
+        ops.append(partial(np.copyto, out.reshape(self.int_shape),
+                           grid_out[self.inner]))
+        ops += [partial(np.multiply, c, SQRT_HALF, c) for c in centres]
+        return tuple(ops)
+
+    def _bind_residual(self) -> tuple:
+        """residual's calls on its copy of the field, each on the run of the
+        equation layers (``_span``) but the neighbour adds: ``(2n u - N) /
+        h^2`` as ``_defect`` forms it, W'(u) as ``u^3 - u``, 0 below the
+        potential's floor level (``potential.derivative`` to the bit), their
+        sum, and its copy into the output."""
+        h, n, lvl = self.h, self.grid.n, self.potential.floor_level
+        values, out = self._span(self._values), np.empty(self.grid.shape)
+        run, w = self._span(out), np.empty(values.shape)
+        ops = [partial(np.multiply, values, -2.0 * n, run)]
+        ops += _flat_adds(self._values, out, self.inner, self.plan)
+        ops += [partial(np.multiply, run, -1.0 / (h * h), run),
+                partial(np.power, values, 3, w),
+                partial(np.subtract, w, values, w)]
+        if lvl is not None:
+            below = np.empty(values.shape, bool)
+            ops += [partial(np.less, values, lvl, below),
+                    partial(np.copyto, w, 0.0, where=below)]
+        ops += [partial(np.add, run, w, run),
+                partial(np.copyto, self._residual.reshape(self.int_shape),
+                        out[self.inner])]
+        return tuple(ops)
+
+    def _centre_scaled(self, v: np.ndarray, factor: float,
+                       scaled: tuple) -> np.ndarray:
+        """v with its centre layer on each folded axis times ``factor``,
+        into the ``_centred`` output ``scaled`` (v itself when no axis is
+        folded)."""
         if not self.folded:
             return v
-        out = v.reshape(self.int_shape).copy()
-        for centre in self._centres:
-            out[centre] *= factor
-        return out.ravel()
+        out, centres = scaled
+        np.copyto(out, v)
+        for centre in centres:
+            centre *= factor
+        return out
 
     def weigh(self, x: np.ndarray) -> np.ndarray:
         """``D x``."""
-        return self._centre_scaled(x, SQRT_HALF)
+        return self._centre_scaled(x, SQRT_HALF, self._weighed)
 
     def unweigh(self, y: np.ndarray) -> np.ndarray:
         """``D^{-1} y``."""
-        return self._centre_scaled(y, SQRT2)
+        return self._centre_scaled(y, SQRT2, self._unweighed)
 
     def matvec(self, v: np.ndarray, diag) -> np.ndarray:
         """``(S + diag(d)) v`` matrix-free, as ``D ((2n/h^2 + d) D^{-1} v
-        - (1/h^2) sum of neighbours of D^{-1} v)``: one pass for the
-        diagonal term and one per neighbour, read from the zero-bordered
-        buffer, and D on the centre layers only.  ``diag`` is
-        ``2n/h^2 + d``; ``self.centre`` gives S v."""
-        buf = self._buf[self.inner]
-        np.multiply(v.reshape(self.int_shape), -1.0 / (self.h * self.h),
-                    out=buf)
-        out = np.multiply(diag, v)
-        grid_out = out.reshape(self.int_shape)
-        for centre in self._centres:
-            buf[centre] *= SQRT2
-            grid_out[centre] *= SQRT2
-        add_neighbours(self._buf, grid_out, self.plan)
-        for centre in self._centres:
-            grid_out[centre] *= SQRT_HALF
-        return out
+        - (1/h^2) sum of neighbours of D^{-1} v)``: the diagonal term and
+        ``-D^{-1} v/h^2`` by one product each, then the bound calls of
+        ``_bind_matvec``, the neighbours read from a zero-bordered buffer
+        and D on the centre layers only.  ``diag`` is ``2n/h^2 + d``;
+        ``self.centre`` gives S v."""
+        np.multiply(v, self._scale, out=self._scaled[0])
+        np.multiply(diag, v, out=self._matvec[0])
+        for op in self._matvec_ops:
+            op()
+        return self._matvec[0]
 
     def sparse_matrix(self) -> sp.csr_matrix:
         """S as the sparse Kronecker sum of 1D second differences, for the
@@ -379,8 +548,13 @@ class _DirichletProblem:
         return out
 
     def residual(self, full_values: np.ndarray) -> np.ndarray:
-        return _defect(full_values, self.h, self.potential, self.inner,
-                       self.plan).ravel()
+        """``-lap_h(u) + W'(u)`` at the equation layers, as a vector of
+        the unknowns: the field copied, then the bound calls of
+        ``_bind_residual``."""
+        np.copyto(self._values, full_values)
+        for op in self._residual_ops:
+            op()
+        return self._residual
 
     def link_energy(self, full_values: np.ndarray) -> float:
         """The link energy of the full mirrored field: a node or a link on
@@ -399,40 +573,42 @@ class _DirichletProblem:
                       dtype=np.float64) -> np.ndarray:
         """Solve (s I + S) y = rhs by fast diagonalization, with the
         transforms and the division in ``dtype``: exact to rounding in
-        float64, to float32 rounding in float32.  Returns float64, which the
-        next call in that dtype may overwrite, and leaves ``rhs`` unchanged.
-        Forward, one matrix product per ``dense`` axis, then one ``dstn``
-        per group of ``transforms``; back, the inverses in reverse order,
-        the transposed matrix on a dense axis.  The products alternate
-        between the two scratch arrays of ``dtype``; in float32, rhs is
-        first rounded into the second."""
+        float64, to float32 rounding in float32.  Returns float64 and leaves
+        ``rhs`` unchanged: rhs is first copied (in float32, rounded) into
+        the second product array of ``dtype``.  Forward, the bound matrix
+        product of each ``dense`` axis, then one ``dstn`` per group of
+        ``transforms``; back, the inverses in reverse order, the transposed
+        matrix on a dense axis (see ``_products``)."""
         shift, shifted = self._shifted.get(dtype, (None, None))
         if s != shift:
             shifted = (s + self.eigenvalues).astype(dtype, copy=False)
             self._shifted[dtype] = (s, shifted)
-        work = self._work[dtype]
-        r = rhs.reshape(self.int_shape)
-        if r.dtype != dtype:
-            np.copyto(work[1], r)
-            r = work[1]
-        for i, (a, qs) in enumerate(self.dense):
-            r = _along(qs[dtype][0], r, a, work[i % 2])
+        work, forward, middle, back = self._work[dtype]
+        np.copyto(work[1], rhs)
+        for left, right, out in forward:
+            np.matmul(left, right, out=out)
+        r = middle
         if self.transforms:
             # scipy.fft loads scipy.special, about 170 ms of import, so only
             # a problem with a long axis imports it
             from scipy.fft import dstn, idstn
-        for i, (t, axes) in enumerate(self.transforms):
-            r = dstn(r, type=t, axes=axes, norm="ortho",
-                     overwrite_x=bool(self.dense) or i > 0)
+        for t, axes in self.transforms:
+            r = dstn(r, type=t, axes=axes, norm="ortho", overwrite_x=True)
         r /= shifted
         for t, axes in reversed(self.transforms):
             r = idstn(r, type=t, axes=axes, norm="ortho", overwrite_x=True)
-        for i, (a, qs) in enumerate(reversed(self.dense), len(self.dense)):
-            r = _along(qs[dtype][1], r, a, work[i % 2])
+        if back:
+            if r is not middle:
+                np.copyto(middle, r)
+            for left, right, out in back:
+                np.matmul(left, right, out=out)
+            r = work[1]
+        else:
+            r = r.ravel()
         if r.dtype != np.float64:
             np.copyto(self._result32, r)
-            r = self._result32
-        return r.ravel()
+            return self._result32
+        return r
 
     def newton_solve(self, w2: np.ndarray, rhs: np.ndarray,
                      rtol: float) -> np.ndarray:
@@ -453,19 +629,6 @@ class _DirichletProblem:
         return self.unweigh(y)
 
 
-def _along(q: np.ndarray, r: np.ndarray, axis: int,
-           out: np.ndarray) -> np.ndarray:
-    """``q`` applied to every line of ``r`` along ``axis`` by one matrix
-    product, batched over the axes before it, into ``out`` (not r)."""
-    k = r.shape[axis]
-    if axis == r.ndim - 1:
-        np.matmul(r.reshape(-1, k), q.T, out=out.reshape(-1, k))
-    else:
-        rest = math.prod(r.shape[axis + 1:])
-        np.matmul(q, r.reshape(-1, k, rest), out=out.reshape(-1, k, rest))
-    return out
-
-
 def cg(matvec, b: np.ndarray, rtol: float, psolve):
     """Preconditioned conjugate gradients for ``A x = b`` from ``x = 0``,
     with ``matvec(v) = A v`` and ``psolve(r) = M^{-1} r`` for symmetric
@@ -477,9 +640,11 @@ def cg(matvec, b: np.ndarray, rtol: float, psolve):
     ``atol=0``, so the iterates are the same to the bit; unlike a
     ``LinearOperator``, the two callables are not probed on a zero vector.
     ``alpha p`` and ``alpha q`` go to a work vector allocated once, and the
-    two callables may return scratch that their next call overwrites.
+    two callables may return scratch that their next call overwrites.  The
+    norms are ``math.sqrt(np.dot(r, r))``, the bits of ``np.linalg.norm``
+    of a 1-D float array without its dispatch.
     """
-    bnrm2 = np.linalg.norm(b)
+    bnrm2 = math.sqrt(np.dot(b, b))
     if bnrm2 == 0:
         return b.copy(), 0
     atol = float(rtol) * float(bnrm2)
@@ -489,7 +654,7 @@ def cg(matvec, b: np.ndarray, rtol: float, psolve):
     work = np.empty_like(b)
     maxiter = 10 * len(b)
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(np.dot(r, r)) < atol:
             return x, 0
         z = psolve(r)
         rho_cur = np.dot(r, z)

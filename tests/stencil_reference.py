@@ -1,6 +1,10 @@
-"""The per-axis neighbour-sum loop, kept as the reference that the tests
-hold ``energy.neighbour_plan`` and ``energy.add_neighbours`` to, bit for
-bit: one axis at a time, the layers 1..m-2 first, then each face layer."""
+"""The per-axis loops, kept as the references that the tests hold the
+bound code to, bit for bit: the neighbour-sum loop behind
+``energy.neighbour_plan`` and ``energy.add_neighbours`` (one axis at a
+time, the layers 1..m-2 first, then each face layer), and the per-axis
+product loop behind the solver's ``shifted_solve``."""
+
+import math
 
 import numpy as np
 
@@ -30,3 +34,42 @@ def neighbour_sum(values, axis, out, lo=0, hi=None, roles=None):
             ghost = face + step if isinstance(role, NeumannZero) else face
             out[at(face - lo)] += 2.0 * values[at(ghost)]
 
+
+def along(q, r, axis, out):
+    """``q`` applied to every line of ``r`` along ``axis`` by one matrix
+    product, batched over the axes before it, into ``out`` (not r)."""
+    k = r.shape[axis]
+    if axis == r.ndim - 1:
+        np.matmul(r.reshape(-1, k), q.T, out=out.reshape(-1, k))
+    else:
+        rest = math.prod(r.shape[axis + 1:])
+        np.matmul(q, r.reshape(-1, k, rest), out=out.reshape(-1, k, rest))
+    return out
+
+
+def shifted_solve(prob, s, rhs, dtype=np.float64):
+    """The per-axis product loop of the solver's fast-diagonalization solve
+    of ``(s I + S) y = rhs`` on the problem ``prob``, in ``dtype``: forward,
+    one ``along`` product per dense axis, alternating between two arrays,
+    then one ``dstn`` per group of long axes; the division by the shifted
+    eigenvalues; back, the inverses in reverse order.  In float32 rhs is
+    first rounded into the second array.  Returns a new float64 vector."""
+    shifted = (s + prob.eigenvalues).astype(dtype, copy=False)
+    work = np.empty((2,) + prob.int_shape, dtype)
+    r = rhs.reshape(prob.int_shape)
+    if r.dtype != dtype:
+        np.copyto(work[1], r)
+        r = work[1]
+    for i, (a, qs) in enumerate(prob.dense):
+        r = along(qs[dtype][0], r, a, work[i % 2])
+    if prob.transforms:
+        from scipy.fft import dstn, idstn
+    for i, (t, axes) in enumerate(prob.transforms):
+        r = dstn(r, type=t, axes=axes, norm="ortho",
+                 overwrite_x=bool(prob.dense) or i > 0)
+    r /= shifted
+    for t, axes in reversed(prob.transforms):
+        r = idstn(r, type=t, axes=axes, norm="ortho", overwrite_x=True)
+    for i, (a, qs) in enumerate(reversed(prob.dense), len(prob.dense)):
+        r = along(qs[dtype][1], r, a, work[i % 2])
+    return r.astype(np.float64).ravel()

@@ -439,6 +439,32 @@ def test_slab_densities_match_whole_grid_operators(monkeypatch, roles):
                                atol=1e-12 * want_alpha.max())
 
 
+@pytest.mark.parametrize("rows", [41, 40])
+def test_an_energy_pass_builds_at_most_three_slab_plans(monkeypatch, rows):
+    # 2-layer slabs: the first and the last close the grid's axis-0 faces,
+    # and the interior slabs share the plan of their halo view, so a pass
+    # over 20 or 21 slabs builds three plans, not one per slab
+    built = []
+    plan = energy_module.neighbour_plan
+    monkeypatch.setattr(energy_module, "neighbour_plan",
+                        lambda *a: built.append(a) or plan(*a))
+    monkeypatch.setattr(energy_module, "SLAB_NODES", 2 * 9)
+    u = _random_field((rows, 9), _ROLE_SETS["mixed"], seed=4)
+    EnergyBreakdown.of(u, 0.3, theta=1.0)
+    assert len(built) == 3
+    slabs = energy_module._slabs(u, 0.3)
+    assert len(slabs) == (rows + 1) // 2 and len(built) == 6
+    assert len({id(p) for *_, p in slabs}) == 3
+    # each slab's plan adds, from its halo view, what the grid's plan of
+    # its layers adds from the whole grid
+    for lo, hi, p in slabs:
+        want, got = np.zeros((hi - lo, 9)), np.zeros((hi - lo, 9))
+        add_neighbours(u.values, want,
+                       plan(u.grid.shape, u.roles, (slice(lo, hi),)))
+        add_neighbours(u.values[max(lo - 1, 0):hi + 1], got, p)
+        assert got.tobytes() == want.tobytes()
+
+
 # the four role pairs (low, high) of an axis, NeumannZero on a low face too
 _ROLE_PAIRS = [(Dirichlet, Dirichlet), (Dirichlet, NeumannZero),
                (NeumannZero, Dirichlet), (NeumannZero, NeumannZero)]

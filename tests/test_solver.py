@@ -10,6 +10,7 @@ from phaselab.energy import (
     ScalarField,
     add_neighbours,
     half_space_energy,
+    modified_floor_potential,
     neighbour_plan,
     standard_potential,
 )
@@ -306,15 +307,15 @@ LONG_PROBLEMS = ([pytest.param(*i, False, id=f"{i[0]}d-long") for i in LONG]
 
 
 def _handed_to_cg(prob, w2, rhs, rtol, monkeypatch):
-    """Run ``prob.newton_solve``; return its result, the arguments
-    ``(matvec, b, rtol, psolve)`` it handed to its one ``cg`` call and that
-    call's ``(x, info)``."""
+    """Run ``prob.newton_solve``; return a copy of its result (the problem's
+    scratch), the arguments ``(matvec, b, rtol, psolve)`` it handed to its
+    one ``cg`` call and that call's ``(x, info)``."""
     import phaselab.solver as solver_mod
     calls = []
     cg = solver_mod.cg
     monkeypatch.setattr(solver_mod, "cg",
                         lambda *a: calls.append((a, cg(*a))) or calls[-1][1])
-    x = prob.newton_solve(w2, rhs, rtol)
+    x = prob.newton_solve(w2, rhs, rtol).copy()
     monkeypatch.setattr(solver_mod, "cg", cg)
     (args, result), = calls
     return x, args, result
@@ -423,6 +424,25 @@ def test_matvec_and_residual_are_the_neighbour_sum_loop_bitwise(shape,
     assert np.array_equal(prob.matvec(v, diag), ref)
 
 
+def _writeable_arrays(obj):
+    """The writeable arrays in obj's attributes, tuples, dicts and bound
+    calls (``functools.partial``), searched recursively."""
+    from functools import partial
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.flags.writeable else []
+    if isinstance(obj, _DirichletProblem):
+        items = vars(obj).values()
+    elif isinstance(obj, partial):
+        items = (*obj.args, *obj.keywords.values())
+    elif isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, tuple):
+        items = obj
+    else:
+        return []
+    return [a for item in items for a in _writeable_arrays(item)]
+
+
 def test_problems_share_read_only_matrices_and_keep_their_own_scratch():
     # the DST matrices of an axis kind and length are built once and shared
     # by every problem (and member thread); what a solve writes is not
@@ -439,12 +459,11 @@ def test_problems_share_read_only_matrices_and_keep_their_own_scratch():
             assert not q.flags.writeable and not qt.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 q[0, 0] = 0.0
-    scratch = [lambda p: p._buf, lambda p: p._result32,
-               lambda p: p._work[np.float64], lambda p: p._work[np.float32],
-               *(lambda p, a=a: p._links[a][0] for a in range(2))]
-    for arr in scratch:
-        assert arr(p1) is not arr(p2)
-        assert not np.shares_memory(arr(p1), arr(p2))
+    # every writeable array a problem holds, in its attributes and in the
+    # calls it binds, is its own
+    s1, s2 = _writeable_arrays(p1), _writeable_arrays(p2)
+    assert len(s1) == len(s2) > 20
+    assert not any(np.shares_memory(x, y) for x in s1 for y in s2)
     # a solve on one leaves the other's results unchanged
     rhs = np.random.default_rng(8).standard_normal(
         math.prod(p1.int_shape))
@@ -577,6 +596,109 @@ def test_shifted_solve_leaves_its_right_hand_side_unchanged(
     assert np.array_equal(rhs, kept)
 
 
+def _shaped_problem(shape, folded, potential=P):
+    """The problem on a grid of ``shape`` with half-space roles, the high
+    face of each axis in ``folded`` NeumannZero."""
+    g = Grid(shape, 0.3, (0.0,) * len(shape))
+    roles = half_space_roles(g)
+    for a in folded:
+        roles[(a, "high")] = NeumannZero()
+    return _DirichletProblem(g, roles, potential)
+
+
+# (shape, folded axes, whether the axes take dense products, scipy.fft or
+# both): an axis of DENSE_AXIS_MAX + 1 unknowns is long
+_L = DENSE_AXIS_MAX + 3
+SOLVE_CASES = [
+    ((12,), (), "dense"), ((12,), (0,), "dense"), ((_L,), (), "long"),
+    ((9, 8), (), "dense"), ((9, 8), (0,), "dense"),
+    ((9, 8), (0, 1), "dense"), ((_L, _L), (), "long"),
+    ((_L - 1, _L), (0,), "long"), ((_L, 9), (), "mixed"),
+    ((_L - 1, 9), (0,), "mixed"), ((7, 6, 5), (), "dense"),
+    ((7, 6, 5), (0, 1), "dense"), ((_L, 6, 5), (), "mixed"),
+    ((_L - 1, 6, 5), (0, 1), "mixed"), ((5, 6, _L), (0,), "mixed")]
+
+
+@pytest.mark.parametrize(
+    "shape, folded, axes", SOLVE_CASES,
+    ids=[f"{len(s)}d-{k}" + ("-fold" + "".join(map(str, f)) if f else "")
+         for s, f, k in SOLVE_CASES])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_shifted_solve_is_the_per_axis_product_loop_bitwise(shape, folded,
+                                                            axes, dtype):
+    # the bound product chain against the reference per-axis along() loop,
+    # to the bit, on the same and on a changed shift; rhs stays unchanged
+    from stencil_reference import shifted_solve
+    prob = _shaped_problem(shape, folded)
+    assert prob.folded == folded
+    assert (bool(prob.dense), bool(prob.transforms)) == {
+        "dense": (True, False), "long": (False, True),
+        "mixed": (True, True)}[axes]
+    rng = np.random.default_rng(len(shape) + 10 * len(folded))
+    for s in (2.0, 2.0, 0.5):
+        rhs = rng.standard_normal(math.prod(prob.int_shape))
+        kept = rhs.copy()
+        got = prob.shifted_solve(s, rhs, dtype)
+        assert got.dtype == np.float64
+        assert got.tobytes() == shifted_solve(prob, s, kept, dtype).tobytes()
+        assert rhs.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("potential", [P, modified_floor_potential(0.05)],
+                         ids=["standard", "floor"])
+@pytest.mark.parametrize("shape, folded", [((9,), (0,)), ((9, 8), (0,)),
+                                           ((7, 6, 5), (0, 1))])
+def test_residual_adds_the_potentials_derivative_bitwise(potential, shape,
+                                                         folded):
+    # residual evaluates W' in its scratch: it must be potential.derivative
+    # to the bit, also below the floor level of a floored potential
+    prob = _shaped_problem(shape, folded, potential)
+    vals = np.random.default_rng(len(shape)).uniform(0.5, 2.0, shape)
+    u = vals[prob.inner]
+    if potential.floor_level is not None:
+        assert (u < potential.floor_level).any()
+    want = u * (-2.0 * len(shape))
+    add_neighbours(vals, want, prob.plan)
+    want *= -1.0 / (prob.h * prob.h)
+    want += potential.derivative(u)
+    assert prob.residual(vals).tobytes() == want.ravel().tobytes()
+
+
+@pytest.mark.parametrize("shape, folded", [((41, 41), (0,)), ((41, 41), ()),
+                                           ((17, 17, 17), (0, 1))],
+                         ids=["2d-40x39-fold0", "2d-39x39", "3d-16x16x15"])
+def test_the_calls_of_the_solve_loop_allocate_no_vector(shape, folded):
+    # after one warm-up call, N calls of each per-iteration method write
+    # into the problem's scratch: tracemalloc, which sees numpy's data
+    # buffers, peaks below the bytes of one vector of the unknowns
+    import tracemalloc
+    prob = _shaped_problem(shape, folded)
+    floored = _shaped_problem(shape, folded, modified_floor_potential(0.05))
+    m = math.prod(prob.int_shape)
+    rng = np.random.default_rng(len(shape))
+    v = rng.standard_normal(m)
+    diag = prob.centre + rng.uniform(0.0, 66.0, m)
+    vals = rng.uniform(0.5, 2.0, shape)
+    calls = {"matvec": lambda: prob.matvec(v, diag),
+             "shifted_solve": lambda: prob.shifted_solve(2.0, v),
+             "shifted_solve32": lambda: prob.shifted_solve(
+                 2.0, v, np.float32),
+             "residual": lambda: prob.residual(vals),
+             "residual_floor": lambda: floored.residual(vals),
+             "weigh": lambda: prob.weigh(v),
+             "unweigh": lambda: prob.unweigh(v)}
+    for name, call in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < v.nbytes, (name, peak, v.nbytes)
+
+
 def test_a_face_role_pair_without_a_transform_is_rejected():
     g = Grid((5, 5), 0.25, (0.0, 0.0))
     roles = half_space_roles(g)
@@ -620,6 +742,7 @@ def _scipy_newton_cg(matvec, psolve, rhs, rtol):
 
 @pytest.mark.parametrize("n, R, spacing, folded", PROBLEMS + LONG_PROBLEMS)
 def test_cg_matches_scipy_cg_bitwise(n, R, spacing, folded, monkeypatch):
+    from phaselab.solver import SQRT_HALF
     prob = _problem(n, R, spacing, folded)
     m = math.prod(prob.int_shape)       # unknowns
     rng = np.random.default_rng(50 + n)
@@ -636,7 +759,10 @@ def test_cg_matches_scipy_cg_bitwise(n, R, spacing, folded, monkeypatch):
     newton_calls = list(calls)
     assert rtol_cg == rtol
     # CG runs on y = D x: the centre layers of a folded problem are scaled
-    assert b is rhs if not folded else np.array_equal(b, prob.weigh(rhs))
+    weighed = rhs.reshape(prob.int_shape).copy()
+    for a in prob.folded:
+        weighed[(slice(None),) * a + (-1,)] *= SQRT_HALF
+    assert b is rhs if not folded else np.array_equal(b, weighed.ravel())
     x_ref, info_ref, steps = _scipy_newton_cg(matvec, psolve, b, rtol)
     assert info == info_ref == 0
     assert np.array_equal(x_cg, x_ref)
