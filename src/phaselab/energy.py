@@ -18,12 +18,14 @@ against.
 
 Every stencil is built from two unscaled primitives: the per-axis
 ``centred_difference``, and the neighbour sums over the axes, closed at
-each face by its role.  ``add_neighbours`` adds the sums by a
-``neighbour_plan`` of slices over one region: the whole grid for
-``laplacian``, one slab of its view with a one-layer halo for the
-densities (the interior slabs of one height share one plan), and the
-equation layers for the solver's operator and residual, whose plan each
-problem builds once.
+each face by its role.  One executor, ``neighbour_adds``, binds the adds
+of a ``neighbour_plan`` over one region of a C-contiguous array into an
+array of the same shape, each add one pass over a contiguous run of the
+flat grid; ``add_neighbours`` runs them at once.  The region is the whole
+grid for ``laplacian``, one slab of its view with a one-layer halo for
+the densities (the interior slabs of one height share one plan), and the
+equation layers for the solver's operator and residual, which bind the
+adds once per problem.
 ``density_fields`` returns per-cell densities whose region sums are the
 energies up to summation order.  The curvature density is the squared
 defect of the discrete stationarity equation; it is set to zero on
@@ -146,17 +148,19 @@ STANDARD = Potential()
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Nodal samples of a scalar function together with its face roles:
-    every face is ``Dirichlet`` or ``NeumannZero``, and the role sets the
-    face closure of ``laplacian`` and the curvature density.  A role holds
-    no face values; those are the field's own values on the face layer."""
+    """Nodal samples of a scalar function, a C-contiguous float array,
+    together with its face roles: every face is ``Dirichlet`` or
+    ``NeumannZero``, and the role sets the face closure of ``laplacian``
+    and the curvature density.  A role holds no face values; those are the
+    field's own values on the face layer."""
 
     grid: Grid
     values: np.ndarray
     roles: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "values",
+                           np.ascontiguousarray(self.values, dtype=float))
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}")
@@ -205,48 +209,91 @@ def centred_difference(values: np.ndarray, axis: int, out: np.ndarray,
 
 
 def neighbour_plan(shape: tuple, roles: dict, region: tuple = ()) -> tuple:
-    """The slices by which ``add_neighbours`` adds the unscaled neighbour
-    sums ``u[i+1] + u[i-1]`` of an array of ``shape`` along every axis,
-    at the nodes of ``region`` (slices per leading axis, default all), into
-    an array of the region's shape; the sums over the axes, less ``2n u``,
-    over h^2 are the discrete Laplacian.  Per axis: the slices (out, plus,
-    minus) of the layers in 1..m-2, None if the region holds none, then
-    (out, closing layer) per grid face inside the region.  The face roles
-    close it: the mirror ghost ``u1`` at a NeumannZero face, and ``u0``
-    on a Dirichlet face layer, so that the axis adds nothing to the
-    Laplacian of a layer with no equation."""
+    """The plan by which ``neighbour_adds`` adds the unscaled neighbour
+    sums ``u[i+1] + u[i-1]`` of a C-contiguous array of ``shape`` along
+    every axis, at the nodes of ``region`` (slices per leading axis,
+    default all), into a C-contiguous array of the same shape; the sums
+    over the axes, less ``2n u``, over h^2 are the discrete Laplacian.
+    Per axis: the run ``(first, stop, stride)`` of the flat grid from the
+    first to the last region node of the layers in 1..m-2, None if the
+    region holds none, then ``(face layer, closing layer, crossed)`` per
+    grid face inside the region, each layer an index tuple with a length-1
+    slice on the axis.  The face roles close it: the mirror ghost ``u1`` at a
+    NeumannZero face, and ``u0`` on a Dirichlet face layer, so that the
+    axis adds nothing to the Laplacian of a layer with no equation.  A run
+    along an axis crosses that axis's face layers exactly when the region
+    spans more than one layer of an axis before it."""
     n = len(shape)
     region = tuple(slice(*s.indices(m)[:2]) for s, m in
                    zip(tuple(region) + (slice(None),) * n, shape))
+    strides = [math.prod(shape[a + 1:]) for a in range(n)]
+    # the flat indices of the region's first and last node
+    first = sum(s.start * st for s, st in zip(region, strides))
+    last = sum((s.stop - 1) * st for s, st in zip(region, strides))
     plan = []
-    for a, (m, s) in enumerate(zip(shape, region)):
+    for a, (m, s, st) in enumerate(zip(shape, region, strides)):
         def at(index):
-            return region[:a] + (index,) + region[a + 1:]
+            return region[:a] + (slice(index, index + 1),) + region[a + 1:]
         lo, hi = s.start, s.stop
         x, y = max(lo, 1), min(hi, m - 1)
-        mid = ((_at(n, a, slice(x - lo, y - lo)), at(slice(x + 1, y + 1)),
-                at(slice(x - 1, y - 1))) if x < y else None)
+        run = ((first + (x - lo) * st, last + (y - hi) * st + 1, st)
+               if x < y else None)
+        crossed = run is not None and any(t.stop - t.start > 1
+                                          for t in region[:a])
         faces = tuple(
-            (_at(n, a, face - lo),
+            (at(face),
              at(face + step if isinstance(roles[(a, side)], NeumannZero)
-                else face))
+                else face), crossed)
             for face, step, side in ((0, 1, LOW), (m - 1, -1, HIGH))
             if lo <= face < hi)
-        plan.append((mid, faces))
+        plan.append((run, faces))
     return tuple(plan)
 
 
+def neighbour_adds(values: np.ndarray, out: np.ndarray, plan: tuple) -> tuple:
+    """The adds of the neighbour sums of values by a ``neighbour_plan``
+    into out, two C-contiguous arrays of one shape, as calls bound to
+    their views: per axis, values' runs one stride after and then one
+    stride before out's run, each added in one pass, then 2 values[closing
+    layer] into each face layer.  A run leaves junk in out at the nodes it
+    covers outside the region; a crossed face layer's out is kept before
+    the runs and restored after them, plus the face's add."""
+    if values.shape != out.shape or not (values.flags.c_contiguous
+                                         and out.flags.c_contiguous):
+        raise ValueError("values and out must be C-contiguous arrays of "
+                         f"one shape, got {values.shape} and {out.shape}")
+    flat_values, flat_out = values.reshape(-1), out.reshape(-1)
+    ops = []
+    for run, faces in plan:
+        kept = []
+        for face, closing, crossed in faces:
+            layer, keep = out[face], None
+            if crossed:
+                keep = np.empty(layer.shape)
+                ops.append(partial(np.copyto, keep, layer))
+            kept.append((layer, values[closing], keep))
+        if run:
+            first, stop, stride = run
+            r = flat_out[first:stop]
+            ops += [partial(np.add, r, flat_values[first + stride:
+                                                   stop + stride], r),
+                    partial(np.add, r, flat_values[first - stride:
+                                                   stop - stride], r)]
+        for layer, closing, keep in kept:
+            if keep is None:
+                twice = np.empty(layer.shape)
+                ops += [partial(np.multiply, closing, 2.0, twice),
+                        partial(np.add, layer, twice, layer)]
+            else:
+                ops += [partial(np.multiply, closing, 2.0, layer),
+                        partial(np.add, layer, keep, layer)]
+    return tuple(ops)
+
+
 def add_neighbours(values: np.ndarray, out: np.ndarray, plan: tuple) -> None:
-    """Add the neighbour sums of values by a ``neighbour_plan`` into out:
-    per axis values[plus], then values[minus], then 2 values[closing
-    layer] at each face."""
-    for mid, faces in plan:
-        if mid:
-            layers = out[mid[0]]
-            layers += values[mid[1]]
-            layers += values[mid[2]]
-        for face, closing in faces:
-            out[face] += 2.0 * values[closing]
+    """Run the ``neighbour_adds`` of values by plan into out."""
+    for op in neighbour_adds(values, out, plan):
+        op()
 
 
 def grad_squared(u: ScalarField) -> np.ndarray:
@@ -310,11 +357,13 @@ def _slabs(u: ScalarField, eps: float) -> list[tuple[int, int, tuple]]:
 
 def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
                     plan: tuple, mu: np.ndarray, alpha: np.ndarray,
-                    t: np.ndarray) -> None:
+                    t: np.ndarray) -> np.ndarray:
     """Write (mu, alpha) of ``density_fields`` on the axis-0 layers
-    lo <= i < hi into the slab buffers mu and alpha, with t for scratch;
-    ``plan`` adds the neighbour sums of those layers from the slab's view
-    with its one-layer halo (see ``_slabs``).
+    lo <= i < hi into the slab buffers mu and alpha, with t for scratch,
+    and return alpha's rows of those layers.  ``plan`` adds their neighbour
+    sums from the slab's view with its one-layer halo (see ``_slabs``) into
+    alpha's leading rows of the view's shape, whose halo rows it leaves
+    as they are.
     With D_a the centred difference, N the neighbour sums over the axes and
     ``t = s^2 - 1``,
 
@@ -325,6 +374,10 @@ def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
     """
     g, v, roles = u.grid, u.values, u.roles
     h, n, c = g.spacing, g.n, c0()
+    start = max(lo - 1, 0)
+    view = v[start:hi + 1]
+    halo = alpha[:len(view)]
+    alpha = halo[lo - start:hi - start]
     s = v[lo:hi]
     centred_difference(v, 0, mu, lo, hi)
     mu *= mu
@@ -341,13 +394,14 @@ def _slab_densities(u: ScalarField, eps: float, lo: int, hi: int,
     t *= -(h / eps) ** 2
     t -= 2.0 * n
     np.multiply(t, s, out=alpha)
-    add_neighbours(v[max(lo - 1, 0):hi + 1], alpha, plan)
+    add_neighbours(view, halo, plan)
     alpha *= alpha
     alpha *= eps / (c * h ** 4)
     for (axis, side), role in roles.items():    # zero Dirichlet layers
         face = 0 if side == LOW else g.shape[axis] - 1
         if not isinstance(role, NeumannZero) and (axis or lo <= face < hi):
             alpha[_at(n, axis, face if axis else face - lo)] = 0.0
+    return alpha
 
 
 def _densities(u: ScalarField, eps: float):
@@ -357,8 +411,8 @@ def _densities(u: ScalarField, eps: float):
     slabs = _slabs(u, eps)
     scratch = np.empty_like(mu[:slabs[0][1]])
     for lo, hi, plan in slabs:
-        _slab_densities(u, eps, lo, hi, plan, mu[lo:hi], alpha[lo:hi],
-                        scratch[:hi - lo])
+        _slab_densities(u, eps, lo, hi, plan, mu[lo:hi],
+                        alpha[max(lo - 1, 0):], scratch[:hi - lo])
     return mu, alpha
 
 
@@ -369,14 +423,14 @@ def _energy_sums(u: ScalarField, eps: float,
 
     Each slab is summed pairwise by ``np.sum``; the slab partials are
     combined with ``math.fsum`` in slab order; the slab buffers are sliced
-    from one allocation per pass.
+    from one allocation per pass, alpha's with the two halo rows.
     """
     mu_parts, alpha_parts, excess_parts = [], [], []
     slabs = _slabs(u, eps)
-    buffers = np.empty((3, slabs[0][1]) + u.grid.shape[1:])
+    buffers = np.empty((3, slabs[0][1] + 2) + u.grid.shape[1:])
     for lo, hi, plan in slabs:
-        mu, alpha, t = buffers[:, :hi - lo]
-        _slab_densities(u, eps, lo, hi, plan, mu, alpha, t)
+        mu, t = buffers[:2, :hi - lo]
+        alpha = _slab_densities(u, eps, lo, hi, plan, mu, buffers[2], t)
         mu_parts.append(np.sum(mu))
         alpha_parts.append(np.sum(alpha))
         if theta is not None:

@@ -151,7 +151,10 @@ class BoundaryData:
 
 def _window(q2):
     """The smooth window ``exp(1 - 1/(1 - q2))`` where the squared radius
-    ratio ``q2`` is below 1 and 0 elsewhere, written into ``q2``."""
+    ratio ``q2`` is below 1 and 0 elsewhere, written into ``q2`` (into a
+    0-d array of it where ``q2`` is a scalar, as on the point face of a 1D
+    grid)."""
+    q2 = np.asarray(q2)
     ins = q2 < 1.0
     inside = np.exp(1.0 - 1.0 / (1.0 - q2[ins]))
     q2.fill(0.0)

@@ -25,11 +25,9 @@ The interior operator ``A = -lap_h`` (zero Dirichlet border) is applied
 matrix-free as ``(2n/h^2) v - (1/h^2) sum of neighbours`` on a
 zero-bordered buffer, with Newton's ``diag(d)`` in the diagonal term; the
 residual ``r`` takes the neighbour sum of the full array, so the
-Dirichlet data enter through the face layers.  Both add the neighbour
-sums in the order and with the operands of ``energy.add_neighbours``, by
-the ``neighbour_plan`` of the equation layers that each problem builds
-once, each add one pass over a contiguous run of the flat grid
-(``_flat_adds``).  Along each axis an
+Dirichlet data enter through the face layers.  Both bind, once per
+problem, the ``energy.neighbour_adds`` of the ``neighbour_plan`` of the
+equation layers.  Along each axis an
 orthonormal DST diagonalizes ``A`` exactly (fast diagonalization, Lynch,
 Rice & Thomas 1964; Buzbee, Golub & Nielson 1970); ``_AXIS_KINDS`` maps
 an axis's two face roles to its type, eigenvalues and a lazy cache of its
@@ -79,8 +77,10 @@ stopping rule (``residual_tol``, ``max_iterations``); the start field is
 the ``initial`` argument, an array of nodal values on the grid (default:
 the boundary extension ``far + (trace - far) e^(-x_n)``).  The face data
 replace its face layers, so a previous solution on the same grid is a
-warm start.  ``residual_field`` stays as the reference the tests check the
-solver's residual against.
+warm start.  ``residual_field``, ``W'(u) - laplacian(u)`` on the whole
+grid, gives the residual of any field; the independent per-axis loops
+that the tests hold the bound calls to bit for bit are in
+``tests/stencil_reference.py``.
 """
 
 from __future__ import annotations
@@ -93,8 +93,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .energy import (Potential, ScalarField, STANDARD, _at, add_neighbours,
-                     half_space_energy, neighbour_plan)
+from .energy import (Potential, ScalarField, STANDARD, _at,
+                     half_space_energy, laplacian, neighbour_adds,
+                     neighbour_plan)
 from .grid import (HIGH, LOW, Dirichlet, Grid, NeumannZero, face_coords,
                    face_radii, half_space_roles)
 
@@ -239,19 +240,6 @@ class SolveResult:
 # the interior operator
 # --------------------------------------------------------------------------
 
-def _defect(values: np.ndarray, h: float, potential: Potential,
-            inner: tuple, plan: tuple) -> np.ndarray:
-    """``-lap_h(u) + W'(u)`` at the equation layers ``inner``, in their
-    shape, as ``(2n u - N) / h^2 + W'(u)`` with N the neighbour sum that
-    ``plan``, a ``neighbour_plan`` of ``inner``, adds."""
-    u = values[inner]
-    out = u * (-2.0 * values.ndim)
-    add_neighbours(values, out, plan)
-    out *= -1.0 / (h * h)
-    out += potential.derivative(u)
-    return out
-
-
 def _centre_weighted_sum(f: np.ndarray, axes: tuple) -> float:
     """Sum of f with weight 1/2 on the last layer of each axis in axes."""
     if not axes:
@@ -259,57 +247,6 @@ def _centre_weighted_sum(f: np.ndarray, axes: tuple) -> float:
     a, rest = axes[0], axes[1:]
     return (_centre_weighted_sum(f, rest) - 0.5 * _centre_weighted_sum(
         f[_at(f.ndim, a, slice(-1, None))], rest))
-
-
-def _flat_adds(values: np.ndarray, out: np.ndarray, inner: tuple,
-               plan: tuple) -> tuple:
-    """The adds of ``add_neighbours(values, out[inner], plan)``, for a
-    ``neighbour_plan`` of ``inner`` and two C-contiguous arrays of one
-    shape, as calls bound to views of their flat layout, in its order and
-    with its operands at every node of ``inner``.  Along each axis the
-    ``mid`` layers become one contiguous run of out, from their first to
-    their last node, and the two runs of values one stride of the axis
-    after and before it, so numpy adds each in one pass with no iterator
-    buffers.  A run also covers nodes outside ``inner``, whose out it
-    leaves as junk that no caller reads, and, on an axis past the first,
-    the axis's own face layers: their out is kept before the runs and
-    restored after them, plus twice the closing layer as ``add_neighbours``
-    adds it.  Face views use length-1 slices, so that they are arrays in 1D
-    too."""
-    def layers(index):
-        return tuple(slice(i, i + 1) if isinstance(i, int) else i
-                     for i in index)
-    flat_values, flat_out = values.reshape(-1), out.reshape(-1)
-    nodes = np.arange(out.size).reshape(out.shape)[inner]
-    ops = []
-    for a, (mid, faces) in enumerate(plan):
-        stride = values.strides[a] // values.itemsize
-        lo = hi = 0
-        if mid:
-            lo, hi = int(nodes[mid[0]].min()), int(nodes[mid[0]].max()) + 1
-        kept = []
-        for face, closing in faces:
-            face = layers(face)
-            layer, keep = out[inner][face], None
-            if np.any((nodes[face] >= lo) & (nodes[face] < hi)):
-                keep = np.empty(layer.shape)
-                ops.append(partial(np.copyto, keep, layer))
-            kept.append((layer, values[layers(closing)], keep))
-        if mid:
-            run = flat_out[lo:hi]
-            ops += [partial(np.add, run, flat_values[lo + stride:hi + stride],
-                            run),
-                    partial(np.add, run, flat_values[lo - stride:hi - stride],
-                            run)]
-        for layer, closing, keep in kept:
-            twice = np.empty(layer.shape)
-            ops.append(partial(np.multiply, closing, 2.0, twice))
-            if keep is None:
-                ops.append(partial(np.add, layer, twice, layer))
-            else:
-                ops += [partial(np.add, keep, twice, keep),
-                        partial(np.copyto, layer, keep)]
-    return tuple(ops)
 
 
 class _DirichletProblem:
@@ -441,20 +378,13 @@ class _DirichletProblem:
                      in enumerate(reversed(self.dense), len(self.dense)))
         return work, forward, grids[(len(self.dense) - 1) % 2], back
 
-    def _span(self, a: np.ndarray) -> np.ndarray:
-        """The contiguous run of the flat a, of the grid's shape, from the
-        first to the last node of the equation layers."""
-        first = sum(s.start * st for s, st in zip(self.inner, a.strides))
-        last = sum((s.stop - 1) * st for s, st in zip(self.inner, a.strides))
-        return a.reshape(-1)[first // a.itemsize:last // a.itemsize + 1]
-
     def _bind_matvec(self) -> tuple:
         """matvec's calls after its two products: D^{-1} on the centre
         layers of ``_scaled`` and of the output, the copy of ``_scaled``
         into the equation layers of the zero-bordered buffer, and of the
         output into a grid-shaped array, cleared first so that the junk of
-        the neighbour runs cannot grow; the neighbour adds from the buffer
-        (``_flat_adds``), the copy back and D on the output's centres."""
+        the neighbour runs cannot grow; the ``neighbour_adds`` from the
+        buffer, the copy back and D on the output's centres."""
         out, centres = self._matvec
         scaled, scaled_centres = self._scaled
         grid_out = np.empty(self.grid.shape)
@@ -465,31 +395,33 @@ class _DirichletProblem:
                 partial(np.copyto, grid_out, 0.0),
                 partial(np.copyto, grid_out[self.inner],
                         out.reshape(self.int_shape))]
-        ops += _flat_adds(self._buf, grid_out, self.inner, self.plan)
+        ops += neighbour_adds(self._buf, grid_out, self.plan)
         ops.append(partial(np.copyto, out.reshape(self.int_shape),
                            grid_out[self.inner]))
         ops += [partial(np.multiply, c, SQRT_HALF, c) for c in centres]
         return tuple(ops)
 
     def _bind_residual(self) -> tuple:
-        """residual's calls on its copy of the field, each on the run of the
-        equation layers (``_span``) but the neighbour adds: ``(2n u - N) /
-        h^2`` as ``_defect`` forms it, W'(u) as ``u^3 - u``, 0 below the
-        potential's floor level (``potential.derivative`` to the bit), their
-        sum, and its copy into the output."""
+        """residual's calls on its copy of the field, each on whole
+        grid-shaped scratch: ``(2n u - N) / h^2`` with N the
+        ``neighbour_adds``, W'(u) as ``u^3 - u``, 0 below the potential's
+        floor level (``potential.derivative`` to the bit), their sum, and
+        the copy of its equation layers into the output.  All but the adds
+        act node by node, so the equation layers get the bits of a
+        region-sized evaluation."""
         h, n, lvl = self.h, self.grid.n, self.potential.floor_level
-        values, out = self._span(self._values), np.empty(self.grid.shape)
-        run, w = self._span(out), np.empty(values.shape)
-        ops = [partial(np.multiply, values, -2.0 * n, run)]
-        ops += _flat_adds(self._values, out, self.inner, self.plan)
-        ops += [partial(np.multiply, run, -1.0 / (h * h), run),
+        values = self._values
+        out, w = np.empty(self.grid.shape), np.empty(self.grid.shape)
+        ops = [partial(np.multiply, values, -2.0 * n, out)]
+        ops += neighbour_adds(values, out, self.plan)
+        ops += [partial(np.multiply, out, -1.0 / (h * h), out),
                 partial(np.power, values, 3, w),
                 partial(np.subtract, w, values, w)]
         if lvl is not None:
-            below = np.empty(values.shape, bool)
+            below = np.empty(self.grid.shape, bool)
             ops += [partial(np.less, values, lvl, below),
                     partial(np.copyto, w, 0.0, where=below)]
-        ops += [partial(np.add, run, w, run),
+        ops += [partial(np.add, out, w, out),
                 partial(np.copyto, self._residual.reshape(self.int_shape),
                         out[self.inner])]
         return tuple(ops)
@@ -840,11 +772,11 @@ def _finish(grid, folded, u, trace_vals, res, iterations, converged):
 # --------------------------------------------------------------------------
 
 def residual_field(u: ScalarField, potential: Potential | None = None) -> ScalarField:
-    """``-lap(u) + W'(u)`` at interior nodes, zero on all face layers."""
+    """``W'(u) - lap(u)`` at interior nodes, zero on all face layers."""
     out = np.zeros(u.grid.shape)
     inner = tuple(slice(1, -1) for _ in u.grid.shape)
-    out[inner] = _defect(u.values, u.grid.spacing, potential or STANDARD,
-                         inner, neighbour_plan(u.grid.shape, u.roles, inner))
+    w = (potential or STANDARD).derivative(u.values)
+    out[inner] = (w - laplacian(u).values)[inner]
     return u.with_values(out)
 
 

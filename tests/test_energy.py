@@ -458,11 +458,13 @@ def test_an_energy_pass_builds_at_most_three_slab_plans(monkeypatch, rows):
     # each slab's plan adds, from its halo view, what the grid's plan of
     # its layers adds from the whole grid
     for lo, hi, p in slabs:
-        want, got = np.zeros((hi - lo, 9)), np.zeros((hi - lo, 9))
+        start = max(lo - 1, 0)
+        view = u.values[start:hi + 1]
+        want, got = np.zeros(u.grid.shape), np.zeros(view.shape)
         add_neighbours(u.values, want,
                        plan(u.grid.shape, u.roles, (slice(lo, hi),)))
-        add_neighbours(u.values[max(lo - 1, 0):hi + 1], got, p)
-        assert got.tobytes() == want.tobytes()
+        add_neighbours(view, got, p)
+        assert got[lo - start:hi - start].tobytes() == want[lo:hi].tobytes()
 
 
 # the four role pairs (low, high) of an axis, NeumannZero on a low face too
@@ -516,9 +518,42 @@ def test_neighbour_plan_is_the_padded_ghost_sum(shape, first):
     want = start + sum(_padded_neighbour_sum(values, a, pair)
                        for a, pair in enumerate(pairs))
     for region in _regions(shape, pairs):
-        out = start[region].copy()
+        out = start.copy()
         add_neighbours(values, out, neighbour_plan(shape, roles, region))
-        assert np.array_equal(out, want[region]), region
+        assert np.array_equal(out[region], want[region]), region
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 4, 6)])
+@pytest.mark.parametrize("first", range(len(_ROLE_PAIRS)))
+def test_add_neighbours_is_the_per_axis_loop_bitwise(shape, first):
+    # float values, so the order of the additions shows: over every region
+    # kind, crossed face layers included, add_neighbours adds what the
+    # per-axis loop of stencil_reference adds, in its order, to the bit,
+    # and laplacian is that loop's sum less 2n u, over h^2
+    n = len(shape)
+    pairs = [_ROLE_PAIRS[(first + a) % 4] for a in range(n)]
+    roles = {(a, side): cls() for a, pair in enumerate(pairs)
+             for side, cls in zip(("low", "high"), pair)}
+    rng = np.random.default_rng(first + 10 * n)
+    values = rng.standard_normal(shape)
+    start = rng.standard_normal(shape)
+    for region in _regions(shape, pairs):
+        full = tuple(region) + (slice(None),) * (n - len(region))
+        want = start[full].copy()
+        for a, s in enumerate(full):
+            lo, hi, _ = s.indices(shape[a])
+            neighbour_sum(values[full[:a] + (slice(None),) + full[a + 1:]],
+                          a, want, lo, hi, roles)
+        out = start.copy()
+        add_neighbours(values, out, neighbour_plan(shape, roles, region))
+        assert out[full].tobytes() == want.tobytes(), region
+    h = 0.3
+    want = values * (-2.0 * n)
+    for a in range(n):
+        neighbour_sum(values, a, want, roles=roles)
+    want *= 1.0 / (h * h)
+    u = ScalarField(Grid(shape, h, (0.0,) * n), values, roles)
+    assert laplacian(u).values.tobytes() == want.tobytes()
 
 
 def test_density_peak_memory_stays_near_the_two_outputs():

@@ -57,6 +57,15 @@ def test_bump_linearity_exact():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", ["exp_decay", "compact_bump"])
+def test_bump_on_a_1d_grid_is_theta_times_the_peak(shape):
+    # the face of a 1D grid is the one point x = 0, where both profiles
+    # peak at the amplitude; its sample is a 0-d value
+    bd = bump(small_grid(n=1), 1.5, shape=shape, amplitude=0.5)
+    assert np.ndim(bd.samples) == 0
+    assert bd.samples == 1.5 * 0.5
+
+
 # the Hoelder family's grids: window B at ceil(ppu * omega * B) nodes per
 # half-width, at the eps of the shipped config and the benchmark; the 3D
 # grids at ppu 6 exceed the node budget, so 3D takes ppu 3 and 4

@@ -662,6 +662,21 @@ def test_cli_run_reports_an_over_budget_grid(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("experiment", ["boundary_atom", "penalty_zero"])
+def test_cli_runs_a_1d_bump_config_with_no_traceback(experiment, tmp_path,
+                                                     capsys):
+    # a 1D grid's face is one point, so its bump samples are 0-d
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": experiment, "n": 1, "eps_list": [0.2, 0.1],
+        "params": {"L": 0.5, "unit_spacing": 0.125},
+        "output_dir": str(tmp_path / "out")}))
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    assert cli_main(["run", str(cfg_path)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
